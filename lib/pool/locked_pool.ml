@@ -4,13 +4,17 @@ type 'a t = {
   mutex : Mutex.t;
   mutable free : 'a list;
   stats : Pstats.t;
+  cell : Pstats.cell Domain.DLS.key;
 }
 
 let create ~ctor ?reset () =
-  { ctor; reset; mutex = Mutex.create (); free = []; stats = Pstats.create () }
+  let stats = Pstats.create () in
+  let cell = Domain.DLS.new_key (fun () -> Pstats.register stats) in
+  { ctor; reset; mutex = Mutex.create (); free = []; stats; cell }
 
 let alloc t =
-  Pstats.incr_alloc t.stats;
+  let c = Domain.DLS.get t.cell in
+  c.allocs <- c.allocs + 1;
   Mutex.lock t.mutex;
   let x =
     match t.free with
@@ -23,11 +27,12 @@ let alloc t =
   match x with
   | Some x -> x
   | None ->
-      Pstats.incr_create t.stats;
+      c.creates <- c.creates + 1;
       t.ctor ()
 
 let release t x =
-  Pstats.incr_free t.stats;
+  let c = Domain.DLS.get t.cell in
+  c.frees <- c.frees + 1;
   (match t.reset with Some f -> f x | None -> ());
   Mutex.lock t.mutex;
   t.free <- x :: t.free;

@@ -7,11 +7,13 @@ type adapt_event = {
   ev_bound : int;
 }
 
-(* Per-domain state: the magazine plus the contention signal latched
-   since this domain's last depot safe point.  [saw_contended] is set
-   by any depot acquisition that found the lock held. *)
+(* Per-domain state, reached with one DLS lookup: the magazine, this
+   domain's counter cell, and the contention signal latched since its
+   last depot safe point ([saw_contended] is set by any depot
+   acquisition that found the lock held). *)
 type 'a slot = {
   mutable mag : 'a Magazine.t;
+  st : Pstats.cell;
   mutable saw_contended : bool;
 }
 
@@ -62,7 +64,7 @@ let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) ?(mode = `Fixed)
     invalid_arg "Pool.create: max_depot_batches < depot_batches";
   let grow_step = Option.value grow_step ~default:target in
   if grow_step < 1 then invalid_arg "Pool.create: grow_step < 1";
-  let desired_target = Atomic.make target in
+  let desired_target = Atomic.make target and stats = Pstats.create () in
   {
     ctor;
     reset;
@@ -76,11 +78,12 @@ let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) ?(mode = `Fixed)
     desired_target;
     desired_bound = Atomic.make depot_batches;
     depot = Depot.create ~target ~max_batches:depot_batches;
-    stats = Pstats.create ();
+    stats;
     key =
       Domain.DLS.new_key (fun () ->
           {
             mag = Magazine.create ~target:(Atomic.get desired_target);
+            st = Pstats.register stats;
             saw_contended = false;
           });
     flushes = Atomic.make 0;
@@ -91,58 +94,25 @@ let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) ?(mode = `Fixed)
 
 let slot t = Domain.DLS.get t.key
 
-let note_acquire t sl ~contended =
-  Pstats.note_depot_acquire t.stats ~contended;
-  if contended then sl.saw_contended <- true
+let note_acquire sl ~contended =
+  sl.st.depot_acquires <- sl.st.depot_acquires + 1;
+  if contended then begin
+    sl.st.depot_contended <- sl.st.depot_contended + 1;
+    sl.saw_contended <- true
+  end
 
-(* Load a depot batch into an empty magazine.  Under adaptation the
-   batch may exceed the magazine's (possibly stale, possibly shrunk)
-   target; the excess goes back as loose items rather than violating
-   the magazine's install contract. *)
-let install_clamped t sl batch =
-  let tgt = Magazine.target sl.mag in
-  let rec split n acc rest =
-    if n = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | x :: tl -> split (n - 1) (x :: acc) tl
-      | [] -> (List.rev acc, [])
-  in
-  let keep, excess = split tgt [] batch in
-  Magazine.install sl.mag keep;
-  match excess with
-  | [] -> ()
-  | excess ->
-      Pstats.incr_depot_put t.stats;
-      let contended = Depot.put_partial_observed t.depot excess in
-      note_acquire t sl ~contended
+(* Hand a full batch to the depot; [true] when it was dropped. *)
+let deposit t sl batch =
+  sl.st.depot_puts <- sl.st.depot_puts + 1;
+  let r, contended = Depot.put_observed t.depot batch in
+  note_acquire sl ~contended;
+  let dropped = r = `Dropped in
+  if dropped then sl.st.drops <- sl.st.drops + 1;
+  dropped
 
-let note_create t =
-  Pstats.incr_create t.stats;
-  if t.mode = `Adaptive then
-    Atomic.set t.last_create_seq (Atomic.get t.flushes)
-
-let alloc t =
-  Pstats.incr_alloc t.stats;
-  let sl = slot t in
-  match Magazine.get sl.mag with
-  | Some x -> x
-  | None -> (
-      Pstats.incr_depot_get t.stats;
-      let batch, contended = Depot.get_observed t.depot in
-      note_acquire t sl ~contended;
-      match batch with
-      | Some batch -> (
-          install_clamped t sl batch;
-          match Magazine.get sl.mag with
-          | Some x -> x
-          | None ->
-              (* Depot batches are never empty, but fall back safely. *)
-              note_create t;
-              t.ctor ())
-      | None ->
-          note_create t;
-          t.ctor ())
+let deposit_partial t sl items =
+  sl.st.depot_puts <- sl.st.depot_puts + 1;
+  note_acquire sl ~contended:(Depot.put_partial_observed t.depot items)
 
 (* --- adaptation: the Kma.Pressure discipline transplanted -----------
 
@@ -190,7 +160,7 @@ let rec halve_toward a ~base =
   else if Atomic.compare_and_set a cur nxt then Some nxt
   else halve_toward a ~base
 
-let adapt t ~seq ~contended ~dropped =
+let adapt t sl ~seq ~contended ~dropped =
   let changed, grow =
     if contended then
       let nt = step_toward t.desired_target ~limit:t.max_target ~step:t.grow_step in
@@ -206,7 +176,8 @@ let adapt t ~seq ~contended ~dropped =
     Depot.set_geometry t.depot
       ~target:(Atomic.get t.desired_target)
       ~max_batches:(Atomic.get t.desired_bound);
-    if grow then Pstats.incr_grow t.stats else Pstats.incr_shrink t.stats;
+    if grow then sl.st.grows <- sl.st.grows + 1
+    else sl.st.shrinks <- sl.st.shrinks + 1;
     record_event t
       {
         ev_seq = seq;
@@ -229,53 +200,74 @@ let sync_magazine t sl =
       (fun x ->
         match Magazine.put sl.mag x with
         | `Ok -> ()
-        | `Flush batch -> (
-            Pstats.incr_depot_put t.stats;
-            let r, contended = Depot.put_observed t.depot batch in
-            note_acquire t sl ~contended;
-            match r with
-            | `Kept -> ()
-            | `Dropped -> Pstats.incr_drop t.stats))
+        | `Flush batch -> ignore (deposit t sl batch))
       held
+  end
+
+(* The magazine is empty: the depot-get safe point.  A domain that only
+   allocates never flushes, so it adopts the adapted target here. *)
+let alloc_miss t sl =
+  sync_magazine t sl;
+  sl.st.depot_gets <- sl.st.depot_gets + 1;
+  let batch, contended = Depot.get_observed t.depot in
+  note_acquire sl ~contended;
+  match batch with
+  | Some batch ->
+      (* A batch cut before a shrink overfills the magazine: the excess
+         goes back as loose items. *)
+      (match Magazine.install sl.mag batch with
+      | [] -> ()
+      | excess -> deposit_partial t sl excess);
+      Magazine.get sl.mag
+  | None ->
+      sl.st.creates <- sl.st.creates + 1;
+      if t.mode = `Adaptive then
+        Atomic.set t.last_create_seq (Atomic.get t.flushes);
+      t.ctor ()
+
+let alloc t =
+  let sl = slot t in
+  sl.st.allocs <- sl.st.allocs + 1;
+  match Magazine.get sl.mag with
+  | x -> x
+  | exception Magazine.Empty -> alloc_miss t sl
+
+(* [main] and [aux] were both full: the flush safe point. *)
+let flush t sl batch =
+  let seq = Atomic.fetch_and_add t.flushes 1 in
+  let dropped = deposit t sl batch in
+  if t.mode = `Adaptive then begin
+    let churn =
+      sl.saw_contended
+      || (dropped && seq - Atomic.get t.last_create_seq <= churn_window)
+    in
+    sl.saw_contended <- false;
+    if churn then begin
+      Atomic.set t.oversupply_run 0;
+      adapt t sl ~seq ~contended:true ~dropped:false
+    end
+    else if dropped then begin
+      if Atomic.fetch_and_add t.oversupply_run 1 + 1 >= shrink_streak then begin
+        Atomic.set t.oversupply_run 0;
+        adapt t sl ~seq ~contended:false ~dropped:true
+      end
+    end;
+    sync_magazine t sl
   end
 
 let release t x =
   (match t.reset with Some f -> f x | None -> ());
-  Pstats.incr_free t.stats;
   let sl = slot t in
+  sl.st.frees <- sl.st.frees + 1;
   match Magazine.put sl.mag x with
   | `Ok -> ()
-  | `Flush batch ->
-      let seq = Atomic.fetch_and_add t.flushes 1 in
-      Pstats.incr_depot_put t.stats;
-      let r, contended = Depot.put_observed t.depot batch in
-      note_acquire t sl ~contended;
-      let dropped = r = `Dropped in
-      if dropped then Pstats.incr_drop t.stats;
-      if t.mode = `Adaptive then begin
-        let churn =
-          sl.saw_contended
-          || (dropped && seq - Atomic.get t.last_create_seq <= churn_window)
-        in
-        sl.saw_contended <- false;
-        if churn then begin
-          Atomic.set t.oversupply_run 0;
-          adapt t ~seq ~contended:true ~dropped:false
-        end
-        else if dropped then begin
-          if Atomic.fetch_and_add t.oversupply_run 1 + 1 >= shrink_streak
-          then begin
-            Atomic.set t.oversupply_run 0;
-            adapt t ~seq ~contended:false ~dropped:true
-          end
-        end;
-        sync_magazine t sl
-      end
+  | `Flush batch -> flush t sl batch
 
 let adapt_now t ~contended ~dropped =
   if t.mode = `Adaptive then begin
-    adapt t ~seq:(Atomic.get t.flushes) ~contended ~dropped;
-    sync_magazine t (slot t)
+    let sl = slot t in
+    adapt t sl ~seq:(Atomic.get t.flushes) ~contended ~dropped;
+    sync_magazine t sl
   end
 
 let with_obj t f =
@@ -292,10 +284,7 @@ let flush_local t =
   let sl = slot t in
   match Magazine.drain sl.mag with
   | [] -> ()
-  | items ->
-      Pstats.incr_depot_put t.stats;
-      let contended = Depot.put_partial_observed t.depot items in
-      note_acquire t sl ~contended
+  | items -> deposit_partial t sl items
 
 let refill t ~batches =
   if batches < 0 then invalid_arg "Pool.refill: batches < 0";
@@ -307,16 +296,9 @@ let refill t ~batches =
           speculative batch at most goes to the GC. *)
        let tgt = Atomic.get t.desired_target in
        let batch = List.init tgt (fun _ -> t.ctor ()) in
-       Pstats.incr_depot_put t.stats;
-       let r, contended = Depot.put_observed t.depot batch in
-       note_acquire t sl ~contended;
-       match r with
-       | `Kept ->
-           incr kept;
-           Pstats.incr_prefill t.stats
-       | `Dropped ->
-           Pstats.incr_drop t.stats;
-           raise Exit
+       if deposit t sl batch then raise Exit;
+       incr kept;
+       sl.st.prefills <- sl.st.prefills + 1
      done
    with Exit -> ());
   !kept

@@ -2,9 +2,11 @@
     per-CPU kernel memory allocator (USENIX Winter 1993).
 
     Each domain keeps a {!Magazine} (the paper's per-CPU cache: a split
-    freelist bounded by [2 * target]) it can use without any
-    synchronisation; magazines exchange whole target-sized batches with
-    a mutex-protected {!Depot} (the paper's global layer), so the lock
+    freelist of two [target]-sized arrays) and a {!Pstats} cell, both
+    found with one [Domain.DLS] lookup and used without any
+    synchronisation: a magazine hit allocates nothing and touches no
+    atomic.  Magazines exchange whole target-sized batches with a
+    mutex-protected {!Depot} (the paper's global layer), so the lock
     is touched at most once per [target] operations.  The paper's
     coalescing layers have no analogue under a GC: objects dropped on
     depot overflow are simply collected (see DESIGN.md).
@@ -34,7 +36,9 @@
     [grow_step] per signal up to the ceilings; {e oversupply} — a drop
     with no miss in sight — shrinks the excess multiplicatively,
     halving the distance back to the base.  Knobs move only at depot
-    safe points, never on the magazine hit path. *)
+    safe points, never on the magazine hit path; a domain's magazine
+    takes the adapted target at its next flush or, once empty, depot
+    get, so a domain that only allocates adapts too. *)
 
 type 'a t
 

@@ -1,74 +1,49 @@
-(* Per-domain counter cells, aggregated on read.  Each domain gets its
-   own cell through DLS, so the hot-path increments never contend on a
-   shared cache line; the read accessors fold over the registered
-   cells.  Registration is a CAS push onto an immutable list, so a
-   racing reader sees either the old or the new list — both safe. *)
+(* Per-domain counter cells, aggregated on read.  Registration is a CAS
+   push onto an immutable list, so a racing reader sees either the old
+   or the new list — both safe. *)
 
 type cell = {
-  allocs : int Atomic.t;
-  frees : int Atomic.t;
-  creates : int Atomic.t;
-  depot_gets : int Atomic.t;
-  depot_puts : int Atomic.t;
-  drops : int Atomic.t;
-  depot_acquires : int Atomic.t;
-  depot_contended : int Atomic.t;
-  grows : int Atomic.t;
-  shrinks : int Atomic.t;
-  prefills : int Atomic.t;
+  mutable allocs : int;
+  mutable frees : int;
+  mutable creates : int;
+  mutable depot_gets : int;
+  mutable depot_puts : int;
+  mutable drops : int;
+  mutable depot_acquires : int;
+  mutable depot_contended : int;
+  mutable grows : int;
+  mutable shrinks : int;
+  mutable prefills : int;
 }
 
-type t = { cells : cell list Atomic.t; key : cell Domain.DLS.key }
+type t = { cells : cell list Atomic.t }
 
-let new_cell () =
-  {
-    allocs = Atomic.make 0;
-    frees = Atomic.make 0;
-    creates = Atomic.make 0;
-    depot_gets = Atomic.make 0;
-    depot_puts = Atomic.make 0;
-    drops = Atomic.make 0;
-    depot_acquires = Atomic.make 0;
-    depot_contended = Atomic.make 0;
-    grows = Atomic.make 0;
-    shrinks = Atomic.make 0;
-    prefills = Atomic.make 0;
-  }
+let create () = { cells = Atomic.make [] }
 
-let create () =
-  let cells = Atomic.make [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let c = new_cell () in
-        let rec register () =
-          let old = Atomic.get cells in
-          if not (Atomic.compare_and_set cells old (c :: old)) then register ()
-        in
-        register ();
-        c)
+let register t =
+  let c =
+    {
+      allocs = 0;
+      frees = 0;
+      creates = 0;
+      depot_gets = 0;
+      depot_puts = 0;
+      drops = 0;
+      depot_acquires = 0;
+      depot_contended = 0;
+      grows = 0;
+      shrinks = 0;
+      prefills = 0;
+    }
   in
-  { cells; key }
+  let rec push () =
+    let old = Atomic.get t.cells in
+    if not (Atomic.compare_and_set t.cells old (c :: old)) then push ()
+  in
+  push ();
+  c
 
-let cell t = Domain.DLS.get t.key
-
-let incr_alloc t = Atomic.incr (cell t).allocs
-let incr_free t = Atomic.incr (cell t).frees
-let incr_create t = Atomic.incr (cell t).creates
-let incr_depot_get t = Atomic.incr (cell t).depot_gets
-let incr_depot_put t = Atomic.incr (cell t).depot_puts
-let incr_drop t = Atomic.incr (cell t).drops
-
-let note_depot_acquire t ~contended =
-  let c = cell t in
-  Atomic.incr c.depot_acquires;
-  if contended then Atomic.incr c.depot_contended
-
-let incr_grow t = Atomic.incr (cell t).grows
-let incr_shrink t = Atomic.incr (cell t).shrinks
-let incr_prefill t = Atomic.incr (cell t).prefills
-
-let sum t field =
-  List.fold_left (fun acc c -> acc + Atomic.get (field c)) 0 (Atomic.get t.cells)
+let sum t field = List.fold_left (fun acc c -> acc + field c) 0 (Atomic.get t.cells)
 
 let allocs t = sum t (fun c -> c.allocs)
 let frees t = sum t (fun c -> c.frees)

@@ -1,58 +1,61 @@
 (** Counters for the native pool, after the paper's measurement
     discipline: statistics live with the layer that produces them, per
-    CPU, and are summed only when somebody asks.  Each domain mutates
-    its own atomic cell (no shared-line ping-pong on the hot path); the
-    read accessors aggregate over all cells and are safe to call from
-    any domain while workers race.  Individual counters are exact and
-    monotone; a snapshot taken mid-run is internally skewed by whatever
-    landed between field reads, the same caveat the paper accepts for
-    its own per-CPU counters. *)
+    CPU, and are summed only when somebody asks.  Each domain bumps
+    plain [int] fields of its own {!cell}, with no atomic and no shared
+    cache line on the hot path; the read accessors sum over every
+    registered cell and may be called from any domain while writers
+    race.
+
+    Invariants:
+    - single writer: only the domain that registered a cell writes it;
+    - readers may race with the writers: an OCaml 5 [int] read does not
+      tear, and each counter still reads monotone, since every field
+      only grows;
+    - counts are exact once the writers' domains have been
+      [Domain.join]ed;
+    - a snapshot taken mid-run is internally skewed by whatever landed
+      between field reads, the same caveat the paper accepts for its
+      own per-CPU counters. *)
 
 type t
 
+(** One domain's counters.  [creates] counts constructor calls
+    (allocations no layer could satisfy); [drops] batches released to
+    the GC on depot overflow; [depot_acquires] data-path depot-lock
+    acquisitions, of which [depot_contended] found the lock held;
+    [grows]/[shrinks] adaptive geometry steps; [prefills] batches
+    constructed and deposited by [Pool.refill]. *)
+type cell = {
+  mutable allocs : int;
+  mutable frees : int;
+  mutable creates : int;
+  mutable depot_gets : int;
+  mutable depot_puts : int;
+  mutable drops : int;
+  mutable depot_acquires : int;
+  mutable depot_contended : int;
+  mutable grows : int;
+  mutable shrinks : int;
+  mutable prefills : int;
+}
+
 val create : unit -> t
 
-val incr_alloc : t -> unit
-val incr_free : t -> unit
-val incr_create : t -> unit
-val incr_depot_get : t -> unit
-val incr_depot_put : t -> unit
-val incr_drop : t -> unit
-
-val note_depot_acquire : t -> contended:bool -> unit
-(** Record one depot-lock acquisition on the data path; [contended]
-    means the lock was observed held by another domain at acquire
-    time. *)
-
-val incr_grow : t -> unit
-val incr_shrink : t -> unit
-
-val incr_prefill : t -> unit
-(** Batches constructed and deposited by a dedicated refill domain. *)
+val register : t -> cell
+(** [register t] adds a zeroed cell to [t] and returns it; the calling
+    domain becomes its only writer.  Register once per domain, from a
+    [Domain.DLS] initialiser. *)
 
 val allocs : t -> int
 val frees : t -> int
-
 val creates : t -> int
-(** Constructor calls: allocations no layer could satisfy. *)
-
 val depot_gets : t -> int
 val depot_puts : t -> int
-
 val drops : t -> int
-(** Batches released to the GC on depot overflow. *)
-
 val depot_acquires : t -> int
-(** Data-path depot-lock acquisitions (get/put/partial exchanges). *)
-
 val depot_contended : t -> int
-(** The subset of {!depot_acquires} that found the lock held. *)
-
 val grows : t -> int
-
 val shrinks : t -> int
-(** Adaptive geometry steps taken by {!Pool} in [`Adaptive] mode. *)
-
 val prefills : t -> int
 
 type snapshot = {

@@ -19,10 +19,11 @@ let test_pstats_racing_readers () =
   let s = Pstats.create () in
   let per_domain = 50_000 in
   let writer () =
+    let c = Pstats.register s in
     for _ = 1 to per_domain do
-      Pstats.incr_alloc s;
-      Pstats.incr_free s;
-      Pstats.note_depot_acquire s ~contended:false
+      c.allocs <- c.allocs + 1;
+      c.frees <- c.frees + 1;
+      c.depot_acquires <- c.depot_acquires + 1
     done
   in
   let ds = List.init 2 (fun _ -> Domain.spawn writer) in
@@ -180,6 +181,34 @@ let test_adaptive_grows_under_churn () =
   Alcotest.(check bool) "grew" true (s.Pstats.s_grows > 0);
   Alcotest.(check bool) "geometry above base" true (Pool.current_target p > 2)
 
+(* A domain that only allocates never reaches a flush safe point, so
+   it must adopt the adapted target at the depot get instead: each
+   grown batch then installs whole, with no excess pushed back. *)
+let test_alloc_only_domain_adopts_target () =
+  let p = make_pool ~target:4 ~depot_batches:4 ~mode:`Adaptive () in
+  (* This domain's magazine is cut at the base target, then left
+     empty. *)
+  let first = Pool.alloc p in
+  let d =
+    Domain.spawn (fun () ->
+        for _ = 1 to 3 do
+          Pool.adapt_now p ~contended:true ~dropped:false
+        done;
+        Pool.refill p ~batches:4)
+  in
+  Alcotest.(check int) "four 16-object batches stocked" 4 (Domain.join d);
+  Alcotest.(check int) "target grew" 16 (Pool.current_target p);
+  let s0 = Pstats.read (Pool.stats p) in
+  let objs = List.init 64 (fun _ -> Pool.alloc p) in
+  let s1 = Pstats.read (Pool.stats p) in
+  Alcotest.(check int) "one depot get per batch" 4
+    (s1.Pstats.s_depot_gets - s0.Pstats.s_depot_gets);
+  Alcotest.(check int) "no partial puts" 0
+    (s1.Pstats.s_depot_puts - s0.Pstats.s_depot_puts);
+  Alcotest.(check int) "no constructor calls" 0
+    (s1.Pstats.s_creates - s0.Pstats.s_creates);
+  List.iter (Pool.release p) (first :: objs)
+
 (* --- satellite: refill (the SpeedMalloc dedicated-core hook) --- *)
 
 let test_refill () =
@@ -216,5 +245,7 @@ let suite =
       test_adapt_now_fixed_noop;
     Alcotest.test_case "adaptive grows under churn" `Quick
       test_adaptive_grows_under_churn;
+    Alcotest.test_case "alloc-only domain adopts target" `Quick
+      test_alloc_only_domain_adopts_target;
     Alcotest.test_case "refill" `Quick test_refill;
   ]

@@ -1,15 +1,19 @@
 open Objpool
 
+let empty m =
+  Alcotest.check_raises "empty" Magazine.Empty (fun () ->
+      ignore (Magazine.get m))
+
 let test_empty_get () =
   let m = Magazine.create ~target:3 in
-  Alcotest.(check (option int)) "empty" None (Magazine.get m);
+  empty m;
   Alcotest.(check int) "size" 0 (Magazine.size m)
 
 let test_put_get_lifo () =
   let m = Magazine.create ~target:3 in
   List.iter (fun i -> ignore (Magazine.put m i)) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "lifo" (Some 3) (Magazine.get m);
-  Alcotest.(check (option int)) "lifo" (Some 2) (Magazine.get m);
+  Alcotest.(check int) "lifo" 3 (Magazine.get m);
+  Alcotest.(check int) "lifo" 2 (Magazine.get m);
   Alcotest.(check bool) "invariant" true (Magazine.check m)
 
 let test_overflow_slides_then_flushes () =
@@ -31,22 +35,24 @@ let test_get_slides_aux () =
   let m = Magazine.create ~target:2 in
   List.iter (fun i -> ignore (Magazine.put m i)) [ 1; 2; 3 ];
   (* main = [3], aux = [2;1] *)
-  Alcotest.(check (option int)) "main first" (Some 3) (Magazine.get m);
-  Alcotest.(check (option int)) "aux slides" (Some 2) (Magazine.get m);
-  Alcotest.(check (option int)) "aux tail" (Some 1) (Magazine.get m);
-  Alcotest.(check (option int)) "empty" None (Magazine.get m)
+  Alcotest.(check int) "main first" 3 (Magazine.get m);
+  Alcotest.(check int) "aux slides" 2 (Magazine.get m);
+  Alcotest.(check int) "aux tail" 1 (Magazine.get m);
+  empty m
 
 let test_install () =
   let m = Magazine.create ~target:3 in
-  Magazine.install m [ 7; 8 ];
-  Alcotest.(check (option int)) "installed" (Some 7) (Magazine.get m);
+  Alcotest.(check (list int)) "fits" [] (Magazine.install m [ 7; 8 ]);
+  Alcotest.(check int) "installed" 7 (Magazine.get m);
   (match Magazine.install m [ 9 ] with
-  | () -> Alcotest.fail "expected Invalid_argument"
+  | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
   let m2 = Magazine.create ~target:2 in
-  match Magazine.install m2 [ 1; 2; 3 ] with
-  | () -> Alcotest.fail "expected Invalid_argument (too long)"
-  | exception Invalid_argument _ -> ()
+  Alcotest.(check (list int)) "excess returned" [ 3 ]
+    (Magazine.install m2 [ 1; 2; 3 ]);
+  Alcotest.(check int) "head first" 1 (Magazine.get m2);
+  Alcotest.(check int) "then the rest" 2 (Magazine.get m2);
+  Alcotest.(check bool) "invariant" true (Magazine.check m2)
 
 let test_drain () =
   let m = Magazine.create ~target:2 in
@@ -70,8 +76,8 @@ let prop_bounded_and_conserving =
           end
           else
             match Magazine.get m with
-            | Some _ -> incr gets
-            | None -> ())
+            | _ -> incr gets
+            | exception Magazine.Empty -> ())
         ops;
       Magazine.check m
       && Magazine.size m <= 2 * target

@@ -92,6 +92,10 @@ let test_flush_local_shares_stock () =
 let test_multidomain_stress () =
   let p = make_pool ~target:8 ~depot_batches:16 () in
   let ndomains = 4 and per_domain = 2000 in
+  (* Alcotest's checks are not domain-safe (they share one [Format]
+     queue), so the workers only count double hand-outs and this
+     domain asserts after the join. *)
+  let twice = Atomic.make 0 in
   let domains =
     List.init ndomains (fun _ ->
         Domain.spawn (fun () ->
@@ -104,7 +108,8 @@ let test_multidomain_stress () =
               end
               else begin
                 let o = Pool.alloc p in
-                checkout o;
+                if not (Atomic.compare_and_set o.checked_out false true) then
+                  Atomic.incr twice;
                 Queue.add o live
               end
             done;
@@ -116,6 +121,7 @@ let test_multidomain_stress () =
             Pool.flush_local p))
   in
   List.iter Domain.join domains;
+  Alcotest.(check int) "never handed out twice" 0 (Atomic.get twice);
   let st = Pool.stats p in
   Alcotest.(check int) "allocs = frees" (Pstats.allocs st) (Pstats.frees st);
   Alcotest.(check bool) "magazines absorb most traffic" true
@@ -128,6 +134,19 @@ let test_depot_overflow_drops () =
   (* 20 releases with a 2-target magazine (holds 4) and a 1-batch depot:
      something must have been dropped to the GC. *)
   Alcotest.(check bool) "drops counted" true (Pstats.drops (Pool.stats p) > 0)
+
+(* A magazine hit allocates nothing: no option box, no list cell, no
+   counter box.  Only the two [Gc.minor_words] readings may allocate. *)
+let test_hit_path_allocates_nothing () =
+  let p = make_pool ~target:16 () in
+  Pool.release p (Pool.alloc p);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Pool.release p (Pool.alloc p)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 16. then
+    Alcotest.failf "%.0f minor words over 100k warm pairs" words
 
 let prop_single_domain_traffic =
   QCheck.Test.make ~name:"random traffic keeps stats consistent" ~count:100
@@ -162,5 +181,7 @@ let suite =
       test_multidomain_stress;
     Alcotest.test_case "depot overflow drops to GC" `Quick
       test_depot_overflow_drops;
+    Alcotest.test_case "magazine hit allocates nothing" `Quick
+      test_hit_path_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_single_domain_traffic;
   ]

@@ -83,15 +83,17 @@ let rec skip_ws src i =
   then skip_ws src (i + 1)
   else i
 
-(* Interfaces exporting a lock or critical-section API: their module
-   doc must carry an "Invariants:" line naming the discipline (who may
-   take the lock, in what order, under what interrupt state).  This is
-   the written half of the contract lib/lockcheck checks at run time. *)
+(* Interfaces exporting a lock or critical-section API, or per-domain
+   state shared without one: their module doc must carry an
+   "Invariants:" line naming the discipline (who may take the lock, in
+   what order, under what interrupt state; or who may write, and what a
+   racing reader sees).  This is the written half of the contract
+   lib/lockcheck checks at run time. *)
 let invariants_required =
   [
     "spinlock.mli"; "global.mli"; "pagepool.mli"; "vmblk.mli"; "percpu.mli";
     "check.mli"; "heapcheck.mli"; "nbbuddy.mli"; "bwfixed.mli"; "stats.mli";
-    "depot.mli";
+    "depot.mli"; "magazine.mli"; "pstats.mli";
   ]
 
 (* Lock-free interfaces: correctness rests on a linearization argument,
