@@ -115,10 +115,14 @@ let geometry_flag =
     & opt (some geometry_conv) None
     & info [ "geometry" ] ~docv:"SPEC"
         ~doc:
-          "Cache geometry and cost model for the simulated machine, as a \
-           comma-separated key=value list over the recorded-results \
-           default (keys: line, lines, assoc, insn, miss, c2c, upgrade, \
-           rmw).  Overrides the $(b,KMA_GEOMETRY) environment variable.")
+          (* Generated from the default itself, so the list of keys
+             cannot drift from the parser's. *)
+          (Printf.sprintf
+             "Cache geometry and cost model for the simulated machine, as \
+              a comma-separated key=value list of any of the keys of the \
+              recorded-results default, which is %s.  Overrides the \
+              $(b,KMA_GEOMETRY) environment variable."
+             (Sim.Geometry.to_string Sim.Geometry.default)))
 
 let with_geometry g f =
   (match g with Some g -> Sim.Geometry.set_ambient g | None -> ());

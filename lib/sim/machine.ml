@@ -17,7 +17,11 @@ type op =
   | Now
   | Irq of bool
 
-type _ Effect.t += Op : op -> int Effect.t
+(* [Park] is a separate effect rather than an [op], so the scheduler's
+   per-operation paths (the [Op] match in the handler, the pop/re-key
+   after each event) carry no parking test: only a parking CPU pays
+   for parking. *)
+type _ Effect.t += Op : op -> int Effect.t | Park : int Effect.t
 
 (* A CPU's scheduling state IS the reified step: [Done] means idle,
    [Next (o, k)] means operation [o] is pending with continuation [k].
@@ -35,6 +39,9 @@ type cpu = {
   mutable spin_mix : int; (* last spin-jitter hash value *)
   mutable spin_r : int; (* spin_mix mod the jitter modulus *)
   mutable state : step;
+  mutable parked : step;
+      (* [Next (Spin, k)] while the CPU is parked: off the heap, with
+         the poll a [wake] reinstates; [Done] otherwise. *)
 }
 
 type t = {
@@ -59,6 +66,11 @@ type t = {
          behind the requester's node bus; because operations execute
          in global time order, grants are naturally first-come
          first-served. *)
+  heap : int array;
+      (* The scheduler's binary min-heap of pending CPUs (see [run]),
+         in [heap.(0 .. heap_n - 1)].  A machine field rather than a
+         local of [run] so that [wake] can put a parked CPU back. *)
+  mutable heap_n : int;
 }
 
 (* Scheduler heap keys pack (time, id) into one int with [id_bits] bits
@@ -98,6 +110,7 @@ let create (cfg : Config.t) =
             spin_mix = mix0;
             spin_r = mix0 mod spin_d;
             state = Done;
+            parked = Done;
           });
     bus_shift;
     spin_d;
@@ -105,6 +118,8 @@ let create (cfg : Config.t) =
     spin_wd = ((max_int mod spin_d) + 1) mod spin_d;
     node_of = Array.init cfg.ncpus (fun cpu -> Config.node_of cfg cpu);
     bus_free = Array.make cfg.nodes 0;
+    heap = Array.make cfg.ncpus 0;
+    heap_n = 0;
   }
 
 let config t = t.cfg
@@ -482,11 +497,122 @@ let spin_pause () =
       ignore (exec_spin t (Array.unsafe_get t.cpus ctx.cur))
   | _ -> ignore (perform_op Spin)
 
-(* Strict twin of [spin_pause] for host-state polling loops (the
-   scenario replayer's cross-CPU free handoff): same operation, same
-   cycle charges, but always routed through the scheduler so the host
-   code that published the awaited state gets to run. *)
-let spin_poll () = ignore (perform_op Spin)
+(* --- scheduler heap --------------------------------------------------
+
+   Pending CPUs live in [t.heap] as packed keys [(time lsl id_bits) lor
+   id]: integer comparison of packed keys IS the scheduler's (time, id)
+   lexicographic order (ncpus <= Config.max_cpus <= 2^id_bits is a
+   Config invariant, statically asserted above), so sifts compare
+   registers instead of chasing two pointers per comparison, and the
+   int array needs no GC write barrier.  Virtual clocks would need to
+   pass 2^52 cycles to overflow the packing; the longest figure-scale
+   runs sit around 2^27. *)
+let[@inline] key_of (c : cpu) = (c.time lsl id_bits) lor c.id
+
+(* Restore heap order after the root's key grew (or was replaced). *)
+let heap_sift_down t =
+  let heap = t.heap and hn = t.heap_n in
+  let x = Array.unsafe_get heap 0 in
+  let i = ref 0 in
+  let break = ref false in
+  while not !break do
+    let l = (2 * !i) + 1 in
+    if l >= hn then break := true
+    else begin
+      let m =
+        if l + 1 < hn && Array.unsafe_get heap (l + 1) < Array.unsafe_get heap l
+        then l + 1
+        else l
+      in
+      if Array.unsafe_get heap m < x then begin
+        Array.unsafe_set heap !i (Array.unsafe_get heap m);
+        i := m
+      end
+      else break := true
+    end
+  done;
+  Array.unsafe_set heap !i x
+
+let heap_push t k =
+  let heap = t.heap in
+  let i = ref t.heap_n in
+  t.heap_n <- t.heap_n + 1;
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    k < heap.(p)
+  do
+    let p = (!i - 1) / 2 in
+    heap.(!i) <- heap.(p);
+    i := p
+  done;
+  heap.(!i) <- k
+
+let heap_pop_root t =
+  t.heap_n <- t.heap_n - 1;
+  if t.heap_n > 0 then begin
+    Array.unsafe_set t.heap 0 (Array.unsafe_get t.heap t.heap_n);
+    heap_sift_down t
+  end
+
+(* --- host-signalled waits --------------------------------------------
+
+   A parked CPU stands for a CPU polling host state with scheduled
+   spins, one every [exec_spin] charge, at positions (clock, id) that
+   depend only on its own private spin state.  Such a poll changes
+   nothing but that private state, and its re-check can only succeed
+   once the awaited host state is published — so the poll sequence is
+   fully determined by the publishing point.  [park] therefore takes
+   the CPU off the heap with no poll charged (the [Park] handler in
+   [reify] stashes the continuation and reports the CPU idle), and
+   [wake] charges, in one host loop, every poll whose position falls
+   before the waker's, then re-enters the sleeper with its next poll
+   pending: the first one that would have seen the publication.
+
+   With the fast path off, [park] is one scheduled poll: the oracle the
+   equivalence tests compare parking against.  With a watchdog armed it
+   polls too, because the watchdog fires at the first pick past the
+   deadline and a parked CPU is never picked, so parking could change
+   which CPU trips it, and when. *)
+let park () =
+  let ctx = fast_ctx () in
+  if !fast_path_on && ctx.max_cycles = 0 then
+    try ignore (Effect.perform Park)
+    with Effect.Unhandled _ -> raise Not_in_simulation
+  else ignore (perform_op Spin)
+
+let wake cpu =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when ctx.cur >= 0 -> (
+      let w = t.cpus.(cpu) in
+      match w.parked with
+      | Done -> ()
+      | Next _ as poll ->
+          w.parked <- Done;
+          w.state <- poll;
+          (* An empty heap while a program runs means [run] is still
+             launching programs: the park is pending, no poll has a
+             position yet, and the push after launch schedules this
+             one as the sleeper's single poll. *)
+          if t.heap_n > 0 then begin
+            let p = Array.unsafe_get t.cpus ctx.cur in
+            while w.time < p.time || (w.time = p.time && w.id < p.id) do
+              ignore (exec_spin t w)
+            done;
+            heap_push t (key_of w);
+            (* The sleeper may now be the earliest other pending CPU:
+               the waker's inline horizon must stop at it. *)
+            if
+              w.time < ctx.limit_time
+              || (w.time = ctx.limit_time && w.id < ctx.limit_id)
+            then begin
+              ctx.limit_time <- w.time;
+              ctx.limit_id <- w.id
+            end
+          end)
+  | _ -> raise Not_in_simulation
 
 let cpu_id () =
   let ctx = fast_ctx () in
@@ -516,8 +642,12 @@ let irq_enable () =
       ignore (exec_irq t (Array.unsafe_get t.cpus ctx.cur) false)
   | _ -> ignore (perform_op (Irq false))
 
-(* Run a program until its first operation (or completion). *)
-let reify (f : unit -> unit) : step =
+(* Run [c]'s program until its first operation (or completion).  The
+   handler stays installed for the program's whole life: [Op] reifies
+   the operation for the scheduler; [Park] stashes the continuation as
+   the poll a [wake] reinstates and reports the CPU idle, which takes
+   it off the heap exactly like a finished CPU. *)
+let reify (c : cpu) (f : unit -> unit) : step =
   let open Effect.Deep in
   match_with f ()
     {
@@ -528,6 +658,11 @@ let reify (f : unit -> unit) : step =
           match eff with
           | Op o ->
               Some (fun (k : (a, step) continuation) -> Next (o, k))
+          | Park ->
+              Some
+                (fun (k : (a, step) continuation) ->
+                  c.parked <- Next (Spin, k);
+                  Done)
           | _ -> None);
     }
 
@@ -552,6 +687,7 @@ let run ?(max_cycles = 0) t progs =
     ctx.limit_id <- saved_limit_id;
     ctx.max_cycles <- saved_max_cycles
   in
+  let cpus = t.cpus in
   match
     (* Launch every program up to its first operation.  The launch
        itself consumes no virtual time, and the fast path stays
@@ -560,12 +696,12 @@ let run ?(max_cycles = 0) t progs =
     ctx.limit_time <- min_int;
     ctx.limit_id <- max_int;
     for i = 0 to n - 1 do
-      let c = t.cpus.(i) in
+      let c = cpus.(i) in
       let prog = progs.(i) in
       let saved = ctx.cur in
       ctx.cur <- c.id;
       let s =
-        match reify (fun () -> prog i) with
+        match reify c (fun () -> prog i) with
         | s ->
             ctx.cur <- saved;
             s
@@ -588,67 +724,19 @@ let run ?(max_cycles = 0) t progs =
        single sift-down: O(log ncpus) per event where the scan-based
        loop paid O(ncpus) twice, which is most of the event cost on
        wide machines. *)
-    let cpus = t.cpus in
-    (* The heap stores packed keys [(time lsl id_bits) lor id], not cpu
-       records: integer comparison of packed keys IS the scheduler's
-       (time, id) lexicographic order (ncpus <= Config.max_cpus <=
-       2^id_bits is a Config invariant, statically asserted above), so
-       sifts compare registers instead of chasing two pointers per
-       comparison, and the int array needs no GC write barrier.
-       Virtual clocks would need to pass 2^52 cycles to overflow the
-       packing; the longest figure-scale runs sit around 2^27. *)
-    let key_of (c : cpu) = (c.time lsl id_bits) lor c.id in
-    let heap = Array.make n 0 in
-    let hn = ref 0 in
-    let sift_down () =
-      let x = Array.unsafe_get heap 0 in
-      let i = ref 0 in
-      let break = ref false in
-      while not !break do
-        let l = (2 * !i) + 1 in
-        if l >= !hn then break := true
-        else begin
-          let m =
-            if l + 1 < !hn && Array.unsafe_get heap (l + 1) < Array.unsafe_get heap l
-            then l + 1
-            else l
-          in
-          if Array.unsafe_get heap m < x then begin
-            Array.unsafe_set heap !i (Array.unsafe_get heap m);
-            i := m
-          end
-          else break := true
-        end
-      done;
-      Array.unsafe_set heap !i x
-    in
-    let push k =
-      let i = ref !hn in
-      incr hn;
-      while
-        !i > 0
-        &&
-        let p = (!i - 1) / 2 in
-        k < heap.(p)
-      do
-        let p = (!i - 1) / 2 in
-        heap.(!i) <- heap.(p);
-        i := p
-      done;
-      heap.(!i) <- k
-    in
+    let heap = t.heap in
     for i = 0 to n - 1 do
       let c = cpus.(i) in
-      match c.state with Next _ -> push (key_of c) | Done -> ()
+      match c.state with Next _ -> heap_push t (key_of c) | Done -> ()
     done;
     let rec loop () =
-      if !hn > 0 then begin
+      if t.heap_n > 0 then begin
         let c = Array.unsafe_get cpus (Array.unsafe_get heap 0 land id_mask) in
         if max_cycles > 0 && c.time > max_cycles then raise (Watchdog c.time);
         (* min over the other pending CPUs = min of the root's children *)
-        if !hn > 1 then begin
+        if t.heap_n > 1 then begin
           let m =
-            if !hn > 2 && Array.unsafe_get heap 2 < Array.unsafe_get heap 1
+            if t.heap_n > 2 && Array.unsafe_get heap 2 < Array.unsafe_get heap 1
             then Array.unsafe_get heap 2
             else Array.unsafe_get heap 1
           in
@@ -675,23 +763,39 @@ let run ?(max_cycles = 0) t progs =
             | exception e ->
                 ctx.cur <- saved;
                 raise e));
+        (* A [wake] during the event may have pushed a sleeper, but
+           always below the root: its key lies past the waker's. *)
         (match c.state with
-        | Done ->
-            hn := !hn - 1;
-            if !hn > 0 then begin
-              Array.unsafe_set heap 0 (Array.unsafe_get heap !hn);
-              sift_down ()
-            end
+        | Done -> heap_pop_root t
         | Next _ ->
             Array.unsafe_set heap 0 (key_of c);
-            sift_down ());
+            heap_sift_down t);
         loop ()
       end
     in
-    loop ()
-    with
+    loop ();
+    (* Every runnable CPU has finished; one still parked waits for a
+       publication no program is left to make. *)
+    let parked = ref [] in
+    for i = n - 1 downto 0 do
+      match cpus.(i).parked with Next _ -> parked := i :: !parked | Done -> ()
+    done;
+    if !parked <> [] then
+      raise
+        (Deadlock
+           (Printf.sprintf
+              "Sim.Machine.run: parked CPUs [%s] have nobody left to wake them"
+              (String.concat "; " (List.map string_of_int !parked))))
+  with
   | () -> restore ()
   | exception e ->
+      (* Abandon every unfinished program, parked ones included, so the
+         machine can run again. *)
+      for i = 0 to n - 1 do
+        cpus.(i).state <- Done;
+        cpus.(i).parked <- Done
+      done;
+      t.heap_n <- 0;
       restore ();
       raise e
 

@@ -31,6 +31,20 @@
     [test/sim] and the fig7/E8 pins in [test/experiments]; see
     DESIGN.md "Simulator cost model").
 
+    {b Parking.}  A program waiting for host state another CPU's host
+    code publishes (the trace replayer's cross-CPU free handoff) parks
+    instead of polling through the scheduler; the publisher wakes it.
+    A wake charges the sleeper exactly the polls a scheduled spin-wait
+    would have made, so parking too is bit-identical to the scheduled
+    path (see {!park}).
+
+    Invariants: only a running program's host code may {!wake}; a
+    parked CPU is off the scheduler heap until woken; a woken CPU is
+    charged exactly the polls scheduled before the waker's publishing
+    point, plus the one after it that sees the publication; nothing
+    parks with the fast path off or a [max_cycles] watchdog armed —
+    {!park} is then one scheduled poll.
+
     Operations may only be performed from inside a program run by {!run};
     calling them elsewhere raises [Not_in_simulation]. *)
 
@@ -65,10 +79,16 @@ val run : ?max_cycles:int -> t -> (int -> unit) array -> unit
     virtual time; 0 = no limit) arms a watchdog against livelocked
     simulations.
 
+    If a program raises, [run] abandons every unfinished program
+    (parked ones included) before re-raising, so the machine stays
+    usable.
+
     @raise Invalid_argument on a bad program count.
     @raise Watchdog when [max_cycles] is exceeded.
-    @raise Deadlock if every unfinished CPU is blocked (cannot currently
-    happen: spinlocks always make progress in virtual time). *)
+    @raise Deadlock naming the parked CPUs when every other program has
+    finished, so no program is left to {!wake} them (a replayed trace
+    whose handoffs form a cycle).  Spinlocks never deadlock: they always
+    make progress in virtual time. *)
 
 val run_symmetric : ?max_cycles:int -> t -> ncpus:int -> (int -> unit) -> unit
 (** [run_symmetric t ~ncpus f] runs [f] on CPUs [0 .. ncpus-1]. *)
@@ -142,15 +162,42 @@ val spin_pause : unit -> unit
     spinning CPU's private state, so under that contract the simulator
     may execute it inline without a scheduler round trip even when
     another CPU's clock is behind — the second leg of the fast path.
-    A loop that instead polls host-side state published by another
-    CPU's host code must use {!spin_poll}. *)
+    A loop that instead waits for host-side state published by another
+    CPU's host code must use {!park}. *)
 
-val spin_poll : unit -> unit
-(** [spin_poll ()] is [spin_pause] for loops that re-check {e host-side}
-    state another simulated CPU's host code will publish (the scenario
-    replayer's cross-CPU free handoff).  Identical cycle charges, but it
-    always yields to the scheduler so the publishing CPU's host code can
-    run; inlining it would spin forever. *)
+val park : unit -> unit
+(** [park ()] waits, as one step of a polling loop, for host-side state
+    another CPU's host code will publish and then signal with {!wake}.
+    The caller re-checks its condition after every return, exactly as
+    around a poll:
+    {[ while not (published ()) do register_waiter (); Machine.park () done ]}
+
+    It stands for a spin-wait of scheduled polls, each charged exactly
+    like {!spin_pause}.  Rather than running them, [park] takes the CPU
+    off the scheduler; {!wake} later charges the polls that would have
+    run before the publication and returns after the first poll that
+    would have seen it.  With the fast path off or a watchdog armed,
+    [park] is that single scheduled poll instead, so a loop around it
+    busy-waits through the scheduler. *)
+
+val wake : int -> unit
+(** [wake cpu] is called from a running program's host code right after
+    it publishes state that CPU [cpu] may be parked on.  Its
+    {e publishing point} is the scheduled position (clock, CPU id) of
+    the caller's latest operation: host code runs where that operation
+    started.  [wake] reads the caller's clock, which is that point only
+    if the latest operation was zero-cost — so publish and wake right
+    after a {!now} (the trace replayer wakes after the [now] that ends
+    an allocation).
+
+    A parked [cpu] is charged one poll for every poll position
+    (clock, [cpu]) before the publishing point, then re-enters the
+    scheduler with its next poll pending, where it re-checks.  Host code
+    that runs while {!run} is still launching programs precedes every
+    poll: a wake from there charges nothing, and the sleeper's next
+    poll is its first.  [wake] is a no-op when [cpu] is not parked — in
+    particular whenever [park] only polls.
+    @raise Not_in_simulation outside a running program's host code. *)
 
 val cpu_id : unit -> int
 (** [cpu_id ()] is the current CPU's id (free of charge; models reading a

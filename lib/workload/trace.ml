@@ -243,6 +243,9 @@ type session = {
   scheduled : (int, unit) Hashtbl.t;
       (* alloc ids issued to some already-run (or running) window: a
          free may legitimately wait only for these *)
+  waiting : (int, int) Hashtbl.t;
+      (* alloc id -> CPUs waiting for its publication (one binding per
+         waiter) *)
   mutable s_ops : int;
   mutable s_failures : int;
   mutable s_skipped : int;
@@ -268,6 +271,7 @@ let start machine a t =
     failed = Hashtbl.create 16;
     freed = Hashtbl.create 256;
     scheduled = Hashtbl.create 256;
+    waiting = Hashtbl.create 16;
     s_ops = 0;
     s_failures = 0;
     s_skipped = 0;
@@ -276,6 +280,17 @@ let start machine a t =
   }
 
 let live_bytes s = s.s_live_bytes
+
+(* Wake every CPU parked on [id]'s publication.  Called right after
+   the zero-cost [now] that ends the allocation: that is the
+   publishing point [Machine.wake] charges the sleepers' polls up to. *)
+let wake_waiters s id =
+  if Hashtbl.length s.waiting > 0 then
+    List.iter
+      (fun cpu ->
+        Hashtbl.remove s.waiting id;
+        Sim.Machine.wake cpu)
+      (Hashtbl.find_all s.waiting id)
 
 let exec s ~on_op e =
   let open Sim in
@@ -294,13 +309,15 @@ let exec s ~on_op e =
         Hashtbl.replace s.bytes_of id bytes;
         s.s_live_bytes <- s.s_live_bytes + bytes
       end;
+      wake_waiters s id;
       s.s_ops <- s.s_ops + 1;
       on_op ~cpu ~alloc:true ~latency:(t1 - t0)
   | Free { cpu; id; _ } ->
       (* Wait for the allocating CPU to publish the address: the
-         replayed handoff of a cross-CPU free.  Spin-waiting charges
-         cycles the same way a real consumer polling for work would. *)
-      let rec wait () =
+         replayed handoff of a cross-CPU free.  The wait is charged as
+         the spin-wait of a real consumer polling for work; parking
+         only spares the host the polls that cannot succeed. *)
+      let rec wait ~registered =
         match Hashtbl.find_opt s.addr_of id with
         | Some addr ->
             let t0 = Machine.now () in
@@ -325,13 +342,12 @@ let exec s ~on_op e =
               s.s_skipped <- s.s_skipped + 1
             end
             else begin
-              (* Polls host state published by the allocating CPU's
-                 host code: must always yield (see [Machine.spin_poll]). *)
-              Machine.spin_poll ();
-              wait ()
+              if not registered then Hashtbl.add s.waiting id cpu;
+              Machine.park ();
+              wait ~registered:true
             end
       in
-      wait ()
+      wait ~registered:false
 
 let no_op ~cpu:_ ~alloc:_ ~latency:_ = ()
 

@@ -107,12 +107,17 @@ val replay :
 (** [replay m t a] replays the whole trace across CPUs
     [0 .. ncpus t - 1] of [m] (host-side call: it runs the machine
     itself).  Each CPU executes its events in trace order, charging the
-    event's gap as think time first; a cross-CPU free spin-waits until
-    the allocating CPU has published the address, like a real consumer
-    polling for work.  [on_op], if given, observes every completed
-    operation host-side with its simulated latency (gap and handoff
-    wait excluded).
-    @raise Invalid_argument if [m] has fewer than [ncpus t] CPUs. *)
+    event's gap as think time first; a cross-CPU free waits until the
+    allocating CPU has published the address (or had the allocation
+    denied), charged as a real consumer spin-polling for work.  The
+    waiting CPU parks ({!Sim.Machine.park}) and the allocating CPU
+    wakes it, so the host skips the polls that cannot succeed; the
+    cycles are those of polling, bit for bit.  [on_op], if given,
+    observes every completed operation host-side with its simulated
+    latency (gap and handoff wait excluded).
+    @raise Invalid_argument if [m] has fewer than [ncpus t] CPUs.
+    @raise Sim.Machine.Deadlock if the trace's handoffs form a cycle
+    (a malformed trace {!validate} rejects), naming the waiting CPUs. *)
 
 (** {2 Windowed replay}
 

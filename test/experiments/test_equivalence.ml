@@ -133,6 +133,111 @@ let test_e8_default_geometry_pin () =
   Sim.Machine.set_fast_path false;
   Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check_exact
 
+(* Parked handoffs at trace scale: a cross-CPU free parks until the
+   allocating CPU publishes, where the scheduled path polls.  Replay
+   producer→consumer traces both ways, whole and in windows, and
+   require the same result, the same per-call latency sequence, and the
+   same cache and allocator counters. *)
+
+(* Allocations of this size are denied without reaching the allocator,
+   so a consumer parked on one is woken by the denial. *)
+let denied_bytes = 3000
+
+let replay_signature ?window trace =
+  let ncpus = Workload.Trace.ncpus trace in
+  let memory_words = 1 lsl 19 in
+  let m =
+    Sim.Machine.create (Workload.Rig.paper_config ~memory_words ~ncpus ())
+  in
+  let kmem =
+    Kma.Kmem.create m ~params:(Kma.Params.auto ~memory_words) ()
+  in
+  let a : Baseline.Allocator.t =
+    {
+      name = "newkma";
+      alloc =
+        (fun ~bytes ->
+          if bytes = denied_bytes then 0
+          else
+            match Kma.Kmem.try_alloc kmem ~bytes with Some a -> a | None -> 0);
+      free = (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
+    }
+  in
+  let calls = ref [] in
+  let on_op ~cpu ~alloc ~latency = calls := (cpu, alloc, latency) :: !calls in
+  let r =
+    match window with
+    | None -> Workload.Trace.replay ~on_op m trace a
+    | Some n ->
+        let s = Workload.Trace.start m a trace in
+        while Workload.Trace.step ~on_op s n do
+          ()
+        done;
+        Workload.Trace.finish s
+  in
+  ( r,
+    List.rev !calls,
+    Sim.Cache.total_stats (Sim.Machine.cache m),
+    Kma.Kmem.stats kmem )
+
+let check_parked_replay name trace =
+  List.iter
+    (fun window ->
+      let label =
+        match window with
+        | None -> name ^ " whole"
+        | Some n -> Printf.sprintf "%s in windows of %d" name n
+      in
+      let slow, fast = both (fun () -> replay_signature ?window trace) in
+      let (r, calls, cache, kstats) = fast in
+      let (r', calls', cache', kstats') = slow in
+      Alcotest.(check bool) (label ^ ": result") true (r = r');
+      Alcotest.(check bool) (label ^ ": latencies") true (calls = calls');
+      Alcotest.(check bool) (label ^ ": cache stats") true (cache = cache');
+      Alcotest.(check bool) (label ^ ": kstats") true (kstats = kstats');
+      Alcotest.(check bool) (label ^ ": every op ran") true
+        (r.Workload.Trace.ops = List.length trace))
+    [ None; Some 97 ]
+
+let test_producer_consumer_parked () =
+  let sc = Option.get (Scenario.find "producer_consumer") in
+  check_parked_replay "producer_consumer"
+    (sc.Scenario.generate ~seed:sc.default_seed)
+
+(* Twelve copies of a producer→consumer pair on 24 CPUs, with seeded
+   think time on both sides (so the consumer sometimes waits and
+   sometimes finds the block published).  Every 25th allocation is
+   denied after a long think, so the consumer is parked on it when the
+   denial publishes. *)
+let test_fan_out_parked () =
+  let rng = Workload.Prng.create ~seed:17 in
+  let pair =
+    List.concat
+      (List.init 150 (fun id ->
+           let gap () = Workload.Prng.int rng ~bound:40 in
+           let alloc =
+             if id mod 25 = 7 then
+               Workload.Trace.Alloc
+                 { cpu = 0; gap = 2000; id; bytes = denied_bytes }
+             else
+               Workload.Trace.Alloc
+                 {
+                   cpu = 0;
+                   gap = gap ();
+                   id;
+                   bytes = Workload.Prng.pick rng [| 64; 256; 1024 |];
+                 }
+           in
+           [ alloc; Workload.Trace.Free { cpu = 1; gap = gap (); id } ]))
+  in
+  let trace = Workload.Trace.fan_out ~copies:12 pair in
+  Alcotest.(check int) "24 CPUs" 24 (Workload.Trace.ncpus trace);
+  let r, _, _, _ = replay_signature trace in
+  Alcotest.(check int) "denials skip their frees" r.Workload.Trace.failures
+    r.Workload.Trace.skipped_frees;
+  Alcotest.(check bool) "some denials" true (r.Workload.Trace.failures > 0);
+  check_parked_replay "fan_out" trace
+
 let suite =
   [
     Alcotest.test_case "fig7 slice: fast = slow" `Quick
@@ -149,4 +254,8 @@ let suite =
       test_e13_pins_slow_path;
     Alcotest.test_case "E8 default-geometry pin" `Quick
       test_e8_default_geometry_pin;
+    Alcotest.test_case "parked replay: producer_consumer fast = slow" `Quick
+      test_producer_consumer_parked;
+    Alcotest.test_case "parked replay: 24-CPU fan_out fast = slow" `Quick
+      test_fan_out_parked;
   ]

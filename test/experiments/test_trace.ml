@@ -127,6 +127,37 @@ let test_replay_determinism () =
   in
   Alcotest.(check int) "cycle-exact reruns" (run ()) (run ())
 
+(* Handoffs that form a cycle — each CPU frees, first, a block the
+   other allocates only after its own free — make a malformed trace:
+   [validate] rejects it, and replaying it ends in [Deadlock] naming
+   both parked CPUs rather than spinning forever.  The machine stays
+   usable afterwards. *)
+let test_cyclic_handoff_deadlocks () =
+  let open Workload.Trace in
+  let t =
+    [
+      Free { cpu = 0; gap = 0; id = 1 };
+      Alloc { cpu = 0; gap = 0; id = 0; bytes = 64 };
+      Free { cpu = 1; gap = 0; id = 0 };
+      Alloc { cpu = 1; gap = 0; id = 1; bytes = 64 };
+    ]
+  in
+  (match validate t with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "cyclic trace accepted");
+  let m =
+    Sim.Machine.create
+      (Sim.Config.make ~ncpus:2 ~memory_words:131072 ~cache_lines:0 ())
+  in
+  let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
+  (match replay m t a with
+  | _ -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Machine.Deadlock msg ->
+      Alcotest.(check string) "names CPUs 0 and 1"
+        "Sim.Machine.run: parked CPUs [0; 1] have nobody left to wake them" msg);
+  let r = replay m (synthesize ~ops:200 ~ncpus:2 ()) a in
+  Alcotest.(check int) "a valid trace replays afterwards" 0 r.failures
+
 let suite =
   [
     Alcotest.test_case "synthesized traces are valid" `Quick
@@ -146,4 +177,6 @@ let suite =
       test_record_then_replay;
     Alcotest.test_case "replay is cycle-deterministic" `Quick
       test_replay_determinism;
+    Alcotest.test_case "cyclic handoff raises Deadlock" `Quick
+      test_cyclic_handoff_deadlocks;
   ]

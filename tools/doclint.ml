@@ -83,17 +83,19 @@ let rec skip_ws src i =
   then skip_ws src (i + 1)
   else i
 
-(* Interfaces exporting a lock or critical-section API, or per-domain
-   state shared without one: their module doc must carry an
-   "Invariants:" line naming the discipline (who may take the lock, in
-   what order, under what interrupt state; or who may write, and what a
-   racing reader sees).  This is the written half of the contract
-   lib/lockcheck checks at run time. *)
+(* Interfaces exporting a lock or critical-section API, per-domain
+   state shared without one, or a wait that another CPU ends: their
+   module doc must carry an "Invariants:" line naming the discipline
+   (who may take the lock, in what order, under what interrupt state;
+   who may write, and what a racing reader sees; or who may wake a
+   waiter, and what the waiter is charged).  This is the written half
+   of what lib/lockcheck and the fast = scheduled equivalence tests
+   check at run time. *)
 let invariants_required =
   [
     "spinlock.mli"; "global.mli"; "pagepool.mli"; "vmblk.mli"; "percpu.mli";
     "check.mli"; "heapcheck.mli"; "nbbuddy.mli"; "bwfixed.mli"; "stats.mli";
-    "depot.mli"; "magazine.mli"; "pstats.mli";
+    "depot.mli"; "magazine.mli"; "pstats.mli"; "machine.mli";
   ]
 
 (* Lock-free interfaces: correctness rests on a linearization argument,
