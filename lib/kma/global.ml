@@ -43,15 +43,23 @@ let boot_init (ctx : Ctx.t) =
 (* Once pressure is enabled both bounds become the adaptive values
    (host-side reads either way, like any [Params] read; the global
    layer has no per-CPU copies to synchronise, and every use is under
-   the per-size spinlock, so any point is a safe point here). *)
+   the per-size spinlock, so any point is a safe point here).  Other
+   CPUs' pressure passes write them, so the adaptive reads are
+   anchored with [Machine.sync]. *)
 let target (ctx : Ctx.t) si =
   let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then pr.Ctx.desired_targets.(si)
+  if pr.Ctx.enabled then begin
+    Machine.sync ();
+    pr.Ctx.desired_targets.(si)
+  end
   else (Ctx.params ctx).Params.targets.(si)
 
 let gbltarget (ctx : Ctx.t) si =
   let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then pr.Ctx.desired_gbltargets.(si)
+  if pr.Ctx.enabled then begin
+    Machine.sync ();
+    pr.Ctx.desired_gbltargets.(si)
+  end
   else (Ctx.params ctx).Params.gbltargets.(si)
 
 (* --- list-of-lists primitives (node's lock held) --- *)

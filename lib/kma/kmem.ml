@@ -20,7 +20,7 @@ let create machine ?(params = Params.default) ?(numa_global = false) () =
   let mem = Machine.memory machine in
   let nsizes = layout.Layout.nsizes in
   let nnodes = layout.Layout.nnodes in
-  (* Boot-time: size-to-class table. *)
+  (* Boot-time: size-to-class table, never stored to again. *)
   let gran = params.Params.sizes_bytes.(0) in
   for idx = 0 to layout.Layout.size_table_len - 1 do
     let bytes = (idx + 1) * gran in
@@ -28,6 +28,8 @@ let create machine ?(params = Params.default) ?(numa_global = false) () =
     | Some si -> Memory.set mem (layout.Layout.size_table_base + idx) si
     | None -> assert false
   done;
+  Cache.own (Machine.cache machine) ~addr:layout.Layout.size_table_base
+    ~words:layout.Layout.size_table_len Cache.Read_only;
   let total_pages =
     match params.Params.phys_pages with
     | Some p -> p

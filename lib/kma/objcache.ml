@@ -77,6 +77,8 @@ let alloc t =
       | None -> 0
       | Some a ->
           t.nctor <- t.nctor + 1;
+          (* Caller code may touch host state other CPUs share. *)
+          Machine.sync ();
           t.ctor a;
           a
     end
@@ -100,7 +102,11 @@ let release t addr =
     Machine.irq_enable ();
     if Trace.on () then
       Trace.emit (Flightrec.Event.Obj_free { cached = false });
-    (match t.dtor with Some d -> d addr | None -> ());
+    (match t.dtor with
+    | Some d ->
+        Machine.sync ();
+        d addr
+    | None -> ());
     Cookie.free t.kmem t.cookie addr
   end
 

@@ -17,10 +17,17 @@ let w_alloc_fast = 6
 let w_free_fast = 5
 let w_slow_branch = 8
 
+(* Each CPU's control blocks are line-isolated and only ever touched by
+   that CPU's simulated code, so they are declared owner-private: the
+   simulator may then run their hits ahead of its schedule. *)
 let boot_init (ctx : Ctx.t) =
   let mem = Ctx.memory ctx in
   let ly = ctx.Ctx.layout in
   for cpu = 0 to ly.Layout.ncpus - 1 do
+    Cache.own (Machine.cache ctx.Ctx.machine)
+      ~addr:(Layout.pcc_addr ly ~cpu ~si:0)
+      ~words:(ly.Layout.nsizes * ly.Layout.pcc_words)
+      (Cache.Cpu cpu);
     for si = 0 to ly.Layout.nsizes - 1 do
       let pcc = Layout.pcc_addr ly ~cpu ~si in
       Memory.set mem (pcc + o_main_head) 0;
@@ -35,14 +42,18 @@ let boot_init (ctx : Ctx.t) =
    code is about to touch the per-CPU cache state owned by CPU [owner].
    Host-side only — [Machine.running] / [running_irq_off] perform no
    operation, so the probe adds no yield point and simulated cycles are
-   bit-identical with the checker on or off. *)
+   bit-identical with the checker on or off.  The checker's state is
+   shared by every CPU and the [irq_disable] before the probe runs
+   ahead of the schedule, so the probe is anchored. *)
 let lockcheck_probe ~owner =
-  if Lockcheck.on () then
+  if Lockcheck.on () then begin
+    Machine.sync ();
     match Machine.running () with
     | Some (cpu, time) ->
         Lockcheck.percpu_access ~cpu ~time ~owner
           ~irq_off:(Machine.running_irq_off ())
     | None -> ()
+  end
 
 (* Propagate an adaptively changed [target] into this CPU's cache
    word.  Called only from the slow paths, with interrupts disabled, by
@@ -50,10 +61,13 @@ let lockcheck_probe ~owner =
    change layer-1 bounds, so layer 1 stays lock-free and the warm fast
    paths keep their calibrated instruction counts.  The host-side
    shadow makes the check free when nothing changed, and the whole
-   thing is a single host branch while pressure is disabled. *)
+   thing is a single host branch while pressure is disabled.  The
+   desired targets are host state other CPUs' pressure passes write,
+   so the read is anchored. *)
 let sync_target (ctx : Ctx.t) ~cpu ~si pcc =
   let pr = ctx.Ctx.pressure in
   if pr.Ctx.enabled then begin
+    Machine.sync ();
     let idx = (cpu * ctx.Ctx.layout.Layout.nsizes) + si in
     let want = pr.Ctx.desired_targets.(si) in
     if pr.Ctx.pcc_targets.(idx) <> want then begin
@@ -67,7 +81,10 @@ let sync_target (ctx : Ctx.t) ~cpu ~si pcc =
    (host-side either way, like any [Params] read). *)
 let live_target (ctx : Ctx.t) ~si =
   let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then pr.Ctx.desired_targets.(si)
+  if pr.Ctx.enabled then begin
+    Machine.sync ();
+    pr.Ctx.desired_targets.(si)
+  end
   else ctx.Ctx.layout.Layout.params.Params.targets.(si)
 
 (* Interrupts are disabled throughout; returns 0 on exhaustion.  The

@@ -67,6 +67,7 @@ let disable (ctx : Ctx.t) =
 let note_denial (ctx : Ctx.t) =
   let pr = state ctx in
   if pr.Ctx.enabled then begin
+    Machine.sync ();
     let p = Ctx.params ctx in
     let pol = policy ctx in
     pr.Ctx.denial_streak <- pr.Ctx.denial_streak + 1;
@@ -92,7 +93,8 @@ let note_denial (ctx : Ctx.t) =
     done;
     if !changed then begin
       recount ctx;
-      Machine.work w_adjust
+      Machine.work w_adjust;
+      Machine.sync ()
     end;
     pr.Ctx.clean_allocs <- 0;
     snapshot_vm ctx
@@ -105,9 +107,13 @@ let note_denial (ctx : Ctx.t) =
    for anything (no grants means no grant-based ticks, but it is just
    as much evidence that the pressure has passed).  Called from
    allocation success paths; a single host branch when nothing remains
-   shrunk. *)
+   shrunk.  Every entry point here reads or writes state all CPUs
+   share (the pressure state, the VM counters), so each one, and each
+   step after a run-ahead [w_adjust] charge, is anchored with
+   [Machine.sync]. *)
 let note_success (ctx : Ctx.t) =
   let pr = state ctx in
+  if pr.Ctx.enabled then Machine.sync ();
   if pr.Ctx.enabled && pr.Ctx.below_default > 0 then begin
     let v = ctx.Ctx.vmsys in
     let g = Vmsys.grant_count v in
@@ -152,6 +158,7 @@ let note_success (ctx : Ctx.t) =
         done;
         recount ctx;
         Machine.work w_adjust;
+        Machine.sync ();
         pr.Ctx.grants_snapshot <- g;
         pr.Ctx.denials_snapshot <- d;
         pr.Ctx.clean_allocs <- 0
@@ -168,6 +175,7 @@ let note_success (ctx : Ctx.t) =
    physical pages that made it back. *)
 let reap (ctx : Ctx.t) ~full =
   let v = ctx.Ctx.vmsys in
+  Machine.sync ();
   let before = Vmsys.reclaim_count v in
   if Trace.on () then Trace.emit (Flightrec.Event.Reap { full });
   let nsizes = ctx.Ctx.layout.Layout.nsizes in
@@ -181,6 +189,7 @@ let reap (ctx : Ctx.t) ~full =
       Global.trim ctx ~si ~keep:1
     end
   done;
+  Machine.sync ();
   let pages = Vmsys.reclaim_count v - before in
   let st = ctx.Ctx.stats in
   st.Kstats.reaps <- st.Kstats.reaps + 1;

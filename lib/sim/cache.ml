@@ -1,4 +1,7 @@
 type kind = Load | Store | Rmw
+type owner = Cpu of int | Read_only
+
+exception Ownership_violation of string
 
 type stats = {
   mutable loads : int;
@@ -92,6 +95,14 @@ type t = {
   swords : int; (* sharer words per line: (ncpus + 31) / 32 *)
   sharers : int array;
   dirty : int array;
+  mutable owner : int array;
+      (* [owner.(l)]: the only CPU that may access line [l], [read_only]
+         when nobody may store to it, [shared] (the default, and every
+         line past the array's end) otherwise.  Declared host-side at
+         boot by {!own}, which grows the array only as far as the
+         highest declared line (declarations cover a small control
+         region, not the whole memory); checked on the miss and store
+         paths of [access] so the load-hit path pays nothing. *)
   cpus : percpu array;
   (* Two-level NUMA topology (inert at nnodes = 1, the flat default):
      [node_of.(cpu)] from Config.node_of, memory homes by address
@@ -118,6 +129,9 @@ let fresh_stats () =
     stall_cycles = 0;
   }
 
+let shared = -1
+let read_only = -2
+
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
@@ -139,6 +153,7 @@ let create (cfg : Config.t) =
     swords;
     sharers = Array.make (nlines * swords) 0;
     dirty = Array.make nlines (-1);
+    owner = [||];
     cpus =
       Array.init cfg.ncpus (fun _ ->
           {
@@ -309,6 +324,25 @@ let[@inline never] remote_holder t line cpu node =
   done;
   !found
 
+let[@inline] owner_of t line =
+  if line < Array.length t.owner then Array.unsafe_get t.owner line
+  else shared
+
+let[@inline never] violation ~cpu a kind o =
+  raise
+    (Ownership_violation
+       (if o = read_only then
+          Printf.sprintf "Sim.Cache: CPU %d stores to read-only address %d" cpu
+            a
+        else
+          Printf.sprintf
+            "Sim.Cache: CPU %d %s address %d, on a line owned by CPU %d" cpu
+            (match kind with
+            | Load -> "loads"
+            | Store -> "stores to"
+            | Rmw -> "updates")
+            a o))
+
 let access t ~cpu a kind =
   let cfg = t.cfg in
   let line = a lsr t.line_shift in
@@ -364,22 +398,28 @@ let access t ~cpu a kind =
           st.hits <- st.hits + 1;
           0
         end
-        else if dirty_elsewhere then begin
-          (* Cache-to-cache transfer: the owner writes back and both end
-             up with shared copies. *)
-          st.c2c <- st.c2c + 1;
-          Array.unsafe_set t.dirty line (-1);
-          insert_copy t line cpu;
-          if c2c_extra > 0 then st.remote <- st.remote + 1;
-          cfg.c2c_cost + c2c_extra
-        end
         else begin
-          st.misses <- st.misses + 1;
-          insert_copy t line cpu;
-          if miss_extra > 0 then st.remote <- st.remote + 1;
-          cfg.miss_cost + miss_extra
+          let o = owner_of t line in
+          if o >= 0 && o <> cpu then violation ~cpu a kind o;
+          if dirty_elsewhere then begin
+            (* Cache-to-cache transfer: the owner writes back and both
+               end up with shared copies. *)
+            st.c2c <- st.c2c + 1;
+            Array.unsafe_set t.dirty line (-1);
+            insert_copy t line cpu;
+            if c2c_extra > 0 then st.remote <- st.remote + 1;
+            cfg.c2c_cost + c2c_extra
+          end
+          else begin
+            st.misses <- st.misses + 1;
+            insert_copy t line cpu;
+            if miss_extra > 0 then st.remote <- st.remote + 1;
+            cfg.miss_cost + miss_extra
+          end
         end
     | Store | Rmw ->
+        let o = owner_of t line in
+        if o <> shared && o <> cpu then violation ~cpu a kind o;
         if mine && only_sharer t line cpu then begin
           (* Exclusive or already modified: silent upgrade. *)
           st.hits <- st.hits + 1;
@@ -483,6 +523,63 @@ let reset_stats t =
     t.cpus
 
 let set_trace t f = t.trace <- f
+
+let private_hit t ~cpu a kind =
+  let line = a lsr t.line_shift in
+  line < Array.length t.owner
+  && t.trace == None
+  &&
+  let o = Array.unsafe_get t.owner line in
+  (o = cpu || (o = read_only && kind = Load)) && is_sharer t line cpu
+
+let own t ~addr ~words o =
+  if words < 1 || addr < 0 || addr + words > t.uncached_base then
+    invalid_arg
+      (Printf.sprintf "Sim.Cache.own: [%d, %d) is not cached memory" addr
+         (addr + words));
+  let code, what =
+    match o with
+    | Cpu c ->
+        if c < 0 || c >= t.cfg.ncpus then
+          invalid_arg (Printf.sprintf "Sim.Cache.own: no CPU %d" c);
+        (c, Printf.sprintf "CPU %d" c)
+    | Read_only -> (read_only, "read-only")
+  in
+  let first = addr lsr t.line_shift
+  and last = (addr + words - 1) lsr t.line_shift in
+  (* Check every line before declaring any, so a refused declaration
+     leaves no trace. *)
+  for line = first to last do
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          raise
+            (Ownership_violation
+               (Printf.sprintf "Sim.Cache.own: line of address %d (%s): %s"
+                  (line lsl t.line_shift) what m)))
+        fmt
+    in
+    let prev = owner_of t line in
+    if prev <> shared && prev <> code then
+      fail "already declared %s"
+        (if prev = read_only then "read-only"
+         else Printf.sprintf "owned by CPU %d" prev);
+    match o with
+    | Cpu c ->
+        for other = 0 to t.cfg.ncpus - 1 do
+          if other <> c && is_sharer t line other then
+            fail "held by CPU %d" other
+        done
+    | Read_only ->
+        let d = t.dirty.(line) in
+        if d >= 0 then fail "held modified by CPU %d" d
+  done;
+  if last >= Array.length t.owner then begin
+    let grown = Array.make (last + 1) shared in
+    Array.blit t.owner 0 grown 0 (Array.length t.owner);
+    t.owner <- grown
+  end;
+  Array.fill t.owner first (last - first + 1) code
 
 let holders t a =
   let line = a lsr t.line_shift in

@@ -38,11 +38,31 @@
     pay the [node_miss_cost]/[node_c2c_cost] surcharges from
     {!Geometry} (three-hop directory detour included).  At the default
     [nodes = 1] none of this code runs and costs are bit-identical to
-    the flat model. *)
+    the flat model.
+
+    {b Ownership.}  Boot code may declare lines {!own}ed by one CPU or
+    read-only.  A hit on such a line changes only the accessing CPU's
+    statistics and a line no other CPU touches, and whether it hits
+    depends only on that CPU's own fills (FIFO eviction is driven by
+    its own misses; nobody can invalidate the line), which is what lets
+    {!Machine} run it ahead of its schedule ({!private_hit}).
+
+    Invariants: a line {!own}ed by CPU [c] is only ever held by [c]; a
+    read-only line is never held modified; every load miss and every
+    store or read-modify-write checks the declaration and raises
+    {!Ownership_violation} (naming the CPU, the address and the owner)
+    instead of breaking it, so the load-hit path pays no check. *)
 
 type t
 
 type kind = Load | Store | Rmw
+
+type owner =
+  | Cpu of int  (** only this CPU ever loads or stores the line *)
+  | Read_only  (** any CPU may load the line; nobody stores to it *)
+
+exception Ownership_violation of string
+(** An access or a declaration that breaks an {!own} declaration. *)
 
 type stats = {
   mutable loads : int;
@@ -80,6 +100,24 @@ val set_trace : t -> (cpu:int -> addr:Memory.addr -> kind -> cost:int -> unit) o
 (** [set_trace t f] installs (or clears) a per-access hook, used by the
     analysis experiment to reconstruct the paper's logic-analyzer access
     profiles. *)
+
+val own : t -> addr:Memory.addr -> words:int -> owner -> unit
+(** [own t ~addr ~words o] declares every line overlapping
+    [[addr, addr + words)] as [o]: boot-time, host-side, and for the
+    machine's lifetime.  Re-declaring a line with the same owner is a
+    no-op.
+    @raise Invalid_argument if the range leaves cached memory or names
+    no CPU.
+    @raise Ownership_violation if a line is already declared otherwise,
+    is held by a CPU other than the owner, or (read-only) is held
+    modified. *)
+
+val private_hit : t -> cpu:int -> Memory.addr -> kind -> bool
+(** [private_hit t ~cpu a kind] is true when an access of [kind] by
+    [cpu] to [a] is a hit that only [cpu] can observe: [cpu] holds the
+    line and owns it, or the line is read-only and [kind] is [Load].
+    Always false while a {!set_trace} hook is installed, so the hook
+    keeps seeing accesses in schedule order. *)
 
 val holders : t -> Memory.addr -> int list
 (** [holders t a] is the sorted list of CPUs holding the line of [a]

@@ -16,6 +16,7 @@ type op =
   | Cpu_id
   | Now
   | Irq of bool
+  | Sync
 
 (* [Park] is a separate effect rather than an [op], so the scheduler's
    per-operation paths (the [Op] match in the handler, the pop/re-key
@@ -42,6 +43,9 @@ type cpu = {
   mutable parked : step;
       (* [Next (Spin, k)] while the CPU is parked: off the heap, with
          the poll a [wake] reinstates; [Done] otherwise. *)
+  mutable sync_key : int;
+      (* heap key of a pending [Sync] (see {!sync}); any other pending
+         operation is keyed at the CPU's clock *)
 }
 
 type t = {
@@ -111,6 +115,7 @@ let create (cfg : Config.t) =
             spin_r = mix0 mod spin_d;
             state = Done;
             parked = Done;
+            sync_key = 0;
           });
     bus_shift;
     spin_d;
@@ -165,6 +170,12 @@ let irq_disabled t ~cpu = t.cpus.(cpu).irq_off
    construction: an operation runs inline ONLY when the scheduler
    would have executed exactly that operation next anyway.
 
+   The second leg runs CPU-private operations ahead of the schedule
+   even when [cur] is NOT the next pick (see [may_run_ahead]); [ahead]
+   then holds the heap key at which the latest such operation started,
+   so that [sync] can put the following host code back where the
+   scheduler would have run it.
+
    The slot is domain-local: lib/parallel shards experiment sweeps
    across domains, each driving its own machine, so a shared slot
    would let one domain's scheduler clobber another's context
@@ -180,6 +191,10 @@ type ctx = {
   mutable limit_time : int; (* min_int disables the fast path *)
   mutable limit_id : int;
   mutable max_cycles : int; (* 0 = no watchdog *)
+  mutable ahead : int;
+      (* start key of the latest operation [cur] ran ahead of the
+         schedule since it was last resumed by the scheduler (or
+         launched), -1 when none *)
 }
 
 (* A never-inlining context: [fast_ctx] returns it when no program is
@@ -187,7 +202,7 @@ type ctx = {
    instead of re-checking both conditions in every branch. *)
 let null_ctx =
   { mach = None; cur = -1; limit_time = min_int; limit_id = max_int;
-    max_cycles = 0 }
+    max_cycles = 0; ahead = -1 }
 
 let executing_key : ctx Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -197,6 +212,7 @@ let executing_key : ctx Domain.DLS.key =
         limit_time = min_int;
         limit_id = max_int;
         max_cycles = 0;
+        ahead = -1;
       })
 
 (* Test-only kill switch (see {!set_fast_path}): the equivalence proofs
@@ -358,6 +374,7 @@ let exec t (c : cpu) (o : op) : int =
   | Cpu_id -> c.id
   | Now -> c.time
   | Irq on -> exec_irq t c on
+  | Sync -> 0
 
 (* Operation fronts.  Each is specialised rather than routed through
    one generic [dispatch o]: on the fast path (executing CPU would be
@@ -371,10 +388,21 @@ let exec t (c : cpu) (o : op) : int =
    from the scheduler loop exactly as it always did, without unwinding
    the program's own stack.
 
-   [Spin] alone uses a weaker guard (see [spin_pause]): a spin touches
-   only the spinning CPU's private state, so it commutes with every
-   other CPU's operations and may run inline even when this CPU is not
-   the next pick, provided no watchdog is armed. *)
+   CPU-private operations use a weaker guard ([may_run_ahead]): a
+   spin, a [work] charge, a [cpu_id], an interrupt flip, and a hit on
+   a line declared private to this CPU (or read-only, for loads) touch
+   only this CPU's clock, retired count, interrupt flag, cache
+   statistics and a line nobody else accesses, so they commute with
+   every other CPU's operations and may run inline even when this CPU
+   is not the next pick, provided no watchdog is armed (it fires at a
+   pick, so running ahead could change which CPU trips it, and when).
+   Such an operation records its start key in [ctx.ahead] when it is
+   genuinely ahead; [sync] uses it. *)
+
+(* Scheduler heap keys (see [run]) pack a CPU's (time, id) into one
+   int: integer comparison of packed keys IS the scheduler's
+   lexicographic pick order. *)
+let[@inline] key_of (c : cpu) = (c.time lsl id_bits) lor c.id
 
 (* [Domain.DLS.get] is an out-of-line call whose cost is visible on
    every operation, so the fast path reads the domain-local slot
@@ -414,21 +442,46 @@ let running_irq_off () =
   | Some t when ctx.cur >= 0 -> t.cpus.(ctx.cur).irq_off
   | _ -> false
 
+let[@inline] below_limit ctx (c : cpu) =
+  c.time < ctx.limit_time || (c.time = ctx.limit_time && c.id < ctx.limit_id)
+
 let[@inline] may_inline ctx =
   ctx.cur >= 0 && !fast_path_on
   &&
   match ctx.mach with
   | Some t ->
       let c = Array.unsafe_get t.cpus ctx.cur in
-      (c.time < ctx.limit_time
-      || (c.time = ctx.limit_time && c.id < ctx.limit_id))
-      && (ctx.max_cycles = 0 || c.time <= ctx.max_cycles)
+      below_limit ctx c && (ctx.max_cycles = 0 || c.time <= ctx.max_cycles)
   | None -> false
+
+let[@inline] may_run_ahead ctx =
+  ctx.cur >= 0 && !fast_path_on && ctx.max_cycles = 0
+
+(* The run-ahead CPU for a private operation about to start: records
+   the operation's start key unless the scheduler would have picked
+   this CPU next anyway (then the host code after it already runs at
+   its scheduled position). *)
+let[@inline] ahead_cpu t ctx =
+  let c = Array.unsafe_get t.cpus ctx.cur in
+  if not (below_limit ctx c) then ctx.ahead <- key_of c;
+  c
+
+(* A memory access that misses [may_inline] may still run ahead when
+   it is a hit on a line this CPU owns (or, for a load, a read-only
+   line); such a CPU is not the next pick, so its key is recorded. *)
+let[@inline] owned_hit t ctx a kind =
+  may_run_ahead ctx
+  && Cache.private_hit t.cache ~cpu:ctx.cur a kind
+  &&
+  (ctx.ahead <- key_of (Array.unsafe_get t.cpus ctx.cur);
+   true)
 
 let read a =
   let ctx = fast_ctx () in
   match ctx.mach with
   | Some t when may_inline ctx ->
+      exec_read t (Array.unsafe_get t.cpus ctx.cur) a
+  | Some t when owned_hit t ctx a Cache.Load ->
       exec_read t (Array.unsafe_get t.cpus ctx.cur) a
   | _ -> perform_op (Read a)
 
@@ -436,6 +489,8 @@ let write a v =
   let ctx = fast_ctx () in
   match ctx.mach with
   | Some t when may_inline ctx ->
+      ignore (exec_write t (Array.unsafe_get t.cpus ctx.cur) a v)
+  | Some t when owned_hit t ctx a Cache.Store ->
       ignore (exec_write t (Array.unsafe_get t.cpus ctx.cur) a v)
   | _ -> ignore (perform_op (Write (a, v)))
 
@@ -485,17 +540,54 @@ let work n =
   if n > 0 then begin
     let ctx = fast_ctx () in
     match ctx.mach with
-    | Some t when may_inline ctx ->
-        ignore (exec_work t (Array.unsafe_get t.cpus ctx.cur) n)
+    | Some t when may_run_ahead ctx -> ignore (exec_work t (ahead_cpu t ctx) n)
     | _ -> ignore (perform_op (Work n))
   end
 
 let spin_pause () =
   let ctx = fast_ctx () in
   match ctx.mach with
-  | Some t when ctx.cur >= 0 && !fast_path_on && ctx.max_cycles = 0 ->
-      ignore (exec_spin t (Array.unsafe_get t.cpus ctx.cur))
+  | Some t when may_run_ahead ctx -> ignore (exec_spin t (ahead_cpu t ctx))
   | _ -> ignore (perform_op Spin)
+
+let cpu_id () =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when may_run_ahead ctx -> (ahead_cpu t ctx).id
+  | _ -> perform_op Cpu_id
+
+let irq_disable () =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when may_run_ahead ctx -> ignore (exec_irq t (ahead_cpu t ctx) true)
+  | _ -> ignore (perform_op (Irq true))
+
+let irq_enable () =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when may_run_ahead ctx ->
+      ignore (exec_irq t (ahead_cpu t ctx) false)
+  | _ -> ignore (perform_op (Irq false))
+
+let now () =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when may_inline ctx ->
+      (Array.unsafe_get t.cpus ctx.cur).time
+  | _ -> perform_op Now
+
+(* Put the host code that follows back where the scheduler would have
+   run it: right after the latest operation that ran ahead, i.e. at
+   that operation's start key.  Its clock is already past that key, so
+   the CPU re-enters the heap under [sync_key] instead of its clock
+   (see [pending_key]); the [Sync] it waits on charges nothing. *)
+let sync () =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when ctx.ahead >= 0 ->
+      (Array.unsafe_get t.cpus ctx.cur).sync_key <- ctx.ahead;
+      ignore (perform_op Sync)
+  | _ -> ()
 
 (* --- scheduler heap --------------------------------------------------
 
@@ -506,8 +598,10 @@ let spin_pause () =
    registers instead of chasing two pointers per comparison, and the
    int array needs no GC write barrier.  Virtual clocks would need to
    pass 2^52 cycles to overflow the packing; the longest figure-scale
-   runs sit around 2^27. *)
-let[@inline] key_of (c : cpu) = (c.time lsl id_bits) lor c.id
+   runs sit around 2^27.  A CPU is pending under its clock's key,
+   except after a [sync]. *)
+let[@inline] pending_key (c : cpu) =
+  match c.state with Next (Sync, _) -> c.sync_key | _ -> key_of c
 
 (* Restore heap order after the root's key grew (or was replaced). *)
 let heap_sift_down t =
@@ -614,34 +708,6 @@ let wake cpu =
           end)
   | _ -> raise Not_in_simulation
 
-let cpu_id () =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      (Array.unsafe_get t.cpus ctx.cur).id
-  | _ -> perform_op Cpu_id
-
-let now () =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      (Array.unsafe_get t.cpus ctx.cur).time
-  | _ -> perform_op Now
-
-let irq_disable () =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      ignore (exec_irq t (Array.unsafe_get t.cpus ctx.cur) true)
-  | _ -> ignore (perform_op (Irq true))
-
-let irq_enable () =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      ignore (exec_irq t (Array.unsafe_get t.cpus ctx.cur) false)
-  | _ -> ignore (perform_op (Irq false))
-
 (* Run [c]'s program until its first operation (or completion).  The
    handler stays installed for the program's whole life: [Op] reifies
    the operation for the scheduler; [Park] stashes the continuation as
@@ -678,21 +744,25 @@ let run ?(max_cycles = 0) t progs =
   let saved_mach = ctx.mach
   and saved_limit_time = ctx.limit_time
   and saved_limit_id = ctx.limit_id
-  and saved_max_cycles = ctx.max_cycles in
+  and saved_max_cycles = ctx.max_cycles
+  and saved_ahead = ctx.ahead in
   ctx.mach <- Some t;
   ctx.max_cycles <- max_cycles;
   let restore () =
     ctx.mach <- saved_mach;
     ctx.limit_time <- saved_limit_time;
     ctx.limit_id <- saved_limit_id;
-    ctx.max_cycles <- saved_max_cycles
+    ctx.max_cycles <- saved_max_cycles;
+    ctx.ahead <- saved_ahead
   in
   let cpus = t.cpus in
   match
     (* Launch every program up to its first operation.  The launch
        itself consumes no virtual time, and the fast path stays
        disabled (limit_time = min_int): later programs have not
-       launched yet, so "no other pending CPU" would be a lie. *)
+       launched yet, so "no other pending CPU" would be a lie.  For the
+       same reason every private operation a launching program runs
+       counts as ahead, and a [sync] there is keyed for the heap below. *)
     ctx.limit_time <- min_int;
     ctx.limit_id <- max_int;
     for i = 0 to n - 1 do
@@ -700,6 +770,7 @@ let run ?(max_cycles = 0) t progs =
       let prog = progs.(i) in
       let saved = ctx.cur in
       ctx.cur <- c.id;
+      ctx.ahead <- -1;
       let s =
         match reify c (fun () -> prog i) with
         | s ->
@@ -727,7 +798,7 @@ let run ?(max_cycles = 0) t progs =
     let heap = t.heap in
     for i = 0 to n - 1 do
       let c = cpus.(i) in
-      match c.state with Next _ -> heap_push t (key_of c) | Done -> ()
+      match c.state with Next _ -> heap_push t (pending_key c) | Done -> ()
     done;
     let rec loop () =
       if t.heap_n > 0 then begin
@@ -756,6 +827,7 @@ let run ?(max_cycles = 0) t progs =
             c.state <- Done;
             let saved = ctx.cur in
             ctx.cur <- c.id;
+            ctx.ahead <- -1;
             (match Effect.Deep.continue k result with
             | s ->
                 ctx.cur <- saved;
@@ -768,7 +840,7 @@ let run ?(max_cycles = 0) t progs =
         (match c.state with
         | Done -> heap_pop_root t
         | Next _ ->
-            Array.unsafe_set heap 0 (key_of c);
+            Array.unsafe_set heap 0 (pending_key c);
             heap_sift_down t);
         loop ()
       end

@@ -31,6 +31,19 @@
     [test/sim] and the fig7/E8 pins in [test/experiments]; see
     DESIGN.md "Simulator cost model").
 
+    {b Running ahead.}  An operation that touches only the calling
+    CPU's own state runs inline even when that CPU is not the next
+    pick: {!spin_pause}, {!work}, {!cpu_id}, {!irq_disable},
+    {!irq_enable}, and a {!read} or {!write} that hits a line declared
+    private to the caller with {!Cache.own} (or a {!read} hit on a
+    read-only line).  Such an
+    operation changes only the caller's clock, retired count, interrupt
+    flag, cache statistics and a line no other CPU accesses, so it
+    commutes with every other CPU's operations.  Host code after it,
+    however, runs before other CPUs' earlier events: host code that
+    reads or writes host state other CPUs' host code also touches must
+    call {!sync} first, which puts it back at its scheduled position.
+
     {b Parking.}  A program waiting for host state another CPU's host
     code publishes (the trace replayer's cross-CPU free handoff) parks
     instead of polling through the scheduler; the publisher wakes it.
@@ -43,7 +56,14 @@
     charged exactly the polls scheduled before the waker's publishing
     point, plus the one after it that sees the publication; nothing
     parks with the fast path off or a [max_cycles] watchdog armed —
-    {!park} is then one scheduled poll.
+    {!park} is then one scheduled poll; an operation runs ahead of the
+    schedule only if it touches nothing but its CPU's private state and
+    owned or read-only lines, and never with the fast path off, a
+    watchdog armed, or (for memory) a {!Cache.set_trace} hook installed;
+    {!sync} re-enters the scheduler at the start key of the caller's
+    latest run-ahead operation, so the host code after it runs exactly
+    where the fully scheduled path runs it, and is a no-op when the
+    caller has not run ahead since the scheduler last resumed it.
 
     Operations may only be performed from inside a program run by {!run};
     calling them elsewhere raises [Not_in_simulation]. *)
@@ -68,6 +88,7 @@ val memory : t -> Memory.t
     Reserved for boot-time initialisation and test oracles. *)
 
 val cache : t -> Cache.t
+
 
 (** {1 Running programs} *)
 
@@ -107,13 +128,21 @@ val reset_clocks : t -> unit
 (** [reset_clocks t] zeroes all virtual clocks and retired-instruction
     counters (caches and memory keep their contents). *)
 
-(** {1 Operations, usable only inside a running program} *)
+(** {1 Operations, usable only inside a running program}
+
+    Each operation runs inline when its CPU is the scheduler's next pick
+    and is scheduled otherwise, unless its doc says it runs ahead of the
+    schedule.  The atomics ({!cas}, {!cas_val}, {!fetch_add},
+    {!fetch_or}, {!fetch_and}, {!swap}), {!now} and {!sync} never run
+    ahead. *)
 
 val read : Memory.addr -> int
-(** [read a] is a load. *)
+(** [read a] is a load.  A hit on a line the caller {!Cache.own}s, or on a
+    read-only line, runs ahead of the schedule. *)
 
 val write : Memory.addr -> int -> unit
-(** [write a v] is a store. *)
+(** [write a v] is a store.  A hit on a line the caller {!Cache.own}s runs
+    ahead of the schedule. *)
 
 val cas : Memory.addr -> expected:int -> desired:int -> bool
 (** [cas a ~expected ~desired] is an atomic compare-and-swap; true on
@@ -145,7 +174,8 @@ val swap : Memory.addr -> int -> int
 
 val work : int -> unit
 (** [work n] charges [n] cycles of pure compute (models straight-line
-    instructions that touch no shared memory). *)
+    instructions that touch no shared memory).  Runs ahead of the
+    schedule. *)
 
 val spin_pause : unit -> unit
 (** [spin_pause ()] charges one spin-wait pause and yields the bus.  The
@@ -161,9 +191,11 @@ val spin_pause : unit -> unit
     condition through a memory operation).  A spin touches only the
     spinning CPU's private state, so under that contract the simulator
     may execute it inline without a scheduler round trip even when
-    another CPU's clock is behind — the second leg of the fast path.
-    A loop that instead waits for host-side state published by another
-    CPU's host code must use {!park}. *)
+    another CPU's clock is behind: it runs ahead of the schedule like
+    every private operation, and host code after it that does touch
+    shared host state must call {!sync} first.  A loop that instead
+    waits for host-side state published by another CPU's host code must
+    use {!park}. *)
 
 val park : unit -> unit
 (** [park ()] waits, as one step of a polling loop, for host-side state
@@ -199,18 +231,45 @@ val wake : int -> unit
     particular whenever [park] only polls.
     @raise Not_in_simulation outside a running program's host code. *)
 
+val sync : unit -> unit
+(** [sync ()] anchors the host code that follows it.  If the caller has
+    run an operation ahead of the schedule since the scheduler last
+    resumed it, [sync] yields and re-enters the scheduler at the start
+    key (clock, CPU id) of the latest such operation — below the
+    caller's clock — so the host code after it runs exactly where the
+    fully scheduled path runs it: after every other CPU's earlier
+    events and before its later ones.  Otherwise, and outside a
+    running program, it does nothing.  It charges no cycles and retires
+    nothing.
+
+    Contract: host code that reads or writes host state that other
+    CPUs' host code also touches (a shared table, a shared PRNG, a
+    counter another CPU reads mid-run) calls [sync] first, and again
+    after any run-ahead operation it performs before the next such
+    access.  Commutative updates nobody reads mid-run (statistics
+    counters, flight-recorder emits into per-CPU rings) need none.
+    [sync] does not make the caller's clock a publishing point for
+    {!wake}: publish after a {!now}. *)
+
 val cpu_id : unit -> int
-(** [cpu_id ()] is the current CPU's id (free of charge; models reading a
-    per-CPU register). *)
+(** [cpu_id ()] is the current CPU's id.  It costs no cycles and retires
+    nothing (models reading a per-CPU register), and it runs ahead of
+    the schedule, so it is not a yield point: host code after it sees
+    no other CPU's progress unless it calls {!sync}. *)
 
 val now : unit -> int
-(** [now ()] is the current CPU's virtual clock (free of charge; models a
-    cycle counter read). *)
+(** [now ()] is the current CPU's virtual clock (no cycles; models a
+    cycle counter read).  Unlike the private operations it never runs
+    ahead: it executes at the caller's scheduled position, so the host
+    code after it runs where the scheduler puts it, which makes it the
+    publishing point {!wake} relies on. *)
 
 val irq_disable : unit -> unit
-(** [irq_disable ()] models disabling interrupts on the current CPU. *)
+(** [irq_disable ()] models disabling interrupts on the current CPU.
+    Runs ahead of the schedule. *)
 
 val irq_enable : unit -> unit
+(** [irq_enable ()] re-enables them.  Runs ahead of the schedule. *)
 
 val irq_disabled : t -> cpu:int -> bool
 (** [irq_disabled t ~cpu] is a test oracle for the interrupt flag. *)

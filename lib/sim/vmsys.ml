@@ -64,16 +64,23 @@ let emit kind =
 
 (* Entering the VM system with a (non-vm_safe) spinlock held is the
    discipline violation the paper warns about; same host-side contract
-   as [emit]. *)
+   as [emit], anchored because the checker's state is shared by every
+   CPU. *)
 let lc_vm what =
-  if Lockcheck.on () then
+  if Lockcheck.on () then begin
+    Machine.sync ();
     match Machine.running () with
     | Some (cpu, time) -> Lockcheck.vm_call ~cpu ~time ~what
     | None -> ()
+  end
 
+(* The page counts and the fault PRNG are shared by every CPU, and the
+   charge before them runs ahead of the schedule: each decision is
+   anchored after it. *)
 let grant t =
   lc_vm "grant";
   Machine.work t.grant_cost;
+  Machine.sync ();
   let injected =
     t.fault_threshold > 0 && fault_next t land 0xFFFF < t.fault_threshold
   in
@@ -94,6 +101,7 @@ let grant t =
 let reclaim t =
   lc_vm "reclaim";
   Machine.work t.reclaim_cost;
+  Machine.sync ();
   if t.ngranted <= 0 then
     invalid_arg "Sim.Vmsys.reclaim: more reclaims than grants";
   t.ngranted <- t.ngranted - 1;

@@ -231,20 +231,21 @@ let skew_frees ?(seed = 7) ~fraction t =
 
 type result = { ops : int; failures : int; skipped_frees : int; cycles : int }
 
+(* Replay state is indexed by a dense slot per trace id, mapped once in
+   [start]: replaying an event costs array reads and writes, and
+   nothing grows with the trace while it replays. *)
 type session = {
   machine : Sim.Machine.t;
   a : Baseline.Allocator.t;
   s_ncpus : int;
-  mutable rest : t;
-  addr_of : (int, int) Hashtbl.t;
-  bytes_of : (int, int) Hashtbl.t;
-  failed : (int, unit) Hashtbl.t;
-  freed : (int, unit) Hashtbl.t;
-  scheduled : (int, unit) Hashtbl.t;
-      (* alloc ids issued to some already-run (or running) window: a
-         free may legitimately wait only for these *)
+  evs : event array;
+  slot_of : int array;  (* event index -> slot of its id *)
+  mutable next : int;  (* index of the first event not yet stepped *)
+  addr : int array;  (* slot -> published address, 0 when none *)
+  size : int array;  (* slot -> bytes of the live allocation *)
+  state : Bytes.t;  (* slot -> [scheduled] lor [failed] lor [freed] *)
   waiting : (int, int) Hashtbl.t;
-      (* alloc id -> CPUs waiting for its publication (one binding per
+      (* slot -> CPUs waiting for its publication (one binding per
          waiter) *)
   mutable s_ops : int;
   mutable s_failures : int;
@@ -252,6 +253,36 @@ type session = {
   mutable s_live_bytes : int;
   t0 : int;
 }
+
+(* Slot state bits.  [scheduled]: the allocation was issued to some
+   already-run (or running) window, so a free may legitimately wait
+   for it. *)
+let scheduled = 1
+let failed = 2
+let freed = 4
+
+let has s k bit = Char.code (Bytes.unsafe_get s.state k) land bit <> 0
+
+let set s k bit =
+  Bytes.unsafe_set s.state k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get s.state k) lor bit))
+
+(* Number the distinct ids in order of first appearance. *)
+let slots evs =
+  let map = Hashtbl.create (Array.length evs) in
+  let slot_of =
+    Array.map
+      (fun e ->
+        let id = id_of e in
+        match Hashtbl.find_opt map id with
+        | Some k -> k
+        | None ->
+            let k = Hashtbl.length map in
+            Hashtbl.add map id k;
+            k)
+      evs
+  in
+  (slot_of, Hashtbl.length map)
 
 let start machine a t =
   let n = ncpus t in
@@ -261,16 +292,18 @@ let start machine a t =
       (Printf.sprintf
          "Workload.Trace.start: trace uses %d CPUs but the machine has %d" n
          avail);
+  let evs = Array.of_list t in
+  let slot_of, nslots = slots evs in
   {
     machine;
     a;
     s_ncpus = n;
-    rest = t;
-    addr_of = Hashtbl.create 256;
-    bytes_of = Hashtbl.create 256;
-    failed = Hashtbl.create 16;
-    freed = Hashtbl.create 256;
-    scheduled = Hashtbl.create 256;
+    evs;
+    slot_of;
+    next = 0;
+    addr = Array.make nslots 0;
+    size = Array.make nslots 0;
+    state = Bytes.make nslots '\000';
     waiting = Hashtbl.create 16;
     s_ops = 0;
     s_failures = 0;
@@ -281,104 +314,96 @@ let start machine a t =
 
 let live_bytes s = s.s_live_bytes
 
-(* Wake every CPU parked on [id]'s publication.  Called right after
+(* Wake every CPU parked on slot [k]'s publication.  Called right after
    the zero-cost [now] that ends the allocation: that is the
    publishing point [Machine.wake] charges the sleepers' polls up to. *)
-let wake_waiters s id =
+let wake_waiters s k =
   if Hashtbl.length s.waiting > 0 then
     List.iter
       (fun cpu ->
-        Hashtbl.remove s.waiting id;
+        Hashtbl.remove s.waiting k;
         Sim.Machine.wake cpu)
-      (Hashtbl.find_all s.waiting id)
+      (Hashtbl.find_all s.waiting k)
 
-let exec s ~on_op e =
+(* The session's tables are host state every CPU's replay touches, so
+   each access sits at a scheduled position: right after a [now] (a
+   yield point), or after the [sync] that follows a think-time gap,
+   which [work] runs ahead of the schedule. *)
+let exec s ~on_op i =
   let open Sim in
-  (match gap_of e with 0 -> () | gap -> Machine.work gap);
-  match e with
-  | Alloc { cpu; id; bytes; _ } ->
+  let k = Array.unsafe_get s.slot_of i in
+  match Array.unsafe_get s.evs i with
+  | Alloc { cpu; gap; bytes; _ } ->
+      Machine.work gap;
       let t0 = Machine.now () in
       let addr = s.a.Baseline.Allocator.alloc ~bytes in
       let t1 = Machine.now () in
       if addr = 0 then begin
         s.s_failures <- s.s_failures + 1;
-        Hashtbl.replace s.failed id ()
+        set s k failed
       end
       else begin
-        Hashtbl.replace s.addr_of id addr;
-        Hashtbl.replace s.bytes_of id bytes;
+        s.addr.(k) <- addr;
+        s.size.(k) <- bytes;
         s.s_live_bytes <- s.s_live_bytes + bytes
       end;
-      wake_waiters s id;
+      wake_waiters s k;
       s.s_ops <- s.s_ops + 1;
       on_op ~cpu ~alloc:true ~latency:(t1 - t0)
-  | Free { cpu; id; _ } ->
+  | Free { cpu; gap; _ } ->
+      Machine.work gap;
+      Machine.sync ();
       (* Wait for the allocating CPU to publish the address: the
          replayed handoff of a cross-CPU free.  The wait is charged as
          the spin-wait of a real consumer polling for work; parking
          only spares the host the polls that cannot succeed. *)
       let rec wait ~registered =
-        match Hashtbl.find_opt s.addr_of id with
-        | Some addr ->
-            let t0 = Machine.now () in
-            s.a.Baseline.Allocator.free ~addr
-              ~bytes:(Hashtbl.find s.bytes_of id);
-            let t1 = Machine.now () in
-            s.s_live_bytes <- s.s_live_bytes - Hashtbl.find s.bytes_of id;
-            Hashtbl.remove s.addr_of id;
-            Hashtbl.remove s.bytes_of id;
-            Hashtbl.replace s.freed id ();
-            s.s_ops <- s.s_ops + 1;
-            on_op ~cpu ~alloc:false ~latency:(t1 - t0)
-        | None ->
-            if
-              Hashtbl.mem s.failed id
-              || Hashtbl.mem s.freed id
-              || not (Hashtbl.mem s.scheduled id)
-            then begin
-              (* Denied allocation (or a malformed trace): the free has
-                 nothing to release.  Counted, never silent. *)
-              s.s_ops <- s.s_ops + 1;
-              s.s_skipped <- s.s_skipped + 1
-            end
-            else begin
-              if not registered then Hashtbl.add s.waiting id cpu;
-              Machine.park ();
-              wait ~registered:true
-            end
+        let addr = s.addr.(k) in
+        if addr <> 0 then begin
+          let bytes = s.size.(k) in
+          let t0 = Machine.now () in
+          s.a.Baseline.Allocator.free ~addr ~bytes;
+          let t1 = Machine.now () in
+          s.s_live_bytes <- s.s_live_bytes - bytes;
+          s.addr.(k) <- 0;
+          set s k freed;
+          s.s_ops <- s.s_ops + 1;
+          on_op ~cpu ~alloc:false ~latency:(t1 - t0)
+        end
+        else if has s k (failed lor freed) || not (has s k scheduled) then begin
+          (* Denied allocation (or a malformed trace): the free has
+             nothing to release.  Counted, never silent. *)
+          s.s_ops <- s.s_ops + 1;
+          s.s_skipped <- s.s_skipped + 1
+        end
+        else begin
+          if not registered then Hashtbl.add s.waiting k cpu;
+          Machine.park ();
+          wait ~registered:true
+        end
       in
       wait ~registered:false
 
 let no_op ~cpu:_ ~alloc:_ ~latency:_ = ()
 
-let rec take_window n acc = function
-  | rest when n = 0 -> (List.rev acc, rest)
-  | [] -> (List.rev acc, [])
-  | e :: rest -> take_window (n - 1) (e :: acc) rest
-
 let step ?(on_op = no_op) s n =
   if n < 1 then invalid_arg "Workload.Trace.step: window < 1";
-  match s.rest with
-  | [] -> false
-  | _ ->
-      let window, rest = take_window n [] s.rest in
-      s.rest <- rest;
-      List.iter
-        (function
-          | Alloc { id; _ } -> Hashtbl.replace s.scheduled id ()
-          | Free _ -> ())
-        window;
-      let per_cpu = Array.make s.s_ncpus [] in
-      List.iter
-        (fun e ->
-          let c = cpu_of e in
-          per_cpu.(c) <- e :: per_cpu.(c))
-        window;
-      let per_cpu = Array.map List.rev per_cpu in
-      Sim.Machine.run s.machine
-        (Array.init s.s_ncpus (fun c _ ->
-             List.iter (exec s ~on_op) per_cpu.(c)));
-      s.rest <> []
+  let lo = s.next and len = Array.length s.evs in
+  let hi = if n >= len - lo then len else lo + n in
+  if lo >= hi then false
+  else begin
+    s.next <- hi;
+    (* Partition the window [lo, hi) per CPU, in trace order. *)
+    let per_cpu = Array.make s.s_ncpus [] in
+    for i = hi - 1 downto lo do
+      let e = s.evs.(i) in
+      (match e with Alloc _ -> set s s.slot_of.(i) scheduled | Free _ -> ());
+      per_cpu.(cpu_of e) <- i :: per_cpu.(cpu_of e)
+    done;
+    Sim.Machine.run s.machine
+      (Array.init s.s_ncpus (fun c _ -> List.iter (exec s ~on_op) per_cpu.(c)));
+    hi < len
+  end
 
 let finish s =
   {
@@ -389,15 +414,9 @@ let finish s =
   }
 
 let replay ?on_op machine t (a : Baseline.Allocator.t) =
-  match t with
-  | [] ->
-      ignore (start machine a t);
-      { ops = 0; failures = 0; skipped_frees = 0; cycles = 0 }
-  | _ ->
-      let s = start machine a t in
-      let all = List.length t in
-      ignore (step ?on_op s all);
-      finish s
+  let s = start machine a t in
+  (match t with [] -> () | _ -> ignore (step ?on_op s (Array.length s.evs)));
+  finish s
 
 (* --- recording --- *)
 
@@ -415,7 +434,11 @@ let record (a : Baseline.Allocator.t) f =
   | None -> ());
   (* Host-side observation via [Machine.running]: reading the emitting
      CPU and its clock this way adds no operation and so cannot perturb
-     the recorded run (the flight-recorder idiom). *)
+     the recorded run (the flight-recorder idiom).  The event list, the
+     id counter and the address table are shared by every CPU's
+     wrapper, so each access is anchored with [Machine.sync]: the
+     allocator may have run its last operations ahead of the schedule,
+     and the recorded order must be the scheduled one. *)
   let here () =
     match Sim.Machine.running () with Some (cpu, t) -> (cpu, t) | None -> (0, 0)
   in
@@ -429,9 +452,11 @@ let record (a : Baseline.Allocator.t) f =
       Baseline.Allocator.name = a.Baseline.Allocator.name ^ "+trace";
       alloc =
         (fun ~bytes ->
+          Sim.Machine.sync ();
           let cpu, t = here () in
           let gap = gap_at cpu t in
           let addr = a.Baseline.Allocator.alloc ~bytes in
+          Sim.Machine.sync ();
           let cpu', t' = here () in
           Hashtbl.replace last_end cpu' t';
           if addr <> 0 then begin
@@ -443,6 +468,7 @@ let record (a : Baseline.Allocator.t) f =
           addr);
       free =
         (fun ~addr ~bytes ->
+          Sim.Machine.sync ();
           let cpu, t = here () in
           let gap = gap_at cpu t in
           (match Hashtbl.find_opt id_of addr with

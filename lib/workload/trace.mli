@@ -114,7 +114,12 @@ val replay :
     wakes it, so the host skips the polls that cannot succeed; the
     cycles are those of polling, bit for bit.  [on_op], if given,
     observes every completed operation host-side with its simulated
-    latency (gap and handoff wait excluded).
+    latency (gap and handoff wait excluded).  The ids are mapped once,
+    when the replay starts, to dense slots [0 .. n-1], so replaying an
+    event costs a few array accesses rather than id-keyed table
+    lookups.  The replay's host bookkeeping is shared by every CPU, so
+    it runs only at scheduled positions (after a {!Sim.Machine.now}, or
+    a {!Sim.Machine.sync} after a think-time gap).
     @raise Invalid_argument if [m] has fewer than [ncpus t] CPUs.
     @raise Sim.Machine.Deadlock if the trace's handoffs form a cycle
     (a malformed trace {!validate} rejects), naming the waiting CPUs. *)
@@ -129,7 +134,8 @@ val replay :
 type session
 
 val start : Sim.Machine.t -> Baseline.Allocator.t -> t -> session
-(** [start m a t] prepares a replay; nothing runs yet. *)
+(** [start m a t] prepares a replay, mapping [t]'s ids to dense slots;
+    nothing runs yet. *)
 
 val step :
   ?on_op:(cpu:int -> alloc:bool -> latency:int -> unit) ->
@@ -153,6 +159,8 @@ val record : Baseline.Allocator.t -> (Baseline.Allocator.t -> unit) -> t
     the result on a fresh identical machine reproduces the recorded
     run's cycle count exactly (single-CPU; proven in [test/scenario]).
     The wrapper observes CPU and time via the host-side
-    [Sim.Machine.running] accessor, so recording perturbs nothing.
+    [Sim.Machine.running] accessor, so recording perturbs nothing, and
+    anchors its shared bookkeeping with {!Sim.Machine.sync}, so the
+    recorded order is the scheduled order.
     [f] (or the caller) must run the allocator traffic on simulated
     CPUs like any other workload. *)

@@ -5,4 +5,5 @@ let () =
       ("library", Test_library.suite);
       ("pathology", Test_pathology.suite);
       ("identical", Test_identical.suite);
+      ("golden", Test_golden.suite);
     ]

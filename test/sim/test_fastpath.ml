@@ -2,7 +2,9 @@
    program with the same-CPU inline fast path disabled (every operation
    through the effect handler and scheduler, the pre-fast-path mode)
    and enabled must produce bit-identical virtual time, per-CPU clocks,
-   retired-operation counts, and memory contents.  The experiment-level
+   retired-operation counts, interrupt flags, cache statistics, memory
+   contents, and host state the programs share through [Machine.sync]
+   anchors.  The experiment-level
    fig7/E8 proofs live in test/experiments; this one drives randomized
    multi-CPU programs straight at [Sim.Machine] so shrinking points at
    the offending operation mix. *)
@@ -25,6 +27,8 @@ type handoff = {
   finished : bool array;
   waiting_on : int array; (* -1: not waiting *)
   shift : int;
+  mutable mix : int;
+      (* order-sensitive hash of every CPU's [sync]-anchored updates *)
 }
 
 let handoff ncpus seed =
@@ -33,7 +37,22 @@ let handoff ncpus seed =
     finished = Array.make ncpus false;
     waiting_on = Array.make ncpus (-1);
     shift = seed mod ncpus;
+    mix = 0;
   }
+
+(* Lines private to each CPU, and read-only lines, declared at boot so
+   their hits run ahead of the schedule. *)
+let private_base cpu = 2048 + (cpu * 64)
+let ro_base = 2560
+
+let declare m ncpus =
+  for cpu = 0 to ncpus - 1 do
+    Cache.own (Machine.cache m) ~addr:(private_base cpu) ~words:64 (Cache.Cpu cpu)
+  done;
+  for w = 0 to 63 do
+    Memory.set (Machine.memory m) (ro_base + w) (w * w)
+  done;
+  Cache.own (Machine.cache m) ~addr:ro_base ~words:64 Cache.Read_only
 
 let rank h cpu = (cpu + h.shift) mod Array.length h.posts
 
@@ -65,11 +84,13 @@ let wait h cpu next =
 
 (* A deterministic mixed-operation program: reads, writes, RMWs, work,
    raw relaxed spins, a contended spinlock critical section (the
-   relaxed-Spin inlining leg plus the scheduled TAS leg), and posts and
-   parked waits on the handoffs above.  Addresses span the uncached
-   region (first 64 words: the lock and counters) and the cached
-   region, across enough lines to force evictions and cross-CPU
-   invalidations. *)
+   relaxed-Spin inlining leg plus the scheduled TAS leg), posts and
+   parked waits on the handoffs above, the run-ahead leg (loads and
+   stores to the CPU's own lines, loads of read-only lines, [cpu_id],
+   interrupt flips), and [sync]-anchored updates of shared host state.
+   Addresses span the uncached region (first 64 words: the lock and
+   counters) and the cached region, across enough lines to force
+   evictions and cross-CPU invalidations. *)
 let program h lock seed len cpu =
   let st = ref ((seed * 69069) + (cpu * 7919) + 1) in
   let next () =
@@ -80,7 +101,7 @@ let program h lock seed len cpu =
   if next () mod 2 = 0 then post h cpu;
   if next () mod 2 = 0 then wait h cpu next;
   for _ = 1 to len do
-    match next () mod 13 with
+    match next () mod 19 with
     | 0 -> ignore (Machine.read (64 + (next () mod 1024)))
     | 1 -> Machine.write (64 + (next () mod 1024)) (next ())
     | 2 -> ignore (Machine.fetch_add (32 + (next () mod 8)) 1)
@@ -106,6 +127,21 @@ let program h lock seed len cpu =
     | 11 ->
         ignore (Machine.now ());
         post h cpu
+    | 13 -> ignore (Machine.read (private_base cpu + (next () mod 64)))
+    | 14 -> Machine.write (private_base cpu + (next () mod 64)) (next ())
+    | 15 -> ignore (Machine.read (ro_base + (next () mod 64)))
+    | 16 ->
+        if Machine.cpu_id () <> cpu then failwith "cpu_id";
+        Machine.irq_disable ();
+        Machine.work (1 + (next () mod 3));
+        if next () mod 2 = 0 then Machine.irq_enable ()
+    | 17 ->
+        (* Shared host state after whatever ran last, ahead or not. *)
+        Machine.sync ();
+        h.mix <- ((h.mix * 31) + cpu + 1) land 0xFFFFFFF
+    | 18 ->
+        Machine.sync ();
+        wait h cpu next
     | _ ->
         (* The check reads other CPUs' host state, so it must not
            follow an inline spin directly (the [spin_pause] contract):
@@ -120,6 +156,9 @@ type snapshot = {
   elapsed : int;
   cpu_times : int list;
   retired : int list;
+  irq_off : bool list;
+  stats : Cache.stats list;
+  mix : int;
   memory : int array;
 }
 
@@ -132,14 +171,21 @@ let execute ~fast (ncpus, seed, len) =
         Config.make ~ncpus ~memory_words:mem_words ~uncached_words:64 ()
       in
       let m = Machine.create config in
+      declare m ncpus;
       let lock = Spinlock.init (Machine.memory m) 8 in
-      Machine.run_symmetric m ~ncpus
-        (program (handoff ncpus seed) lock seed len);
+      let h = handoff ncpus seed in
+      Machine.run_symmetric m ~ncpus (program h lock seed len);
       {
         elapsed = Machine.elapsed m;
         cpu_times =
           List.init ncpus (fun cpu -> Machine.cpu_time m ~cpu);
         retired = List.init ncpus (fun cpu -> Machine.retired m ~cpu);
+        irq_off = List.init ncpus (fun cpu -> Machine.irq_disabled m ~cpu);
+        stats =
+          List.init ncpus (fun cpu ->
+              let s = Cache.stats (Machine.cache m) ~cpu in
+              { s with Cache.loads = s.Cache.loads });
+        mix = h.mix;
         memory = Memory.blit_to_host (Machine.memory m) 0 ~len:mem_words;
       })
 
@@ -150,12 +196,7 @@ let case =
 let prop_fast_slow_identical =
   QCheck.Test.make ~name:"fast path is cycle- and state-identical"
     ~count:40 case (fun c ->
-      let slow = execute ~fast:false c in
-      let fast = execute ~fast:true c in
-      slow.elapsed = fast.elapsed
-      && slow.cpu_times = fast.cpu_times
-      && slow.retired = fast.retired
-      && slow.memory = fast.memory)
+      execute ~fast:false c = execute ~fast:true c)
 
 (* The oracle itself: with the fast path forced off, every operation is
    scheduled, and the toggle reports what it did. *)
@@ -186,15 +227,18 @@ let test_identical_under_geometry () =
                 ~uncached_words:64 ()
             in
             let m = Machine.create config in
+            declare m 3;
             let lock = Spinlock.init (Machine.memory m) 8 in
-            Machine.run_symmetric m ~ncpus:3
-              (program (handoff 3 1234) lock 1234 300);
-            (Machine.elapsed m, Memory.blit_to_host (Machine.memory m) 0 ~len:mem_words)
-          )
+            let h = handoff 3 1234 in
+            Machine.run_symmetric m ~ncpus:3 (program h lock 1234 300);
+            ( Machine.elapsed m,
+              h.mix,
+              Memory.blit_to_host (Machine.memory m) 0 ~len:mem_words ))
       in
-      let slow_t, slow_m = execute false in
-      let fast_t, fast_m = execute true in
+      let slow_t, slow_h, slow_m = execute false in
+      let fast_t, fast_h, fast_m = execute true in
       Alcotest.(check int) (spec ^ ": cycles") slow_t fast_t;
+      Alcotest.(check int) (spec ^ ": shared host state") slow_h fast_h;
       Alcotest.(check bool) (spec ^ ": memory") true (slow_m = fast_m))
     [ "line=4,lines=16"; "lines=32,assoc=2"; "miss=60,c2c=100,rmw=0" ]
 

@@ -10,4 +10,5 @@ let () =
       ("spinlock", Test_spinlock.suite);
       ("litmus", Test_litmus.suite);
       ("fastpath", Test_fastpath.suite);
+      ("runahead", Test_runahead.suite);
     ]

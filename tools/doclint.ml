@@ -30,10 +30,16 @@ let read_file path =
   close_in ic;
   s
 
-let contains hay needle =
+let index_of hay needle =
   let hl = String.length hay and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl > 0 && go 0
+  let rec go i =
+    if nl = 0 || i + nl > hl then None
+    else if String.sub hay i nl = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = index_of hay needle <> None
 
 (* The ways a module is allowed to situate itself: a reference into the
    paper (named section or figure — the repo's idiom never invents
@@ -84,18 +90,30 @@ let rec skip_ws src i =
   else i
 
 (* Interfaces exporting a lock or critical-section API, per-domain
-   state shared without one, or a wait that another CPU ends: their
-   module doc must carry an "Invariants:" line naming the discipline
-   (who may take the lock, in what order, under what interrupt state;
-   who may write, and what a racing reader sees; or who may wake a
-   waiter, and what the waiter is charged).  This is the written half
-   of what lib/lockcheck and the fast = scheduled equivalence tests
-   check at run time. *)
+   state shared without one, a wait that another CPU ends, or memory
+   only one CPU may touch: their module doc must carry an
+   "Invariants:" line naming the discipline (who may take the lock, in
+   what order, under what interrupt state; who may write, and what a
+   racing reader sees; who may wake a waiter, and what the waiter is
+   charged; or who may access an owned line, and what enforces it).
+   This is the written half of what lib/lockcheck, the ownership checks
+   in Sim.Cache and the fast = scheduled equivalence tests check at run
+   time. *)
 let invariants_required =
   [
     "spinlock.mli"; "global.mli"; "pagepool.mli"; "vmblk.mli"; "percpu.mli";
     "check.mli"; "heapcheck.mli"; "nbbuddy.mli"; "bwfixed.mli"; "stats.mli";
-    "depot.mli"; "magazine.mli"; "pstats.mli"; "machine.mli";
+    "depot.mli"; "magazine.mli"; "pstats.mli"; "machine.mli"; "cache.mli";
+  ]
+
+(* Primitives an interface's "Invariants:" text must name, because the
+   contract hangs on them: the simulator's run-ahead leg is only sound
+   for host code anchored with [sync], and ownership only holds because
+   [own] declarations are checked. *)
+let invariant_terms =
+  [
+    ("machine.mli", [ "{!sync}"; "{!wake}"; "ahead" ]);
+    ("cache.mli", [ "{!own}" ]);
   ]
 
 (* Lock-free interfaces: correctness rests on a linearization argument,
@@ -129,6 +147,23 @@ let check_module_doc file src =
             "interface exports a lock or critical-section API: module doc \
              must carry an \"Invariants:\" line naming its \
              synchronization discipline";
+        (match List.assoc_opt (Filename.basename file) invariant_terms with
+        | None -> ()
+        | Some terms ->
+            let inv =
+              match index_of body "Invariants:" with
+              | Some i -> String.sub body i (String.length body - i)
+              | None -> ""
+            in
+            List.iter
+              (fun term ->
+                if not (contains inv term) then
+                  fail file
+                    (Printf.sprintf
+                       "the \"Invariants:\" text must name %s, the \
+                        primitive its contract rests on"
+                       term))
+              terms);
         if
           List.mem (Filename.basename file) linearization_required
           && not (contains body "Linearization:")
