@@ -63,11 +63,3 @@ let speedup points ~which =
       if p.which = which then Some (p.ncpus, p.pairs_per_sec /. base)
       else None)
     points
-
-let single_cpu_ratio points ~num ~den =
-  let at1 w =
-    match List.find_opt (fun p -> p.which = w && p.ncpus = 1) points with
-    | Some p -> p.pairs_per_sec
-    | None -> invalid_arg "Fig7.single_cpu_ratio: missing 1-CPU point"
-  in
-  at1 num /. at1 den

@@ -41,10 +41,3 @@ val print_semilog : point list -> unit
 
 val speedup : point list -> which:Baseline.Allocator.which -> (int * float) list
 (** [(ncpus, throughput_ncpus / throughput_1)] for one allocator. *)
-
-val single_cpu_ratio :
-  point list ->
-  num:Baseline.Allocator.which ->
-  den:Baseline.Allocator.which ->
-  float
-(** Throughput ratio at 1 CPU (e.g. cookie/oldkma: the paper's 15x). *)

@@ -55,13 +55,18 @@ let test_clean_heap () =
        (List.map (fun v -> v.Heapcheck.detail) vs))
     0 (List.length vs)
 
-let test_gbl_count () =
+(* A warmed heap whose first gblfree list claims one block too many. *)
+let skewed_gbl_count () =
   let ctx, _ = warmed () in
   let mem = Ctx.memory ctx in
   (match Global.lists_oracle ctx ~si with
   | (head, count) :: _ ->
       Sim.Memory.set mem (head + Freelist.count) (count + 1)
   | [] -> Alcotest.fail "warm-up left gblfree empty");
+  ctx
+
+let test_gbl_count () =
+  let ctx = skewed_gbl_count () in
   check_has Heapcheck.Gbl_count "count-word skew" (Heapcheck.check ctx)
 
 let test_percpu_count () =
@@ -161,6 +166,19 @@ let test_record_mode_accumulates () =
       Alcotest.(check bool) "report names the rules" true
         (contains "gbl-count" && contains "span-state"))
 
+(* The --heapcheck wrapper kma_bench and bench/main share: a planted
+   violation fails the run after the report (both exit 3 on it), and the
+   checker is disarmed either way. *)
+let test_shared_wrapper_fails () =
+  let ctx = skewed_gbl_count () in
+  (match
+     Harness.with_heapcheck (Some Heapcheck.Paranoid) (fun () ->
+         Heapcheck.checkpoint ctx)
+   with
+  | () -> Alcotest.fail "a planted violation passed the wrapper"
+  | exception Harness.Check_failed _ -> ());
+  Alcotest.(check bool) "disarmed" false (Heapcheck.on ())
+
 let test_checkpoint_counts () =
   with_disabled (fun () ->
       Heapcheck.enable ~abort:true ();
@@ -199,4 +217,6 @@ let suite =
     Alcotest.test_case "checkpoints counted, clean heap silent" `Quick
       test_checkpoint_counts;
     Alcotest.test_case "Sweep 0 rejected" `Quick test_sweep_zero_rejected;
+    Alcotest.test_case "shared wrapper fails on a planted violation" `Quick
+      test_shared_wrapper_fails;
   ]
