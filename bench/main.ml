@@ -52,7 +52,7 @@ let service_json (label, (o : Service.outcome)) =
         Printf.sprintf "%.6f"
           (if Float.is_nan o.o_contention then 0. else o.o_contention) );
       ("drops", int s.s_drops); ("prefills", int s.s_prefills);
-      ("grows", int s.s_grows); ("shrinks", int s.s_shrinks);
+      ("grows", int s.s_grows);
       ("final_target", int o.o_final_target);
       ("final_bound", int o.o_final_bound);
     ]

@@ -50,7 +50,18 @@ let float_in lo hi =
   in
   Arg.conv (parse, fun ppf r -> Format.fprintf ppf "%g" r)
 
+let positive_float =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some r when r > 0. && Float.is_finite r -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+  in
+  Arg.conv (parse, fun ppf r -> Format.fprintf ppf "%g" r)
+
 let cpus_in = int_in ~hi:Sim.Config.max_cpus 1
+
+(* Producer/consumer pairs: their rings must fit the scratch region. *)
+let pairs_in = int_in ~hi:Workload.Crosscpu.max_pairs 1
 
 (* An integer flag of at least [lo]: counts and sizes default to 1. *)
 let count ?(lo = 1) ?docv name default doc =
@@ -59,8 +70,9 @@ let count ?(lo = 1) ?docv name default doc =
 let ncpus ?(doc = "CPUs.") default =
   Arg.(value & opt cpus_in default & info [ "cpus" ] ~doc)
 
-let cpu_list ?(name = "cpus") ?(doc = "CPU counts to sweep.") default =
-  Arg.(value & opt (list cpus_in) default & info [ name ] ~docv:"N,N,..." ~doc)
+let cpu_list ?(elt = cpus_in) ?(name = "cpus") ?(doc = "CPU counts to sweep.")
+    default =
+  Arg.(value & opt (list elt) default & info [ name ] ~docv:"N,N,..." ~doc)
 
 let bytes = count "bytes" 256 "Block size."
 let seed default doc = Arg.(value & opt int default & info [ "seed" ] ~doc)
@@ -355,6 +367,29 @@ let fig8 =
       $ count "iters" 2000 "Pairs/CPU.")
 
 let fig9 =
+  (* The memory must also be whole cache lines of the geometry the run
+     will use.  fig9 takes no --geometry of its own: both drivers
+     install theirs (or KMA_GEOMETRY) as the ambient one before they
+     parse a command line. *)
+  let memory_words =
+    let line_aligned words =
+      let line = (Sim.Geometry.ambient ()).Sim.Geometry.line_words in
+      if words mod line = 0 then `Ok words
+      else
+        `Error
+          ( true,
+            Printf.sprintf
+              "--memory-words %d is not a multiple of the cache line (%d \
+               words)"
+              words line )
+    in
+    Term.(
+      ret
+        (const line_aligned
+        $ count ~lo:16384 "memory-words" (1024 * 1024)
+            "Simulated memory size in words (at least 16384: the control \
+             region plus one vmblk; a multiple of the cache line)."))
+  in
   let alloc =
     Arg.(
       value
@@ -395,9 +430,7 @@ let fig9 =
        alongside (an allocator without coalescing wedges)."
     Term.(
       const run $ alloc
-      $ count ~lo:16384 "memory-words" (1024 * 1024)
-          "Simulated memory size in words (at least 16384: the control \
-           region plus one vmblk)."
+      $ memory_words
       $ count ~lo:0 "cap" 0 "Max blocks per size (0 = until exhaustion)."
       $ gnuplot)
 
@@ -561,7 +594,9 @@ let crosscpu =
     Term.(
       const run
       $ allocs_flag Baseline.Allocator.(all @ [ Lazybuddy ])
-      $ count "pairs" 2 "Producer/consumer pairs."
+      $ Arg.(
+          value & opt pairs_in 2
+          & info [ "pairs" ] ~doc:"Producer/consumer pairs.")
       $ count "blocks" 2000 "Blocks transferred per pair.")
 
 let trace =
@@ -619,7 +654,7 @@ let scenario =
   in
   let scale =
     Arg.(
-      value & opt float 1.
+      value & opt positive_float 1.
       & info [ "scale" ] ~docv:"K"
           ~doc:"Rate scaling: divide recorded inter-arrival gaps by $(docv).")
   in
@@ -800,7 +835,7 @@ let lockfree =
       $ cpu_list Experiments.Lockfree_arms.default_cpus
       $ count "iters" 2000 "Timed alloc/free pairs per CPU."
       $ bytes
-      $ cpu_list ~name:"pairs"
+      $ cpu_list ~elt:pairs_in ~name:"pairs"
           ~doc:
             "Producer/consumer pair counts for the remote-free companion \
              sweep (each pair is 2 CPUs)."

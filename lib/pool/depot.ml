@@ -35,7 +35,7 @@ let with_lock t f =
       Mutex.unlock t.mutex;
       raise e
 
-let get_observed t =
+let get t =
   with_lock t (fun () ->
       match t.stock with
       | b :: rest ->
@@ -52,9 +52,7 @@ let get_observed t =
             Some b
           end)
 
-let get t = fst (get_observed t)
-
-let put_observed t batch =
+let put t batch =
   with_lock t (fun () ->
       if t.nbatches >= t.max_batches then `Dropped
       else begin
@@ -63,11 +61,9 @@ let put_observed t batch =
         `Kept
       end)
 
-let put t batch = fst (put_observed t batch)
-
 (* Regroup odd-sized returns into full target-sized batches — the
    paper's bucket list.  Overflow beyond the bound goes to the GC. *)
-let put_partial_observed t items =
+let put_partial t items =
   snd
     (with_lock t (fun () ->
          t.loose <- items @ t.loose;
@@ -90,17 +86,14 @@ let put_partial_observed t items =
            (* else: dropped to the GC *)
          done))
 
-let put_partial t items = ignore (put_partial_observed t items)
-
 let set_geometry t ~target ~max_batches =
   if target < 1 then invalid_arg "Pool.Depot.set_geometry: target < 1";
   if max_batches < 0 then invalid_arg "Pool.Depot.set_geometry: max_batches < 0";
   ignore
     (with_lock t (fun () ->
-         t.target <- target;
-         t.max_batches <- max_batches))
+         t.target <- max t.target target;
+         t.max_batches <- max t.max_batches max_batches))
 
-let bound t = fst (with_lock t (fun () -> t.max_batches))
 let batches t = fst (with_lock t (fun () -> t.nbatches))
 
 let drain t =

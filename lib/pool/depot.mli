@@ -11,11 +11,11 @@
     Invariants: [nbatches] equals [length stock]; every stocked batch
     has at most [target] items at the time it was grouped; the loose
     bucket holds fewer than [target] items outside of a [put_partial]
-    regroup; [nbatches <= max_batches] except transiently inside a
-    geometry shrink, which the next put corrects by dropping.
+    regroup; [nbatches <= max_batches]; [target] and [max_batches]
+    never decrease.
 
-    The [_observed] variants additionally report whether the depot
-    mutex was held by another domain at acquire time ([try_lock]
+    Every operation that takes the mutex on the data path also reports
+    whether it was held by another domain at acquire time ([try_lock]
     failed) — the contention signal {!Pool}'s adaptive mode feeds on. *)
 
 type 'a t
@@ -25,37 +25,28 @@ val create : target:int -> max_batches:int -> 'a t
     are regrouped into [target]-sized batches.
     @raise Invalid_argument if [target < 1] or [max_batches < 0]. *)
 
-val get : 'a t -> 'a list option
+val get : 'a t -> 'a list option * bool
 (** [get t] takes one batch (at most [target] items), or [None] when
-    empty. *)
+    empty; the flag is [true] when the lock was contended. *)
 
-val get_observed : 'a t -> 'a list option * bool
-(** [get] plus the contended flag. *)
-
-val put : 'a t -> 'a list -> [ `Kept | `Dropped ]
+val put : 'a t -> 'a list -> [ `Kept | `Dropped ] * bool
 (** [put t batch] stores a batch; [`Dropped] when the depot is full
-    (the batch is released to the GC). *)
+    (the batch is released to the GC).  The flag is [true] when the
+    lock was contended. *)
 
-val put_observed : 'a t -> 'a list -> [ `Kept | `Dropped ] * bool
-(** [put] plus the contended flag. *)
-
-val put_partial : 'a t -> 'a list -> unit
+val put_partial : 'a t -> 'a list -> bool
 (** [put_partial t items] accepts an odd-sized return (magazine drain at
     domain exit), regrouping into batches internally; overflow beyond
-    the bound is dropped. *)
-
-val put_partial_observed : 'a t -> 'a list -> bool
-(** [put_partial] plus the contended flag. *)
+    the bound is dropped.  Returns [true] when the lock was
+    contended. *)
 
 val set_geometry : 'a t -> target:int -> max_batches:int -> unit
-(** Adjust the regroup batch size and the stock bound under the lock.
+(** Raise the regroup batch size and the stock bound under the lock,
+    each to the larger of its current and given value, so two racing
+    updates leave the larger geometry whatever order they land in.
     Already-stocked batches keep their old size (magazines split
-    overlong batches on install); a lowered bound takes effect at the
-    next put.
+    overlong batches on install).
     @raise Invalid_argument if [target < 1] or [max_batches < 0]. *)
-
-val bound : 'a t -> int
-(** Current [max_batches] (monitoring; may be adapted at runtime). *)
 
 val batches : 'a t -> int
 (** Current stock (for monitoring; momentarily stale by nature). *)

@@ -1,15 +1,8 @@
 type mode = [ `Fixed | `Adaptive ]
 
-type adapt_event = {
-  ev_seq : int;
-  ev_grow : bool;
-  ev_target : int;
-  ev_bound : int;
-}
-
 (* Per-domain state, reached with one DLS lookup: the magazine, this
    domain's counter cell, and the contention signal latched since its
-   last depot safe point ([saw_contended] is set by any depot
+   last flush safe point ([saw_contended] is set by any depot
    acquisition that found the lock held). *)
 type 'a slot = {
   mutable mag : 'a Magazine.t;
@@ -21,75 +14,53 @@ type 'a t = {
   ctor : unit -> 'a;
   reset : ('a -> unit) option;
   base_target : int;
-  max_target : int;
   base_bound : int;
-  max_bound : int;
-  grow_step : int;
-  bound_step : int;
   mode : mode;
-  desired_target : int Atomic.t;
-  desired_bound : int Atomic.t;
+  level : int Atomic.t;  (* 0 .. max_level, never lowered *)
   depot : 'a Depot.t;
   stats : Pstats.t;
   key : 'a slot Domain.DLS.key;
-  flushes : int Atomic.t;
-  oversupply_run : int Atomic.t;  (* consecutive oversupply signals *)
-  last_create_seq : int Atomic.t;
-      (* flush sequence number current when any domain last paid
-         constructor cost; a drop landing within [churn_window]
-         flushes of it is churn, not oversupply *)
-  events : adapt_event list Atomic.t;  (* newest first, capped *)
 }
 
-let max_trajectory = 512
-let churn_window = 128
+(* --- adaptation: one grow-only level ---------------------------------
 
-(* Hysteresis, after Pressure's clean-streak rule: one churn signal is
-   enough to grow, but shrinking needs this many consecutive
-   oversupply signals — otherwise a workload that alternates overflow
-   and miss phases (scheduler slices) rides a grow/shrink limit cycle
-   instead of settling at the larger geometry it needs. *)
-let shrink_streak = 32
+   Level [k] scales the configured geometry by [1 + k]: magazine target
+   [base_target * (1 + k)] and depot bound [base_bound * (1 + k)] (or
+   [min 1 k] when the base bound is 0, so a pool configured to drop
+   every flush gains a one-batch depot).  The level is raised one step
+   per signal at a flush safe point, never on the magazine hit path,
+   and is never lowered.  The signals: the flushed batch was dropped
+   (the depot was too small for the phase skew), or a depot
+   acquisition by this domain since its last flush found the lock held
+   (the magazines visit the depot too often).  Bigger magazines visit
+   the depot less and a bigger depot absorbs more skew, so both grow. *)
+
+let max_level = 7
+let scaled base k = base * (1 + k)
+let target_at t k = scaled t.base_target k
+let bound_at t k = if t.base_bound = 0 then min 1 k else scaled t.base_bound k
 
 let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) ?(mode = `Fixed)
-    ?max_target ?max_depot_batches ?grow_step () =
+    () =
   if target < 1 then invalid_arg "Pool.create: target < 1";
   if depot_batches < 0 then invalid_arg "Pool.create: depot_batches < 0";
-  let max_target = Option.value max_target ~default:(8 * target) in
-  let max_bound =
-    Option.value max_depot_batches ~default:(max 1 (8 * depot_batches))
-  in
-  if max_target < target then invalid_arg "Pool.create: max_target < target";
-  if max_bound < depot_batches then
-    invalid_arg "Pool.create: max_depot_batches < depot_batches";
-  let grow_step = Option.value grow_step ~default:target in
-  if grow_step < 1 then invalid_arg "Pool.create: grow_step < 1";
-  let desired_target = Atomic.make target and stats = Pstats.create () in
+  let level = Atomic.make 0 and stats = Pstats.create () in
   {
     ctor;
     reset;
     base_target = target;
-    max_target;
     base_bound = depot_batches;
-    max_bound;
-    grow_step;
-    bound_step = max 1 depot_batches;
     mode;
-    desired_target;
-    desired_bound = Atomic.make depot_batches;
+    level;
     depot = Depot.create ~target ~max_batches:depot_batches;
     stats;
     key =
       Domain.DLS.new_key (fun () ->
           {
-            mag = Magazine.create ~target:(Atomic.get desired_target);
+            mag = Magazine.create ~target:(scaled target (Atomic.get level));
             st = Pstats.register stats;
             saw_contended = false;
           });
-    flushes = Atomic.make 0;
-    oversupply_run = Atomic.make 0;
-    last_create_seq = Atomic.make (-(churn_window + 1));
-    events = Atomic.make [];
   }
 
 let slot t = Domain.DLS.get t.key
@@ -104,7 +75,7 @@ let note_acquire sl ~contended =
 (* Hand a full batch to the depot; [true] when it was dropped. *)
 let deposit t sl batch =
   sl.st.depot_puts <- sl.st.depot_puts + 1;
-  let r, contended = Depot.put_observed t.depot batch in
+  let r, contended = Depot.put t.depot batch in
   note_acquire sl ~contended;
   let dropped = r = `Dropped in
   if dropped then sl.st.drops <- sl.st.drops + 1;
@@ -112,87 +83,28 @@ let deposit t sl batch =
 
 let deposit_partial t sl items =
   sl.st.depot_puts <- sl.st.depot_puts + 1;
-  note_acquire sl ~contended:(Depot.put_partial_observed t.depot items)
+  note_acquire sl ~contended:(Depot.put_partial t.depot items)
 
-(* --- adaptation: the Kma.Pressure discipline transplanted -----------
+(* One step up, retried if another domain's step got in first (each
+   signal is one step), and nothing at the ceiling.  The depot keeps
+   the larger of two racing geometry updates, so it ends at the
+   highest level whatever order they land in. *)
+let rec grow t sl =
+  let k = Atomic.get t.level in
+  if k < max_level then
+    if Atomic.compare_and_set t.level k (k + 1) then begin
+      Depot.set_geometry t.depot ~target:(target_at t (k + 1))
+        ~max_batches:(bound_at t (k + 1));
+      sl.st.grows <- sl.st.grows + 1
+    end
+    else grow t sl
 
-   Like Pressure, the knobs move only at slow-path safe points (a
-   magazine flush hitting the depot), never on the magazine hit path,
-   with floors and ceilings pinning the geometry to
-   [base <= current <= 8 * base] by default.  Growth is additive
-   ([grow_step] per signal), shrink is multiplicative (halving the
-   excess over the base).
-
-   The raw signals entering [adapt]:
-   - [contended]: depot churn.  The flushing put found the lock held,
-     or any depot acquisition by this domain since its last safe point
-     did, or the flush was dropped within [churn_window] flushes of a
-     constructor miss somewhere in the pool — overflow and miss at
-     once, the drain/refill oscillation shape (on a single-core host,
-     domains alternate in scheduler slices, so the domain paying the
-     misses is never the one at a flush safe point: the miss evidence
-     must be pool-global).  Bigger magazines visit the depot less and
-     a bigger depot absorbs more phase skew, so grow both.
-   - [dropped]: pure oversupply.  The flush was dropped with no miss
-     anywhere near: the pool holds more than the workload circulates,
-     so decay back toward the configured base and let the GC have the
-     excess. *)
-
-let record_event t ev =
-  let rec push () =
-    let old = Atomic.get t.events in
-    if List.length old >= max_trajectory then ()
-    else if not (Atomic.compare_and_set t.events old (ev :: old)) then push ()
-  in
-  push ()
-
-let rec step_toward a ~limit ~step =
-  let cur = Atomic.get a in
-  let nxt = min limit (cur + step) in
-  if nxt = cur then None
-  else if Atomic.compare_and_set a cur nxt then Some nxt
-  else step_toward a ~limit ~step
-
-let rec halve_toward a ~base =
-  let cur = Atomic.get a in
-  let nxt = base + ((cur - base) / 2) in
-  if nxt = cur then None
-  else if Atomic.compare_and_set a cur nxt then Some nxt
-  else halve_toward a ~base
-
-let adapt t sl ~seq ~contended ~dropped =
-  let changed, grow =
-    if contended then
-      let nt = step_toward t.desired_target ~limit:t.max_target ~step:t.grow_step in
-      let nb = step_toward t.desired_bound ~limit:t.max_bound ~step:t.bound_step in
-      ((nt, nb) <> (None, None), true)
-    else if dropped then
-      let nt = halve_toward t.desired_target ~base:t.base_target in
-      let nb = halve_toward t.desired_bound ~base:t.base_bound in
-      ((nt, nb) <> (None, None), false)
-    else (false, false)
-  in
-  if changed then begin
-    Depot.set_geometry t.depot
-      ~target:(Atomic.get t.desired_target)
-      ~max_batches:(Atomic.get t.desired_bound);
-    if grow then sl.st.grows <- sl.st.grows + 1
-    else sl.st.shrinks <- sl.st.shrinks + 1;
-    record_event t
-      {
-        ev_seq = seq;
-        ev_grow = grow;
-        ev_target = Atomic.get t.desired_target;
-        ev_bound = Atomic.get t.desired_bound;
-      }
-  end
-
-(* Re-cut the calling domain's magazine to the current desired target.
+(* Re-cut the calling domain's magazine to the current level's target.
    The magazine geometry is immutable (its invariants depend on it), so
    adaptation swaps in a fresh magazine and re-feeds the old contents;
    any flush this produces goes to the depot as usual. *)
 let sync_magazine t sl =
-  let want = Atomic.get t.desired_target in
+  let want = target_at t (Atomic.get t.level) in
   if Magazine.target sl.mag <> want then begin
     let held = Magazine.drain sl.mag in
     sl.mag <- Magazine.create ~target:want;
@@ -205,24 +117,23 @@ let sync_magazine t sl =
   end
 
 (* The magazine is empty: the depot-get safe point.  A domain that only
-   allocates never flushes, so it adopts the adapted target here. *)
+   allocates never flushes, so it adopts the current level here. *)
 let alloc_miss t sl =
   sync_magazine t sl;
   sl.st.depot_gets <- sl.st.depot_gets + 1;
-  let batch, contended = Depot.get_observed t.depot in
+  let batch, contended = Depot.get t.depot in
   note_acquire sl ~contended;
   match batch with
   | Some batch ->
-      (* A batch cut before a shrink overfills the magazine: the excess
-         goes back as loose items. *)
+      (* A batch cut at a higher level than this magazine's (another
+         domain grew the pool after this one's sync) overfills it: the
+         excess goes back as loose items. *)
       (match Magazine.install sl.mag batch with
       | [] -> ()
       | excess -> deposit_partial t sl excess);
       Magazine.get sl.mag
   | None ->
       sl.st.creates <- sl.st.creates + 1;
-      if t.mode = `Adaptive then
-        Atomic.set t.last_create_seq (Atomic.get t.flushes);
       t.ctor ()
 
 let alloc t =
@@ -234,24 +145,10 @@ let alloc t =
 
 (* [main] and [aux] were both full: the flush safe point. *)
 let flush t sl batch =
-  let seq = Atomic.fetch_and_add t.flushes 1 in
   let dropped = deposit t sl batch in
   if t.mode = `Adaptive then begin
-    let churn =
-      sl.saw_contended
-      || (dropped && seq - Atomic.get t.last_create_seq <= churn_window)
-    in
+    if dropped || sl.saw_contended then grow t sl;
     sl.saw_contended <- false;
-    if churn then begin
-      Atomic.set t.oversupply_run 0;
-      adapt t sl ~seq ~contended:true ~dropped:false
-    end
-    else if dropped then begin
-      if Atomic.fetch_and_add t.oversupply_run 1 + 1 >= shrink_streak then begin
-        Atomic.set t.oversupply_run 0;
-        adapt t sl ~seq ~contended:false ~dropped:true
-      end
-    end;
     sync_magazine t sl
   end
 
@@ -262,13 +159,6 @@ let release t x =
   match Magazine.put sl.mag x with
   | `Ok -> ()
   | `Flush batch -> flush t sl batch
-
-let adapt_now t ~contended ~dropped =
-  if t.mode = `Adaptive then begin
-    let sl = slot t in
-    adapt t sl ~seq:(Atomic.get t.flushes) ~contended ~dropped;
-    sync_magazine t sl
-  end
 
 let with_obj t f =
   let x = alloc t in
@@ -294,7 +184,7 @@ let refill t ~batches =
      for _ = 1 to batches do
        (* Stop constructing as soon as the depot reports full: one
           speculative batch at most goes to the GC. *)
-       let tgt = Atomic.get t.desired_target in
+       let tgt = target_at t (Atomic.get t.level) in
        let batch = List.init tgt (fun _ -> t.ctor ()) in
        if deposit t sl batch then raise Exit;
        incr kept;
@@ -306,7 +196,6 @@ let refill t ~batches =
 let stats t = t.stats
 let mode t = t.mode
 let target t = t.base_target
-let current_target t = Atomic.get t.desired_target
-let depot_bound t = Atomic.get t.desired_bound
+let current_target t = target_at t (Atomic.get t.level)
+let depot_bound t = bound_at t (Atomic.get t.level)
 let depot_batches t = Depot.batches t.depot
-let trajectory t = List.rev (Atomic.get t.events)

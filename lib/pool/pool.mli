@@ -26,30 +26,27 @@
     not used after release (not checkable here; the test suite checks it
     for the pool's own traffic).
 
-    In [`Adaptive] mode the pool retunes its own geometry with the
-    [Kma.Pressure] discipline (DESIGN.md §14).  At each flush safe
-    point it reads two signals: {e churn} — the depot lock was observed
-    contended by this domain since its last safe point, or the flushed
-    batch was dropped while the domain was also paying constructor
-    cost (overflow and miss at once, the drain/refill oscillation
-    shape) — grows [target] and the depot bound additively, one
-    [grow_step] per signal up to the ceilings; {e oversupply} — a drop
-    with no miss in sight — shrinks the excess multiplicatively,
-    halving the distance back to the base.  Knobs move only at depot
-    safe points, never on the magazine hit path; a domain's magazine
-    takes the adapted target at its next flush or, once empty, depot
-    get, so a domain that only allocates adapts too. *)
+    In [`Adaptive] mode the pool grows its own geometry in answer to
+    depot traffic (DESIGN.md §14.2).  It keeps one level [k], from 0
+    to 7: magazine target [target * (1 + k)] and depot bound
+    [depot_batches * (1 + k)] ([min 1 k] when [depot_batches = 0]).  At
+    a flush safe point, a dropped batch or a depot lock this domain
+    found contended since its last flush raises the level one step;
+    nothing lowers it.  A domain's magazine takes the current level's
+    target at its next flush or, once empty, its next depot get, so a
+    domain that only allocates adapts too.
+
+    Invariants:
+    - only the owning domain touches its slot: the magazine, the
+      {!Pstats} cell and the contention latch;
+    - the level changes only at the safe points (it is raised at a
+      flush, and adopted there and at a depot get), only upward, one
+      step per signal, at most to 7;
+    - the hit path reads no adaptive state. *)
 
 type 'a t
 
 type mode = [ `Fixed | `Adaptive ]
-
-type adapt_event = {
-  ev_seq : int;  (** depot-flush sequence number when the step fired *)
-  ev_grow : bool;
-  ev_target : int;  (** desired magazine target after the step *)
-  ev_bound : int;  (** desired depot bound after the step *)
-}
 
 val create :
   ctor:(unit -> 'a) ->
@@ -57,22 +54,15 @@ val create :
   ?target:int ->
   ?depot_batches:int ->
   ?mode:mode ->
-  ?max_target:int ->
-  ?max_depot_batches:int ->
-  ?grow_step:int ->
   unit ->
   'a t
 (** [create ~ctor ()] builds a pool.  [reset] is applied on release
     (e.g. zeroing); [target] (default 16) bounds each magazine half;
     [depot_batches] (default 32) bounds the depot, beyond which batches
-    are dropped to the GC.  [mode] (default [`Fixed]) enables
-    contention-adaptive geometry; [max_target] / [max_depot_batches]
-    (defaults [8 * target] and [8 * depot_batches], at least 1) are the
-    adaptation ceilings, and [grow_step] (default [target]) the
-    additive growth per signal.
+    are dropped to the GC.  [mode] (default [`Fixed]) enables the
+    grow-only adaptive geometry, up to 8 times both bases.
 
-    @raise Invalid_argument if [target < 1], [depot_batches < 0],
-    [grow_step < 1], or a ceiling is below its base. *)
+    @raise Invalid_argument if [target < 1] or [depot_batches < 0]. *)
 
 val alloc : 'a t -> 'a
 (** [alloc t] takes an object: magazine first, then a depot batch, then
@@ -101,14 +91,6 @@ val refill : 'a t -> batches:int -> int
     [refill] keeps worker domains from ever paying constructor cost.
     @raise Invalid_argument if [batches < 0]. *)
 
-val adapt_now : 'a t -> contended:bool -> dropped:bool -> unit
-(** Feed one raw adaptation signal at an explicit safe point:
-    [contended] takes one additive grow step, otherwise [dropped] one
-    multiplicative shrink step, then the calling domain's magazine is
-    re-cut to the new target.  No-op in [`Fixed] mode.  Exists so
-    tests and harnesses can drive a deterministic signal sequence and
-    pin the resulting {!trajectory} exactly. *)
-
 val stats : 'a t -> Pstats.t
 val mode : 'a t -> mode
 
@@ -116,15 +98,11 @@ val target : 'a t -> int
 (** The configured (base) magazine target. *)
 
 val current_target : 'a t -> int
-(** The adapted magazine target ([= target] in [`Fixed] mode). *)
+(** The current level's magazine target ([= target] in [`Fixed]
+    mode). *)
 
 val depot_bound : 'a t -> int
-(** The adapted depot bound, in batches. *)
+(** The current level's depot bound, in batches. *)
 
 val depot_batches : 'a t -> int
 (** Current depot stock, in batches. *)
-
-val trajectory : 'a t -> adapt_event list
-(** Adaptation steps in order taken (first 512 kept).  With a
-    deterministic signal sequence — single domain, or {!adapt_now} —
-    the trajectory is reproducible exactly. *)

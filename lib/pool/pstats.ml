@@ -12,7 +12,6 @@ type cell = {
   mutable depot_acquires : int;
   mutable depot_contended : int;
   mutable grows : int;
-  mutable shrinks : int;
   mutable prefills : int;
 }
 
@@ -32,7 +31,6 @@ let register t =
       depot_acquires = 0;
       depot_contended = 0;
       grows = 0;
-      shrinks = 0;
       prefills = 0;
     }
   in
@@ -54,7 +52,6 @@ let drops t = sum t (fun c -> c.drops)
 let depot_acquires t = sum t (fun c -> c.depot_acquires)
 let depot_contended t = sum t (fun c -> c.depot_contended)
 let grows t = sum t (fun c -> c.grows)
-let shrinks t = sum t (fun c -> c.shrinks)
 let prefills t = sum t (fun c -> c.prefills)
 
 type snapshot = {
@@ -82,7 +79,7 @@ let read t =
     s_depot_acquires = depot_acquires t;
     s_depot_contended = depot_contended t;
     s_grows = grows t;
-    s_shrinks = shrinks t;
+    s_shrinks = 0;
     s_prefills = prefills t;
   }
 

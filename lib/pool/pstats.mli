@@ -23,8 +23,8 @@ type t
     (allocations no layer could satisfy); [drops] batches released to
     the GC on depot overflow; [depot_acquires] data-path depot-lock
     acquisitions, of which [depot_contended] found the lock held;
-    [grows]/[shrinks] adaptive geometry steps; [prefills] batches
-    constructed and deposited by [Pool.refill]. *)
+    [grows] adaptive level steps; [prefills] batches constructed and
+    deposited by [Pool.refill]. *)
 type cell = {
   mutable allocs : int;
   mutable frees : int;
@@ -35,7 +35,6 @@ type cell = {
   mutable depot_acquires : int;
   mutable depot_contended : int;
   mutable grows : int;
-  mutable shrinks : int;
   mutable prefills : int;
 }
 
@@ -55,7 +54,6 @@ val drops : t -> int
 val depot_acquires : t -> int
 val depot_contended : t -> int
 val grows : t -> int
-val shrinks : t -> int
 val prefills : t -> int
 
 type snapshot = {
@@ -68,7 +66,7 @@ type snapshot = {
   s_depot_acquires : int;
   s_depot_contended : int;
   s_grows : int;
-  s_shrinks : int;
+  s_shrinks : int;  (** always 0: the adaptive level never shrinks *)
   s_prefills : int;
 }
 

@@ -87,7 +87,6 @@ type outcome = {
   o_contention : float;
   o_final_target : int;
   o_final_bound : int;
-  o_trajectory : Pool.adapt_event list;
   o_per_domain : domain_stat list;
 }
 
@@ -333,7 +332,6 @@ let run cfg =
     o_contention = Pstats.contention_rate (Pool.stats pool);
     o_final_target = Pool.current_target pool;
     o_final_bound = Pool.depot_bound pool;
-    o_trajectory = Pool.trajectory pool;
     o_per_domain = per_domain;
   }
 
@@ -366,9 +364,8 @@ let to_string o =
      else Printf.sprintf "%.4f" o.o_contention)
     s.Pstats.s_drops s.Pstats.s_prefills;
   Printf.bprintf b
-    "  geometry: target %d  depot bound %d  grows %d  shrinks %d  (%d adaptation steps)\n"
-    o.o_final_target o.o_final_bound s.Pstats.s_grows s.Pstats.s_shrinks
-    (List.length o.o_trajectory);
+    "  geometry: target %d  depot bound %d  grows %d\n" o.o_final_target
+    o.o_final_bound s.Pstats.s_grows;
   List.iter
     (fun d ->
       Printf.bprintf b

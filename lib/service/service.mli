@@ -87,7 +87,6 @@ type outcome = {
   o_contention : float;  (** contended share of depot acquisitions *)
   o_final_target : int;
   o_final_bound : int;
-  o_trajectory : Pool.adapt_event list;
   o_per_domain : domain_stat list;
 }
 

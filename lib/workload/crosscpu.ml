@@ -19,8 +19,10 @@ let ring_head ~pair = ring_base ~pair (* produced count *)
 let ring_tail ~pair = ring_base ~pair + 8 (* consumed count, own line *)
 let ring_slot ~pair i = ring_base ~pair + 16 + (i mod ring_slots)
 
+let max_pairs = 20
+
 let run ~which ~pairs ~blocks_per_pair ?(bytes = 256) ?config () =
-  if pairs < 1 || pairs > 20 then
+  if pairs < 1 || pairs > max_pairs then
     invalid_arg "Workload.Crosscpu.run: pairs must be in [1, 20]";
   let ncpus = 2 * pairs in
   let m, a, probe = Rig.fresh_probed which ?config ~ncpus () in

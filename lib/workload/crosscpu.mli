@@ -19,6 +19,9 @@ type result = {
           remote-free flow is what makes them non-trivial *)
 }
 
+val max_pairs : int
+(** 20: the most pairs whose rings fit the harness scratch region. *)
+
 val run :
   which:Baseline.Allocator.which ->
   pairs:int ->
@@ -28,4 +31,5 @@ val run :
   unit ->
   result
 (** [run ~which ~pairs ~blocks_per_pair ()] uses [2 * pairs] CPUs: even
-    CPUs produce, odd CPUs consume via a per-pair ring. *)
+    CPUs produce, odd CPUs consume via a per-pair ring.
+    @raise Invalid_argument unless [1 <= pairs <= max_pairs]. *)

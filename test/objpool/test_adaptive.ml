@@ -3,7 +3,7 @@ open Objpool
 (* Edge cases and the adaptive-geometry discipline: depot-overflow
    drops, cross-domain reachability after flush_local, reset raising
    mid-release, degenerate target:1 geometry, racing Pstats readers,
-   refill, and the deterministic adaptation trajectory via adapt_now. *)
+   refill, and the adaptive level, driven by real drops. *)
 
 type obj = { id : int; mutable poison : bool }
 
@@ -115,64 +115,75 @@ let test_target_one () =
   Alcotest.(check int) "balanced" s.Pstats.s_allocs s.Pstats.s_frees;
   Alcotest.(check bool) "tiny working set" true (s.Pstats.s_creates <= 3)
 
+(* Release [n] freshly constructed objects from this domain and return
+   the distinct (target, bound) pairs the pool passed through, starting
+   from its geometry before the first release.  One domain never finds
+   the depot lock held, so only drops move the level: the sequence is
+   deterministic. *)
+let geometry_steps p n =
+  let live = List.init n (fun _ -> Pool.alloc p) in
+  let now () = (Pool.current_target p, Pool.depot_bound p) in
+  List.rev
+    (List.fold_left
+       (fun seen o ->
+         Pool.release p o;
+         if now () = List.hd seen then seen else now () :: seen)
+       [ now () ] live)
+
 let test_target_one_adaptive () =
   let p = make_pool ~target:1 ~depot_batches:1 ~mode:`Adaptive () in
   Alcotest.(check int) "base" 1 (Pool.current_target p);
-  Pool.adapt_now p ~contended:true ~dropped:false;
-  Alcotest.(check int) "grew by one step" 2 (Pool.current_target p);
-  Pool.adapt_now p ~contended:false ~dropped:true;
-  (* Halving the excess over base 1 from 2: back to 1 (the floor). *)
-  Alcotest.(check int) "shrank to floor" 1 (Pool.current_target p);
+  Alcotest.(check (list (pair int int)))
+    "one level per drop, 8x at most"
+    [ (1, 1); (2, 2); (3, 3); (4, 4); (5, 5); (6, 6); (7, 7); (8, 8) ]
+    (geometry_steps p 200);
   let o = Pool.alloc p in
   Pool.release p o
 
-(* --- tentpole: the adaptation trajectory is deterministic --- *)
+(* --- the adaptive level: each drop raises it one step --- *)
 
-let test_trajectory_deterministic () =
-  let p = make_pool ~target:4 ~depot_batches:4 ~mode:`Adaptive () in
-  let signal grow =
-    Pool.adapt_now p ~contended:grow ~dropped:(not grow)
+let test_steps_deterministic () =
+  let run () =
+    let p = make_pool ~target:4 ~depot_batches:1 ~mode:`Adaptive () in
+    let steps = geometry_steps p 200 in
+    (steps, (Pstats.read (Pool.stats p)).Pstats.s_grows)
   in
-  List.iter signal [ true; true; true; false; false; true ];
-  (* grow_step defaults to the base target (4), ceilings to 8x base;
-     shrink halves the excess over the base. *)
   let expect =
-    [ (true, 8, 8); (true, 12, 12); (true, 16, 16);
-      (false, 10, 10); (false, 7, 7); (true, 11, 11) ]
+    [ (4, 1); (8, 2); (12, 3); (16, 4); (20, 5); (24, 6); (28, 7) ]
   in
-  let got =
-    List.map
-      (fun (e : Pool.adapt_event) ->
-        (e.Pool.ev_grow, e.Pool.ev_target, e.Pool.ev_bound))
-      (Pool.trajectory p)
-  in
-  Alcotest.(check (list (triple bool int int))) "exact trajectory" expect got;
-  Alcotest.(check int) "final target" 11 (Pool.current_target p);
-  Alcotest.(check int) "final bound" 11 (Pool.depot_bound p);
+  let steps, grows = run () in
+  Alcotest.(check (list (pair int int))) "exact steps" expect steps;
+  Alcotest.(check int) "grows counted" 6 grows;
+  Alcotest.(check bool) "same on a second run" true (run () = (steps, grows))
+
+let test_level_ceiling () =
+  let p = make_pool ~target:4 ~depot_batches:1 ~mode:`Adaptive () in
+  ignore (geometry_steps p 2_000);
+  Alcotest.(check (pair int int))
+    "pinned at level 7" (32, 8)
+    (Pool.current_target p, Pool.depot_bound p);
   let s = Pstats.read (Pool.stats p) in
-  Alcotest.(check int) "grows counted" 4 s.Pstats.s_grows;
-  Alcotest.(check int) "shrinks counted" 2 s.Pstats.s_shrinks
+  Alcotest.(check int) "no phantom steps" 7 s.Pstats.s_grows;
+  Alcotest.(check bool) "drops went on" true (s.Pstats.s_drops > 7);
+  (* A pool configured to drop every flush gains a one-batch depot at
+     its first step, and no more. *)
+  let p = make_pool ~target:2 ~depot_batches:0 ~mode:`Adaptive () in
+  ignore (geometry_steps p 2_000);
+  Alcotest.(check (pair int int))
+    "zero base bound caps at 1" (16, 1)
+    (Pool.current_target p, Pool.depot_bound p)
 
-let test_trajectory_ceiling () =
-  let p = make_pool ~target:2 ~depot_batches:2 ~mode:`Adaptive () in
-  for _ = 1 to 20 do
-    Pool.adapt_now p ~contended:true ~dropped:false
-  done;
-  Alcotest.(check int) "pinned at 8x base" 16 (Pool.current_target p);
-  Alcotest.(check int) "bound pinned too" 16 (Pool.depot_bound p);
-  (* Signals at the ceiling are no-ops: no phantom trajectory events. *)
-  Alcotest.(check int) "only real steps recorded" 7
-    (List.length (Pool.trajectory p))
-
-let test_adapt_now_fixed_noop () =
-  let p = make_pool ~target:4 ~depot_batches:4 () in
-  Pool.adapt_now p ~contended:true ~dropped:false;
-  Alcotest.(check int) "fixed mode never moves" 4 (Pool.current_target p);
-  Alcotest.(check int) "no events" 0 (List.length (Pool.trajectory p))
+let test_fixed_never_moves () =
+  let p = make_pool ~target:4 ~depot_batches:1 () in
+  Alcotest.(check (list (pair int int)))
+    "never moves" [ (4, 1) ] (geometry_steps p 200);
+  let s = Pstats.read (Pool.stats p) in
+  Alcotest.(check bool) "despite drops" true (s.Pstats.s_drops > 0);
+  Alcotest.(check int) "no grows" 0 s.Pstats.s_grows
 
 (* Adaptive mode reacts to real traffic: a burst of constructions
-   followed by a flood of releases is churn (drop near a miss), which
-   must grow the geometry.  Single-domain, so fully deterministic. *)
+   followed by a flood of releases overflows the depot, which must
+   grow the geometry.  Single-domain, so fully deterministic. *)
 let test_adaptive_grows_under_churn () =
   let p = make_pool ~target:2 ~depot_batches:1 ~mode:`Adaptive () in
   let live = List.init 64 (fun _ -> Pool.alloc p) in
@@ -182,8 +193,8 @@ let test_adaptive_grows_under_churn () =
   Alcotest.(check bool) "geometry above base" true (Pool.current_target p > 2)
 
 (* A domain that only allocates never reaches a flush safe point, so
-   it must adopt the adapted target at the depot get instead: each
-   grown batch then installs whole, with no excess pushed back. *)
+   it must adopt the level at the depot get instead: each grown batch
+   then installs whole, with no excess pushed back. *)
 let test_alloc_only_domain_adopts_target () =
   let p = make_pool ~target:4 ~depot_batches:4 ~mode:`Adaptive () in
   (* This domain's magazine is cut at the base target, then left
@@ -191,9 +202,12 @@ let test_alloc_only_domain_adopts_target () =
   let first = Pool.alloc p in
   let d =
     Domain.spawn (fun () ->
-        for _ = 1 to 3 do
-          Pool.adapt_now p ~contended:true ~dropped:false
-        done;
+        (* Overflow the depot until three drops have raised the level
+           to 3; the objects left over go to the GC. *)
+        let objs = List.init 200 (fun _ -> Pool.alloc p) in
+        List.iter
+          (fun o -> if Pool.current_target p < 16 then Pool.release p o)
+          objs;
         Pool.refill p ~batches:4)
   in
   Alcotest.(check int) "four 16-object batches stocked" 4 (Domain.join d);
@@ -238,11 +252,9 @@ let suite =
     Alcotest.test_case "reset raising abandons" `Quick test_reset_raising;
     Alcotest.test_case "target:1" `Quick test_target_one;
     Alcotest.test_case "target:1 adaptive" `Quick test_target_one_adaptive;
-    Alcotest.test_case "deterministic trajectory" `Quick
-      test_trajectory_deterministic;
-    Alcotest.test_case "trajectory ceiling" `Quick test_trajectory_ceiling;
-    Alcotest.test_case "adapt_now noop in fixed" `Quick
-      test_adapt_now_fixed_noop;
+    Alcotest.test_case "deterministic steps" `Quick test_steps_deterministic;
+    Alcotest.test_case "level ceiling" `Quick test_level_ceiling;
+    Alcotest.test_case "fixed never moves" `Quick test_fixed_never_moves;
     Alcotest.test_case "adaptive grows under churn" `Quick
       test_adaptive_grows_under_churn;
     Alcotest.test_case "alloc-only domain adopts target" `Quick

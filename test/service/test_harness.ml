@@ -87,11 +87,13 @@ let test_adaptive_mode () =
       }
   in
   check_balanced o;
-  let s = o.Service.o_stats in
-  Alcotest.(check int)
-    "trajectory records every step"
-    (s.Pstats.s_grows + s.Pstats.s_shrinks)
-    (List.length o.Service.o_trajectory);
+  (* The level only rises, one step per grow, so the final geometry is
+     a function of the grow count: base 4 scaled by 1 + level. *)
+  let level = o.Service.o_stats.Pstats.s_grows in
+  Alcotest.(check (pair int int))
+    "geometry is the level of s_grows"
+    (4 * (1 + level), 4 * (1 + level))
+    (o.Service.o_final_target, o.Service.o_final_bound);
   Alcotest.(check bool)
     "geometry stayed in range" true
     (o.Service.o_final_target >= 4 && o.Service.o_final_target <= 32)

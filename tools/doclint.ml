@@ -103,7 +103,8 @@ let invariants_required =
   [
     "spinlock.mli"; "global.mli"; "pagepool.mli"; "vmblk.mli"; "percpu.mli";
     "check.mli"; "heapcheck.mli"; "nbbuddy.mli"; "bwfixed.mli"; "stats.mli";
-    "depot.mli"; "magazine.mli"; "pstats.mli"; "machine.mli"; "cache.mli";
+    "depot.mli"; "magazine.mli"; "pstats.mli"; "pool.mli"; "machine.mli";
+    "cache.mli";
   ]
 
 (* Primitives an interface's "Invariants:" text must name, because the
