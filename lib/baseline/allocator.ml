@@ -28,6 +28,10 @@ let name_of = function
   | Nbbuddy -> "nbbuddy"
   | Bwfixed -> "bwfixed"
 
+let max_bytes = function
+  | Mk | Lazybuddy | Nbbuddy | Bwfixed -> Some 4096
+  | Cookie | Newkma | Numakma | Oldkma -> None
+
 let roster = List.map name_of (all @ extras)
 let roster_string = String.concat ", " roster
 

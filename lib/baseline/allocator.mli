@@ -56,6 +56,12 @@ val roster_string : string
 val name_of : which -> string
 val of_name : string -> which option
 
+val max_bytes : which -> int option
+(** The largest request the arm can serve: [Some 4096] for mk,
+    lazybuddy and the lock-free pair, whose largest size class is the
+    page; [None] for the arms that serve larger requests as whole-page
+    spans, bounded only by memory. *)
+
 val create : which -> Sim.Machine.t -> t
 (** [create which machine] boots allocator [which] in [machine].  For
     [Cookie] the returned [alloc]/[free] use a per-size cookie cache, so

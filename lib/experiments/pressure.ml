@@ -224,7 +224,8 @@ let row_at s rate =
    permanent failures, its reaps provably return pages to the VM
    system, and mk — which cannot shed memory — either fails or holds
    strictly more pages. *)
-let graceful ?(at = 0.2) r =
+let graceful r =
+  let at = 0.2 in
   let check name =
     let s = find_series r name in
     let base = row_at s 0.0 in

@@ -23,10 +23,6 @@ let table ~header rows =
     (List.mapi (fun i _ -> String.make w.(i) '-') header);
   List.iter (print_row w) rows
 
-let tsv ~header rows =
-  print_endline (String.concat "\t" header);
-  List.iter (fun r -> print_endline (String.concat "\t" r)) rows
-
 let f1 v = Printf.sprintf "%.1f" v
 let f3 v = Printf.sprintf "%.3f" v
 let sci v = Printf.sprintf "%.2e" v

@@ -1,12 +1,9 @@
 (** Row/series printing for the experiment harness: aligned tables on
-    stdout and machine-readable TSV.  Reproduction infrastructure with
-    no paper counterpart — the formatting idiom every experiment's
-    tables share. *)
+    stdout.  Reproduction infrastructure with no paper counterpart —
+    the formatting idiom every experiment's tables share. *)
 
 val table : header:string list -> string list list -> unit
 (** [table ~header rows] prints an aligned table. *)
-
-val tsv : header:string list -> string list list -> unit
 
 val f1 : float -> string
 (** One decimal. *)

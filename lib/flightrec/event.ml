@@ -1,4 +1,4 @@
-type layer = Percpu | Global | Pagepool | Vmblk | Kmem | Objcache
+type layer = Percpu | Global | Pagepool | Vmblk | Kmem
 
 let layer_name = function
   | Percpu -> "percpu"
@@ -6,7 +6,6 @@ let layer_name = function
   | Pagepool -> "pagepool"
   | Vmblk -> "vmblk"
   | Kmem -> "kmem"
-  | Objcache -> "objcache"
 
 type kind =
   | Alloc of { si : int; layer : layer }
@@ -20,8 +19,6 @@ type kind =
   | Vmblk_coalesce of { npages : int; page : int }
   | Large_alloc of { npages : int; ok : bool }
   | Large_free of { npages : int }
-  | Obj_alloc of { hit : bool }
-  | Obj_free of { cached : bool }
   | Lock_acquire of { lock : int; spins : int }
   | Lock_release of { lock : int }
   | Vm_grant
@@ -45,9 +42,8 @@ let si_of = function
   | Target_adjust { si; _ } ->
       Some si
   | Vmblk_carve _ | Vmblk_coalesce _ | Large_alloc _ | Large_free _
-  | Obj_alloc _ | Obj_free _ | Lock_acquire _ | Lock_release _ | Vm_grant
-  | Vm_reclaim | Vm_denial _ | Reap _ | Lockcheck_violation _
-  | Heapcheck_violation _ ->
+  | Lock_acquire _ | Lock_release _ | Vm_grant | Vm_reclaim | Vm_denial _
+  | Reap _ | Lockcheck_violation _ | Heapcheck_violation _ ->
       None
 
 let kind_name = function
@@ -62,8 +58,6 @@ let kind_name = function
   | Vmblk_coalesce _ -> "vmblk-coalesce"
   | Large_alloc _ -> "large-alloc"
   | Large_free _ -> "large-free"
-  | Obj_alloc _ -> "obj-alloc"
-  | Obj_free _ -> "obj-free"
   | Lock_acquire _ -> "lock-acquire"
   | Lock_release _ -> "lock-release"
   | Vm_grant -> "vm-grant"
@@ -94,8 +88,6 @@ let pp_kind ppf = function
   | Large_alloc { npages; ok } ->
       Format.fprintf ppf "large-alloc npages=%d ok=%b" npages ok
   | Large_free { npages } -> Format.fprintf ppf "large-free npages=%d" npages
-  | Obj_alloc { hit } -> Format.fprintf ppf "obj-alloc hit=%b" hit
-  | Obj_free { cached } -> Format.fprintf ppf "obj-free cached=%b" cached
   | Lock_acquire { lock; spins } ->
       Format.fprintf ppf "lock-acquire lock=%d spins=%d" lock spins
   | Lock_release { lock } -> Format.fprintf ppf "lock-release lock=%d" lock

@@ -14,7 +14,7 @@
 (** Which allocator layer satisfied (or was reached by) an operation.
     The per-CPU layer satisfying an allocation locally is the fast
     path; [Global] means the operation had to take a lock. *)
-type layer = Percpu | Global | Pagepool | Vmblk | Kmem | Objcache
+type layer = Percpu | Global | Pagepool | Vmblk | Kmem
 
 val layer_name : layer -> string
 
@@ -43,10 +43,6 @@ type kind =
       (** A span of [npages] was freed back and coalesced. *)
   | Large_alloc of { npages : int; ok : bool }
   | Large_free of { npages : int }
-  | Obj_alloc of { hit : bool }
-      (** Object-cache allocation; [hit] when a constructed object was
-          reused. *)
-  | Obj_free of { cached : bool }
   | Lock_acquire of { lock : int; spins : int }
       (** Spinlock (identified by its word address) acquired after
           [spins] failed attempts; [spins > 0] is a contended acquire. *)

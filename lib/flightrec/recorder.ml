@@ -73,9 +73,6 @@ let total t =
 
 let drops t ~cpu = Ring.dropped t.rings.(cpu)
 
-let total_drops t =
-  Array.fold_left (fun acc ring -> acc + Ring.dropped ring) 0 t.rings
-
 let oob t = t.oob
 
 let events ?cpu ?si ?kind ?t_min ?t_max t =
@@ -103,8 +100,6 @@ let events ?cpu ?si ?kind ?t_min ?t_max t =
       | 0 -> compare a.Event.cpu b.Event.cpu
       | c -> c)
     (List.rev all)
-
-let iter_cpu t ~cpu f = Ring.iter t.rings.(cpu) f
 
 let clear t =
   Array.iter Ring.clear t.rings;

@@ -73,7 +73,6 @@ val total : t -> int
 (** Events ever emitted into [t] (retained + dropped). *)
 
 val drops : t -> cpu:int -> int
-val total_drops : t -> int
 
 val oob : t -> int
 (** Events discarded because their CPU id was out of range. *)
@@ -90,9 +89,6 @@ val events :
     time order (ties broken by CPU id), optionally filtered by emitting
     CPU, size class ({!Event.si_of}), kind predicate, and inclusive
     simulated-time window. *)
-
-val iter_cpu : t -> cpu:int -> (Event.t -> unit) -> unit
-(** Oldest-first iteration over one CPU's ring. *)
 
 val clear : t -> unit
 (** Drop all recorded events and zero drop counters (the lock-name

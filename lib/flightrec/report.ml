@@ -209,10 +209,6 @@ let pp_counters ppf events =
   and large_ok = ref 0
   and large_fail = ref 0
   and large_free = ref 0
-  and obj_hit = ref 0
-  and obj_miss = ref 0
-  and obj_cached = ref 0
-  and obj_released = ref 0
   and alloc_fail = ref 0 in
   List.iter
     (fun (e : Event.t) ->
@@ -230,9 +226,6 @@ let pp_counters ppf events =
           coalesce_pages := !coalesce_pages + npages
       | Event.Large_alloc { ok; _ } -> if ok then incr large_ok else incr large_fail
       | Event.Large_free _ -> incr large_free
-      | Event.Obj_alloc { hit } -> if hit then incr obj_hit else incr obj_miss
-      | Event.Obj_free { cached } ->
-          if cached then incr obj_cached else incr obj_released
       | Event.Alloc_fail _ -> incr alloc_fail
       | _ -> ())
     events;
@@ -245,10 +238,6 @@ let pp_counters ppf events =
   if !large_ok + !large_fail + !large_free > 0 then
     Format.fprintf ppf "large allocations: ok %d  failed %d  freed %d@,"
       !large_ok !large_fail !large_free;
-  if !obj_hit + !obj_miss + !obj_cached + !obj_released > 0 then
-    Format.fprintf ppf
-      "object caches: alloc hits %d misses %d; frees cached %d released %d@,"
-      !obj_hit !obj_miss !obj_cached !obj_released;
   if !alloc_fail > 0 then
     Format.fprintf ppf "exhaustion failures: %d@," !alloc_fail
 

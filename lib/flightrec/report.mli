@@ -17,7 +17,7 @@
       misses, page grabs and VM denials in each;
     - page-lifetime statistics from paired grab/return events;
     - VM-system grant/reclaim/denial counts;
-    - vmblk carve/coalesce, large-allocation and object-cache totals.
+    - vmblk carve/coalesce and large-allocation totals.
 
     Rendering is deterministic for a deterministic simulation, so the
     output is suitable for golden tests. *)

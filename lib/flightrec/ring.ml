@@ -9,8 +9,6 @@ let create ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Flightrec.Ring.create: capacity < 1";
   { data = Array.make capacity dummy; cap = capacity; dummy; head = 0 }
 
-let capacity t = t.cap
-
 let push t x =
   t.data.(t.head mod t.cap) <- x;
   t.head <- t.head + 1

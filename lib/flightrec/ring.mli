@@ -16,8 +16,6 @@ val create : capacity:int -> dummy:'a -> 'a t
     slots (never observable through the API).
     @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 
 val length : 'a t -> int
@@ -29,10 +27,9 @@ val total : 'a t -> int
 val dropped : 'a t -> int
 (** Entries overwritten before they were read: [total - length]. *)
 
-val iter : 'a t -> ('a -> unit) -> unit
+val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 (** Oldest retained entry first. *)
 
-val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 val to_list : 'a t -> 'a list
 
 val clear : 'a t -> unit

@@ -119,6 +119,26 @@ let init_geometry prog =
       Printf.eprintf "%s: bad %s: %s\n" prog Sim.Geometry.env_var msg;
       exit 2
 
+(* Sim.Config refuses a machine with more NUMA nodes than CPUs, so a
+   command that takes --geometry checks the node count it will run
+   under (the flag's, else the ambient one) against the fewest CPUs it
+   simulates.  An empty [cpus] checks nothing: numa sets the node count
+   of each cell itself. *)
+let geometry_for cpus =
+  let fit geometry cpus =
+    let g = Option.value geometry ~default:(Sim.Geometry.ambient ()) in
+    let fewest = List.fold_left min max_int cpus in
+    if g.Sim.Geometry.nodes <= fewest then `Ok geometry
+    else
+      `Error
+        ( true,
+          Printf.sprintf
+            "geometry nodes=%d exceeds %d, the fewest CPUs this command \
+             simulates"
+            g.Sim.Geometry.nodes fewest )
+  in
+  Term.(ret (const fit $ geometry_flag $ cpus))
+
 (* Allocator names are user input; an unknown name fails usage-style
    with the full roster, so a typo never falls back to a default arm. *)
 let alloc_conv =
@@ -135,6 +155,30 @@ let allocs_flag default =
         ~doc:
           (Printf.sprintf "Allocator arms to sweep (any of: %s)."
              Baseline.Allocator.roster_string))
+
+(* The selected arms with the --bytes they are measured at, which every
+   one of them must be able to serve: a block size above an arm's
+   largest class would fail inside the measured loop. *)
+let arms_serving whichs =
+  let fit whichs bytes =
+    let over w =
+      match Baseline.Allocator.max_bytes w with
+      | Some most when bytes > most ->
+          Some
+            (Printf.sprintf "%s serves at most %d"
+               (Baseline.Allocator.name_of w)
+               most)
+      | _ -> None
+    in
+    match List.filter_map over whichs with
+    | [] -> `Ok (whichs, bytes)
+    | why ->
+        `Error
+          ( true,
+            Printf.sprintf "--bytes %d is too large: %s" bytes
+              (String.concat ", " why) )
+  in
+  Term.(ret (const fit $ whichs $ bytes))
 
 (* --- The checkers.  All three are host-side, so simulated cycle counts
    are unchanged; each wrapper arms its checker around a run, prints
@@ -237,8 +281,9 @@ type t = {
    armed checkers to wrap around its run on [ncpus] simulated CPUs. *)
 type env = { jobs : int; checked : 'a. ?ncpus:int -> (unit -> 'a) -> 'a }
 
-let experiment' ?(fans_out = false) ?(checks = []) ?(geometry = false) name
-    ~doc body =
+(* [geometry], when given, is the CPU counts the command simulates: it
+   then takes --geometry, checked against them. *)
+let experiment' ?(fans_out = false) ?(checks = []) ?geometry name ~doc body =
   let accepts c flag off = if List.mem c checks then flag else Term.const off in
   let run body geometry jobs lockcheck heapcheck flightrec () : ledger =
     Option.iter Sim.Geometry.set_ambient geometry;
@@ -270,7 +315,9 @@ let experiment' ?(fans_out = false) ?(checks = []) ?(geometry = false) name
     term =
       Term.(
         const run $ body
-        $ (if geometry then geometry_flag else const None)
+        $ (match geometry with
+          | Some cpus -> geometry_for cpus
+          | None -> const None)
         $ (if fans_out then jobs_flag else const 1)
         $ accepts Lockcheck lockcheck_flag false
         $ accepts Heapcheck heapcheck_flag None
@@ -327,7 +374,7 @@ let fig7 =
       value & flag
       & info [ "semilog" ] ~doc:"Print the Figure 8 (log10) view too.")
   in
-  let run whichs cpus iters bytes semilog gnuplot env =
+  let run (whichs, bytes) cpus iters semilog gnuplot env =
     let points =
       Experiments.Fig7.run ~jobs:env.jobs ~whichs ~cpus ~iters ~bytes ()
     in
@@ -342,16 +389,17 @@ let fig7 =
       gnuplot;
     fig7_verdicts points
   in
-  experiment "fig7" ~fans_out:true ~geometry:true
+  let cpus = cpu_list Experiments.Fig7.default_cpus in
+  experiment "fig7" ~fans_out:true ~geometry:cpus
     ~doc:
       "Best-case pairs/s vs CPUs (Figure 7); $(b,--allocs) swaps in any arm \
        from the laboratory roster."
     Term.(
       const run
-      $ allocs_flag Baseline.Allocator.all
-      $ cpu_list Experiments.Fig7.default_cpus
+      $ arms_serving (allocs_flag Baseline.Allocator.all)
+      $ cpus
       $ count "iters" 2000 "Timed alloc/free pairs per CPU."
-      $ bytes $ semilog $ gnuplot)
+      $ semilog $ gnuplot)
 
 let fig8 =
   let run whichs cpus iters env =
@@ -460,14 +508,17 @@ let missrates =
         Printf.printf "all rates within analytic bounds: %b\n"
           (Experiments.Missrates.within_bounds r))
   in
-  experiment "missrates" ~geometry:true ~checks:every_check
+  let cpus = ncpus 4 in
+  experiment "missrates"
+    ~geometry:(Term.map (fun n -> [ n ]) cpus)
+    ~checks:every_check
     ~doc:
       "Per-layer miss rates under the DLM/OLTP workload (E6); \
        $(b,--flight-recorder) adds the time-resolved trace report; \
        $(b,--lockcheck) validates the synchronization discipline; \
        $(b,--heapcheck) verifies heap consistency after the run."
     Term.(
-      const run $ ncpus 4 $ count "transactions" 3000 "Transactions per CPU.")
+      const run $ cpus $ count "transactions" 3000 "Transactions per CPU.")
 
 let pressure =
   let rates =
@@ -805,7 +856,7 @@ let scenario =
       $ allocs_flag [ Baseline.Allocator.Newkma ])
 
 let lockfree =
-  let run whichs cpus iters bytes pairs blocks env =
+  let run (whichs, bytes) cpus iters pairs blocks env =
     let module L = Experiments.Lockfree_arms in
     let jobs = env.jobs in
     try
@@ -824,22 +875,29 @@ let lockfree =
     with L.Conservation msg ->
       raise (Check_failed ("lockfree conservation violated: " ^ msg))
   in
-  experiment "lockfree" ~fans_out:true ~geometry:true
+  let cpus = cpu_list Experiments.Lockfree_arms.default_cpus in
+  let pairs =
+    cpu_list ~elt:pairs_in ~name:"pairs"
+      ~doc:
+        "Producer/consumer pair counts for the remote-free companion sweep \
+         (each pair is 2 CPUs)."
+      Experiments.Lockfree_arms.default_pairs
+  in
+  experiment "lockfree" ~fans_out:true
+    ~geometry:
+      Term.(
+        const (fun cpus pairs -> cpus @ List.map (( * ) 2) pairs)
+        $ cpus $ pairs)
     ~doc:
       "Lock-based vs lock-free head-to-head (E13): the Figure 7 methodology \
        over the non-blocking arms, with CAS-retry and helping counters and \
        a conservation check per cell."
     Term.(
       const run
-      $ allocs_flag Experiments.Lockfree_arms.default_whichs
-      $ cpu_list Experiments.Lockfree_arms.default_cpus
+      $ arms_serving (allocs_flag Experiments.Lockfree_arms.default_whichs)
+      $ cpus
       $ count "iters" 2000 "Timed alloc/free pairs per CPU."
-      $ bytes
-      $ cpu_list ~elt:pairs_in ~name:"pairs"
-          ~doc:
-            "Producer/consumer pair counts for the remote-free companion \
-             sweep (each pair is 2 CPUs)."
-          Experiments.Lockfree_arms.default_pairs
+      $ pairs
       $ count "blocks" 400 "Blocks transferred per pair (remote sweep).")
 
 let numa =
@@ -852,12 +910,12 @@ let numa =
             "NUMA node counts to sweep (1 = the flat baseline; node counts \
              exceeding a cell's CPU count are skipped).")
   in
-  let run whichs cpus nodes iters depth bytes env =
+  let run (whichs, bytes) cpus nodes iters depth env =
     Experiments.Numa.print ~depth
       (Experiments.Numa.run ~jobs:env.jobs ~whichs ~cpus ~nodes ~iters ~depth
          ~bytes ())
   in
-  experiment "numa" ~fans_out:true ~geometry:true
+  experiment "numa" ~fans_out:true ~geometry:(Term.const [])
     ~doc:
       "NUMA scaling sweep (E14): global-layer churn at 128-512 CPUs across \
        2-8 nodes, flat gblfree (newkma) vs per-node gblfree (numakma).  \
@@ -866,30 +924,30 @@ let numa =
        $(b,--nodes) sweeps the machine's node count on top of it."
     Term.(
       const run
-      $ allocs_flag Experiments.Numa.default_whichs
+      $ arms_serving (allocs_flag Experiments.Numa.default_whichs)
       $ cpu_list Experiments.Numa.default_cpus
       $ nodes
       $ count "iters" 12 "Timed bursts per CPU."
       $ count "depth" 64 ~docv:"N"
           "Burst size: blocks held live at once per CPU.  Keep it above \
            twice the per-CPU cache target or the global layer goes quiet \
-           and the sweep measures nothing."
-      $ bytes)
+           and the sweep measures nothing.")
 
 let geometry =
   let run ncpus iters depth bytes env =
     Experiments.Geomsweep.print ~ncpus ~depth
       (Experiments.Geomsweep.run ~jobs:env.jobs ~ncpus ~iters ~depth ~bytes ())
   in
-  experiment "geometry" ~fans_out:true ~geometry:true
+  let cpus = ncpus ~doc:"CPUs per cell." 8 in
+  experiment "geometry" ~fans_out:true
+    ~geometry:(Term.map (fun n -> [ n ]) cpus)
     ~doc:
       "Cache-geometry sweep (E12): miss rate and cycles per \
        alloc/write/free pair vs line size and associativity, newkma vs \
        cookie.  $(b,--geometry) here sets the $(i,base) cost model the \
        sweep varies line size and associativity around."
     Term.(
-      const run
-      $ ncpus ~doc:"CPUs per cell." 8
+      const run $ cpus
       $ count "iters" 50 "Timed bursts per CPU per cell."
       $ count "depth" 96 ~docv:"N"
           "Burst size: blocks held live at once per CPU.  The default \

@@ -313,9 +313,6 @@ let total_blocks_oracle (ctx : Ctx.t) ~si =
     (bucket_count_oracle ctx ~si)
     (lists_oracle ctx ~si)
 
-let bucket_head_oracle (ctx : Ctx.t) ~si =
-  Memory.get (Ctx.memory ctx) (f_bucket ctx.Ctx.layout ~node:0 ~si)
-
 let buckets_oracle (ctx : Ctx.t) ~si =
   let mem = Ctx.memory ctx in
   let ly = ctx.Ctx.layout in

@@ -71,8 +71,7 @@ val drain_all : Ctx.t -> si:int -> unit
 
 (** {1 Host-side oracles}
 
-    All aggregate across nodes except {!bucket_head_oracle} (node 0)
-    and the per-node {!buckets_oracle}. *)
+    All aggregate across nodes except the per-node {!buckets_oracle}. *)
 
 val nlists_oracle : Ctx.t -> si:int -> int
 val bucket_count_oracle : Ctx.t -> si:int -> int
@@ -83,10 +82,6 @@ val lists_oracle : Ctx.t -> si:int -> (int * int) list
 (** Every list on [gblfree] as [(head, count-word)] pairs, node by node
     in list order.  Count words are read back raw (not recomputed), so
     a checker can compare them against actual chain lengths. *)
-
-val bucket_head_oracle : Ctx.t -> si:int -> int
-(** Head block of node 0's bucket chain (0 when empty) — the whole
-    bucket on a flat machine. *)
 
 val buckets_oracle : Ctx.t -> si:int -> (int * int) list
 (** Per-node [(bucket head, bucket count-word)] pairs, node order —

@@ -35,10 +35,9 @@ let create machine ?(params = Params.default) ?(numa_global = false) () =
     | Some p -> p
     | None -> Layout.total_data_pages layout
   in
-  let vmsys =
-    Vmsys.create ~total_pages ~grant_cost:params.Params.vm_grant_cost
-      ~reclaim_cost:params.Params.vm_reclaim_cost
-  in
+  (* Cycles the VM system charges per physical page granted and per
+     page reclaimed. *)
+  let vmsys = Vmsys.create ~total_pages ~grant_cost:300 ~reclaim_cost:200 in
   let ctx =
     {
       Ctx.machine;

@@ -137,7 +137,6 @@ let pcc_addr t ~cpu ~si =
 let gbl_node_addr t ~node ~si =
   t.global_base + (((node * t.nsizes) + si) * t.gbl_words)
 
-let gbl_addr t ~si = gbl_node_addr t ~node:0 ~si
 let pagepool_addr t ~si = t.pagepool_bases.(si)
 let vmblk_addr t ~index = t.vmblk_base + (index * t.vmblk_words)
 let vmblk_of_addr t a = a land lnot (t.vmblk_words - 1)

@@ -68,16 +68,12 @@ val make : Sim.Config.t -> Params.t -> t
 val pcc_addr : t -> cpu:int -> si:int -> int
 (** Base of the per-CPU cache record for [cpu] and size class [si]. *)
 
-val gbl_addr : t -> si:int -> int
-(** Base of node 0's global-layer record for [si] (the lock word) —
-    the only record the flat global layer ever touches, and the whole
-    global layer on a 1-node machine. *)
-
 val gbl_node_addr : t -> node:int -> si:int -> int
-(** Base of [node]'s global-layer record for [si]: the layout carries
-    [nnodes * nsizes] records so the NUMA-aware global layer can keep a
-    node-local gblfree per size class.  [gbl_node_addr ~node:0] =
-    {!gbl_addr}. *)
+(** Base of [node]'s global-layer record for [si] (the lock word): the
+    layout carries [nnodes * nsizes] records so the NUMA-aware global
+    layer can keep a node-local gblfree per size class.  Node 0's
+    record is the only one the flat global layer ever touches, and the
+    whole global layer on a 1-node machine. *)
 
 val pagepool_addr : t -> si:int -> int
 val vmblk_addr : t -> index:int -> int

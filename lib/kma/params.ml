@@ -1,14 +1,5 @@
 type page_policy = Fullest_first | Emptiest_first
 
-type pressure = {
-  min_target : int;
-  shrink_shift : int;
-  grow_step : int;
-  grow_grants : int;
-  grow_allocs : int;
-  max_retries : int;
-}
-
 type t = {
   sizes_bytes : int array;
   page_bytes : int;
@@ -16,11 +7,8 @@ type t = {
   targets : int array;
   gbltargets : int array;
   phys_pages : int option;
-  vm_grant_cost : int;
-  vm_reclaim_cost : int;
   page_policy : page_policy;
   debug : bool;
-  pressure : pressure;
 }
 
 let bytes_per_word = 4
@@ -33,16 +21,6 @@ let default_target ~bytes = max 2 (min 10 (4096 / bytes))
 let default_gbltarget ~target = max 2 (3 * target / 2)
 
 let default_sizes = [| 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 |]
-
-let default_pressure =
-  {
-    min_target = 1;
-    shrink_shift = 1;
-    grow_step = 1;
-    grow_grants = 4;
-    grow_allocs = 64;
-    max_retries = 8;
-  }
 
 let derive_targets sizes = Array.map (fun b -> default_target ~bytes:b) sizes
 
@@ -73,15 +51,7 @@ let validate t =
   Array.iter (fun x -> check (x >= 1) "gbltargets must be >= 1") t.gbltargets;
   (match t.phys_pages with
   | Some p -> check (p > 0) "phys_pages must be positive"
-  | None -> ());
-  check (t.vm_grant_cost >= 0 && t.vm_reclaim_cost >= 0) "vm costs";
-  let pr = t.pressure in
-  check (pr.min_target >= 1) "pressure.min_target must be >= 1";
-  check (pr.shrink_shift >= 1) "pressure.shrink_shift must be >= 1";
-  check (pr.grow_step >= 1) "pressure.grow_step must be >= 1";
-  check (pr.grow_grants >= 1) "pressure.grow_grants must be >= 1";
-  check (pr.grow_allocs >= 1) "pressure.grow_allocs must be >= 1";
-  check (pr.max_retries >= 0) "pressure.max_retries must be >= 0"
+  | None -> ())
 
 let default =
   let targets = derive_targets default_sizes in
@@ -92,11 +62,8 @@ let default =
     targets;
     gbltargets = derive_gbltargets targets;
     phys_pages = None;
-    vm_grant_cost = 300;
-    vm_reclaim_cost = 200;
     page_policy = Fullest_first;
     debug = false;
-    pressure = default_pressure;
   }
 
 let small = { default with vmblk_pages = 64 }
@@ -111,9 +78,7 @@ let auto ~memory_words =
   { default with vmblk_pages = min 1024 (fit 1024) }
 
 let make ?sizes_bytes ?page_bytes ?vmblk_pages ?targets ?gbltargets
-    ?phys_pages ?vm_grant_cost ?vm_reclaim_cost
-    ?(page_policy = Fullest_first) ?(debug = false)
-    ?(pressure = default_pressure) () =
+    ?phys_pages ?(page_policy = Fullest_first) ?(debug = false) () =
   let sizes_bytes = Option.value sizes_bytes ~default:default.sizes_bytes in
   let targets =
     match targets with Some t -> t | None -> derive_targets sizes_bytes
@@ -131,13 +96,8 @@ let make ?sizes_bytes ?page_bytes ?vmblk_pages ?targets ?gbltargets
       targets;
       gbltargets;
       phys_pages;
-      vm_grant_cost =
-        Option.value vm_grant_cost ~default:default.vm_grant_cost;
-      vm_reclaim_cost =
-        Option.value vm_reclaim_cost ~default:default.vm_reclaim_cost;
       page_policy;
       debug;
-      pressure;
     }
   in
   validate t;

@@ -1,7 +1,9 @@
 (** Tunable parameters of the allocator — the knobs named in the
     paper's Design section ([target], [gbltarget], sizes, page/vmblk
-    geometry) plus the dynamic-[target] pressure policy proposed in its
-    Future Directions section (realised by {!Pressure}).
+    geometry).  The dynamic-[target] pressure policy its Future
+    Directions section proposes is a set of fixed constants, documented
+    in {!Pressure}.  The VM system's costs are fixed too: 300 cycles
+    per page grant and 200 per reclaim, set by {!Kmem.create}.
 
     Terminology follows the paper: [target] bounds each half of a per-CPU
     cache's split freelist (so a per-CPU cache holds at most [2 * target]
@@ -18,29 +20,6 @@ type page_policy =
           fewest free blocks, letting nearly-empty pages drain *)
   | Emptiest_first  (** ablation: carve from the emptiest page *)
 
-(** Memory-pressure policy (see {!Pressure}): how the adaptive layer
-    shrinks and regrows [target] / [gbltarget], and how hard the
-    allocator tries before reporting exhaustion. *)
-type pressure = {
-  min_target : int;
-      (** floor for adaptively shrunk targets (>= 1, so layer 1 keeps
-          its split freelist even under the worst pressure) *)
-  shrink_shift : int;
-      (** multiplicative decrease: a denial halves targets
-          [shrink_shift] times (right shift) *)
-  grow_step : int;  (** additive increase per recovery step *)
-  grow_grants : int;
-      (** denial-free VM grants required before one recovery step *)
-  grow_allocs : int;
-      (** denial-free successful allocations that also buy one recovery
-          step — the fallback clock for when the recovered workload is
-          served entirely from the allocator's caches and stops needing
-          VM grants at all *)
-  max_retries : int;
-      (** bound on the reap-and-retry loop in [Kmem.try_alloc] before
-          the allocation degrades to [None] *)
-}
-
 type t = {
   sizes_bytes : int array;
       (** managed block sizes in bytes, ascending powers of two; the
@@ -52,16 +31,11 @@ type t = {
   phys_pages : int option;
       (** physical-page budget granted by the VM system; [None] sizes it
           to the virtual arena *)
-  vm_grant_cost : int;  (** cycles to obtain a physical page *)
-  vm_reclaim_cost : int;  (** cycles to return a physical page *)
   page_policy : page_policy;  (** page-selection order in the page layer *)
   debug : bool;
       (** debug kernel: poison freed blocks and verify the poison on
           reallocation, catching use-after-free writes and double frees
           (at a realistic cycle cost, like a DEBUG kernel build) *)
-  pressure : pressure;
-      (** memory-pressure policy; only consulted once
-          [Pressure.enable] has been called on the booted allocator *)
 }
 
 val bytes_per_word : int
@@ -91,11 +65,6 @@ val default_target : bytes:int -> int
 
 val default_gbltarget : target:int -> int
 
-val default_pressure : pressure
-(** Halve targets on each denial (floor 1), regrow by 1 after every 4
-    denial-free grants, and retry a denied allocation at most 8 times
-    (each retry preceded by a reap). *)
-
 val make :
   ?sizes_bytes:int array ->
   ?page_bytes:int ->
@@ -103,11 +72,8 @@ val make :
   ?targets:int array ->
   ?gbltargets:int array ->
   ?phys_pages:int ->
-  ?vm_grant_cost:int ->
-  ?vm_reclaim_cost:int ->
   ?page_policy:page_policy ->
   ?debug:bool ->
-  ?pressure:pressure ->
   unit ->
   t
 (** [make ()] is {!default} with overrides; omitted [targets] /

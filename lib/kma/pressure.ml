@@ -4,9 +4,16 @@ open Sim
    small tunable table under a short critical section. *)
 let w_adjust = 6
 
+(* The policy constants the interface documents. *)
+let min_target = 1
+let shrink_shift = 1
+let grow_step = 1
+let grow_grants = 4
+let grow_allocs = 64
+let max_retries = 8
+
 let state (ctx : Ctx.t) = ctx.Ctx.pressure
 let enabled (ctx : Ctx.t) = (state ctx).Ctx.enabled
-let policy (ctx : Ctx.t) = (Ctx.params ctx).Params.pressure
 
 (* Classes whose adaptive bounds sit below the boot-time defaults.
    Recomputed after every adjustment (host-side, O(nsizes)); the count
@@ -69,15 +76,11 @@ let note_denial (ctx : Ctx.t) =
   if pr.Ctx.enabled then begin
     Machine.sync ();
     let p = Ctx.params ctx in
-    let pol = policy ctx in
     pr.Ctx.denial_streak <- pr.Ctx.denial_streak + 1;
     let changed = ref false in
     for si = 0 to Params.nsizes p - 1 do
-      let nt =
-        max pol.Params.min_target
-          (pr.Ctx.desired_targets.(si) lsr pol.Params.shrink_shift)
-      in
-      let ng = max 1 (pr.Ctx.desired_gbltargets.(si) lsr pol.Params.shrink_shift) in
+      let nt = max min_target (pr.Ctx.desired_targets.(si) lsr shrink_shift) in
+      let ng = max 1 (pr.Ctx.desired_gbltargets.(si) lsr shrink_shift) in
       if nt <> pr.Ctx.desired_targets.(si) || ng <> pr.Ctx.desired_gbltargets.(si)
       then begin
         changed := true;
@@ -126,21 +129,19 @@ let note_success (ctx : Ctx.t) =
     end
     else begin
       pr.Ctx.clean_allocs <- pr.Ctx.clean_allocs + 1;
-      let pol = policy ctx in
       if
-        g - pr.Ctx.grants_snapshot >= pol.Params.grow_grants
-        || pr.Ctx.clean_allocs >= pol.Params.grow_allocs
+        g - pr.Ctx.grants_snapshot >= grow_grants
+        || pr.Ctx.clean_allocs >= grow_allocs
       then begin
         let p = Ctx.params ctx in
         pr.Ctx.denial_streak <- 0;
         for si = 0 to Params.nsizes p - 1 do
           let nt =
-            min p.Params.targets.(si)
-              (pr.Ctx.desired_targets.(si) + pol.Params.grow_step)
+            min p.Params.targets.(si) (pr.Ctx.desired_targets.(si) + grow_step)
           in
           let ng =
             min p.Params.gbltargets.(si)
-              (pr.Ctx.desired_gbltargets.(si) + pol.Params.grow_step)
+              (pr.Ctx.desired_gbltargets.(si) + grow_step)
           in
           if
             nt <> pr.Ctx.desired_targets.(si)
@@ -204,7 +205,6 @@ let with_retries (ctx : Ctx.t) (attempt : unit -> int) =
   if not (enabled ctx) then attempt ()
   else begin
     let st = ctx.Ctx.stats in
-    let max_retries = (policy ctx).Params.max_retries in
     let rec go n =
       let a = attempt () in
       if a <> 0 then begin

@@ -12,15 +12,17 @@
     slow-path safe points ({!Percpu} re-reads its target word while
     interrupts are disabled, so layer 1 stays lock-free).
 
-    Policy, from {!Params.pressure}: on an allocation-visible denial
-    every class's bounds shrink multiplicatively (halving by default,
-    floored at [min_target]); after [grow_grants] consecutive
-    denial-free VM grants — or [grow_allocs] denial-free successful
-    allocations, for workloads the shrunk caches serve without any VM
-    traffic — they grow back additively ([grow_step] per step) toward
-    the {!Params} defaults.  A denied allocation is
-    retried up to [max_retries] times, each retry preceded by a reap
-    pass (light first, then full), before degrading to failure. *)
+    Policy, a set of fixed constants:
+    - on an allocation-visible denial every class's [target] and
+      [gbltarget] halve (one right shift), floored at 1, so layer 1
+      keeps its split freelist even under the worst pressure;
+    - after 4 consecutive denial-free VM grants, or 64 denial-free
+      successful allocations (the clock for workloads the shrunk caches
+      serve without any VM traffic), every shrunk bound grows back by
+      1, up to its {!Params} default;
+    - a denied allocation is retried at most 8 times, each retry
+      preceded by a reap pass (light first, then full), before
+      degrading to failure. *)
 
 val enable : Ctx.t -> unit
 (** [enable ctx] arms the subsystem (host-side switch): adaptive
@@ -51,16 +53,16 @@ val note_denial : Ctx.t -> unit
 
 val note_success : Ctx.t -> unit
 (** [note_success ctx] gives the subsystem a chance to recover: after
-    [grow_grants] denial-free VM grants or [grow_allocs] denial-free
-    successful allocations, one additive step back toward the
-    defaults.  A single host branch once fully recovered. *)
+    4 denial-free VM grants or 64 denial-free successful allocations,
+    one additive step back toward the defaults.  A single host branch
+    once fully recovered. *)
 
 val with_retries : Ctx.t -> (unit -> int) -> int
 (** [with_retries ctx attempt] is [attempt ()] with the bounded
     reap-and-retry path of {!Kmem.try_alloc} wrapped around it when
     the subsystem is enabled: on a 0 result, shrink ({!note_denial}),
     {!reap} (light first, full from the second retry on) and try
-    again, up to [max_retries] times — stopping early once a full reap
+    again, up to 8 times — stopping early once a full reap
     reclaims nothing while the VM system is empty.  Returns 0 only
     when the retries are exhausted or provably hopeless. *)
 

@@ -292,9 +292,6 @@ let order_edges () =
 let max_hold_depth () =
   match !state with None -> 0 | Some t -> t.max_depth
 
-let locks_seen () =
-  match !state with None -> 0 | Some t -> Hashtbl.length t.locks
-
 let report () =
   match !state with
   | None -> "lockcheck: disabled\n"

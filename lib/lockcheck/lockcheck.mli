@@ -119,9 +119,6 @@ val order_edges : unit -> (string * string) list
 val max_hold_depth : unit -> int
 (** The deepest simultaneous lock nesting seen on any CPU. *)
 
-val locks_seen : unit -> int
-(** Distinct lock addresses seen (registered or discovered). *)
-
 val report : unit -> string
 (** Text report: locks seen (name, class, vm-safe, acquisitions), the
     order edges with where each was first recorded, max hold depth,

@@ -15,7 +15,3 @@ let db_type = 3
 let m_data = 0
 let m_proto = 1
 let m_ctl = 2
-
-let buf_bytes_of_dblk_oracle mem dblk =
-  (Sim.Memory.get mem (dblk + db_lim) - Sim.Memory.get mem (dblk + db_base))
-  * Kma.Params.bytes_per_word

@@ -34,7 +34,3 @@ val db_type : int
 val m_data : int
 val m_proto : int
 val m_ctl : int
-
-val buf_bytes_of_dblk_oracle : Sim.Memory.t -> int -> int
-(** [buf_bytes_of_dblk_oracle mem dblk] recovers the buffer size in
-    bytes from the dblk's base/limit words (host-side). *)

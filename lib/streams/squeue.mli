@@ -1,10 +1,12 @@
 (** A STREAMS message queue: the [putq]/[getq] pair that moves messages
     between stream modules, safe across simulated CPUs.
 
-    The queue structure (lock, head, tail, count) lives in a block
-    allocated from the underlying allocator, so queue traffic exercises
-    the allocator's cross-CPU path exactly the way a protocol stack
-    does. *)
+    The paper's Analysis section profiles the STREAMS buffer allocator
+    ({!Buf}); this queue is the same framework's companion structure,
+    which the paper does not measure.  The queue structure (lock, head,
+    tail, count) lives in a block allocated from the underlying
+    allocator, so queue traffic exercises the allocator's cross-CPU
+    path exactly the way a protocol stack does. *)
 
 type t
 

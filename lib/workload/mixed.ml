@@ -6,16 +6,11 @@ type result = {
   failures : int;
 }
 
-(* Kernel-ish size mix: mostly small tracking structures, occasional
-   page-sized buffers. *)
-let size_mix =
-  [|
-    (30, 16); (25, 32); (15, 64); (10, 128); (8, 256); (6, 512); (4, 1024);
-    (1, 2048); (1, 4096);
-  |]
+(* At most this many blocks are live per CPU; beyond it the oldest is
+   freed. *)
+let live_window = 64
 
-let run ~which ~ncpus ~ops_per_cpu ?config ?(seed = 7) ?(live_window = 64)
-    () =
+let run ~which ~ncpus ~ops_per_cpu ?config ?(seed = 7) () =
   let m, a = Rig.fresh which ?config ~ncpus () in
   let failures = Array.make ncpus 0 in
   let ops = Array.make ncpus 0 in
@@ -35,7 +30,7 @@ let run ~which ~ncpus ~ops_per_cpu ?config ?(seed = 7) ?(live_window = 64)
         if Queue.length live >= live_window || (Queue.length live > 0 && Prng.int rng ~bound:100 < 40)
         then free_one ()
         else begin
-          let bytes = Prng.weighted rng size_mix in
+          let bytes = Prng.weighted rng Trace.size_mix in
           let addr = a.Baseline.Allocator.alloc ~bytes in
           ops.(cpu) <- ops.(cpu) + 1;
           if addr = 0 then failures.(cpu) <- failures.(cpu) + 1

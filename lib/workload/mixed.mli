@@ -17,10 +17,9 @@ val run :
   ops_per_cpu:int ->
   ?config:Sim.Config.t ->
   ?seed:int ->
-  ?live_window:int ->
   unit ->
   result
 (** [run ~which ~ncpus ~ops_per_cpu ()] drives each CPU through
-    [ops_per_cpu] operations; at most [live_window] blocks are live per
-    CPU (oldest freed first beyond that), and everything is freed at
-    the end. *)
+    [ops_per_cpu] operations; at most 64 blocks are live per CPU
+    (oldest freed first beyond that), and everything is freed at the
+    end.  Request sizes follow {!Trace.size_mix}. *)

@@ -4,21 +4,23 @@ type event =
 
 type t = event list
 
-let v2_header = "kma-trace v2"
 let cpu_of = function Alloc { cpu; _ } | Free { cpu; _ } -> cpu
 let gap_of = function Alloc { gap; _ } | Free { gap; _ } -> gap
 let id_of = function Alloc { id; _ } | Free { id; _ } -> id
 
 let ncpus t = 1 + List.fold_left (fun m e -> max m (cpu_of e)) 0 t
 
-let default_mix =
+let size_mix =
   [|
     (30, 16); (25, 32); (15, 64); (10, 128); (8, 256); (6, 512); (4, 1024);
     (1, 2048); (1, 4096);
   |]
 
-let synthesize ?(seed = 13) ?(live_window = 64) ?(size_mix = default_mix)
-    ?(ncpus = 1) ?(mean_gap = 0) ~ops () =
+(* At most this many ids are live at once; beyond it the next event is
+   a free. *)
+let live_window = 64
+
+let synthesize ?(seed = 13) ?(ncpus = 1) ?(mean_gap = 0) ~ops () =
   if ncpus < 1 then invalid_arg "Workload.Trace.synthesize: ncpus < 1";
   if mean_gap < 0 then invalid_arg "Workload.Trace.synthesize: mean_gap < 0";
   let rng = Prng.create ~seed in
@@ -86,94 +88,6 @@ let validate t =
         end
   in
   go t
-
-let to_string t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b v2_header;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun e ->
-      match e with
-      | Alloc { cpu; gap; id; bytes } ->
-          Buffer.add_string b (Printf.sprintf "a %d %d %d %d\n" cpu gap id bytes)
-      | Free { cpu; gap; id } ->
-          Buffer.add_string b (Printf.sprintf "f %d %d %d\n" cpu gap id))
-    t;
-  Buffer.contents b
-
-(* Strict parser: exact token arity per line (anything extra is
-   trailing garbage), integer fields only, sizes must be positive, and
-   an id may be allocated only once in the whole trace.  Every error
-   names its line. *)
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let seen = Hashtbl.create 64 in
-  let err n fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" n m)) fmt in
-  let int_field n what tok k =
-    match int_of_string_opt tok with
-    | Some v -> k v
-    | None -> err n "%s %S is not an integer" what tok
-  in
-  let nonneg n what v k =
-    if v < 0 then err n "%s %d is negative" what v else k ()
-  in
-  let parse_alloc n ~cpu ~gap ~id ~bytes acc rest go =
-    int_field n "cpu" cpu @@ fun cpu ->
-    int_field n "gap" gap @@ fun gap ->
-    int_field n "id" id @@ fun id ->
-    int_field n "bytes" bytes @@ fun bytes ->
-    nonneg n "cpu" cpu @@ fun () ->
-    nonneg n "gap" gap @@ fun () ->
-    if bytes <= 0 then err n "non-positive size %d for id %d" bytes id
-    else if Hashtbl.mem seen id then err n "id %d allocated twice" id
-    else begin
-      Hashtbl.add seen id ();
-      go (Alloc { cpu; gap; id; bytes } :: acc) (n + 1) rest
-    end
-  in
-  let parse_free n ~cpu ~gap ~id acc rest go =
-    int_field n "cpu" cpu @@ fun cpu ->
-    int_field n "gap" gap @@ fun gap ->
-    int_field n "id" id @@ fun id ->
-    nonneg n "cpu" cpu @@ fun () ->
-    nonneg n "gap" gap @@ fun () ->
-    go (Free { cpu; gap; id } :: acc) (n + 1) rest
-  in
-  let rec go_v2 acc n = function
-    | [] -> Ok (List.rev acc)
-    | "" :: rest -> go_v2 acc (n + 1) rest
-    | line :: rest -> (
-        match String.split_on_char ' ' line with
-        | [ "a"; cpu; gap; id; bytes ] ->
-            parse_alloc n ~cpu ~gap ~id ~bytes acc rest go_v2
-        | [ "f"; cpu; gap; id ] -> parse_free n ~cpu ~gap ~id acc rest go_v2
-        | ("a" | "f") :: _ :: _ :: _ :: _ :: _ ->
-            err n "trailing garbage in %S" line
-        | _ -> err n "unparseable %S" line)
-  in
-  (* Legacy v1 lines ([a <id> <bytes>] / [f <id>], no header): parsed as
-     single-CPU events with zero gaps, same strictness otherwise. *)
-  let rec go_v1 acc n = function
-    | [] -> Ok (List.rev acc)
-    | "" :: rest -> go_v1 acc (n + 1) rest
-    | line :: rest -> (
-        match String.split_on_char ' ' line with
-        | [ "a"; id; bytes ] ->
-            parse_alloc n ~cpu:"0" ~gap:"0" ~id ~bytes acc rest go_v1
-        | [ "f"; id ] -> parse_free n ~cpu:"0" ~gap:"0" ~id acc rest go_v1
-        | ("a" | "f") :: _ :: _ :: _ -> err n "trailing garbage in %S" line
-        | _ -> err n "unparseable %S" line)
-  in
-  let rec dispatch n = function
-    | [] -> Ok []
-    | "" :: rest -> dispatch (n + 1) rest
-    | first :: rest when first = v2_header -> go_v2 [] (n + 1) rest
-    | first :: _ when String.length first >= 9 && String.sub first 0 9 = "kma-trace"
-      ->
-        err n "unknown trace version %S (want %S)" first v2_header
-    | lines -> go_v1 [] n lines
-  in
-  dispatch 1 lines
 
 (* --- scaling transforms --- *)
 

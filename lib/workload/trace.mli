@@ -1,5 +1,5 @@
-(** Allocation traces: record, synthesise, serialise, transform and
-    replay multi-CPU alloc/free event streams against any allocator.
+(** Allocation traces: record, synthesise, transform and replay
+    multi-CPU alloc/free event streams against any allocator.
 
     The paper's evaluation ran live kernel workloads; allocator research
     since has standardised on traces so that one workload can be
@@ -9,12 +9,9 @@
     {e gap} (cycles of think time since that CPU's previous event), so a
     recorded workload replays with its timing and its cross-CPU free
     traffic intact.  Replay maps ids to whatever addresses the
-    allocator under test returns.
-
-    Traces serialise to a versioned plain-text format: a [kma-trace v2]
-    header, then one event per line, [a <cpu> <gap> <id> <bytes>] or
-    [f <cpu> <gap> <id>].  Headerless input is parsed as the legacy
-    single-CPU v1 format ([a <id> <bytes>] / [f <id>], zero gaps). *)
+    allocator under test returns.  Traces are in-memory values: the
+    scenario library generates them, {!record} captures them, and
+    nothing reads or writes them as text. *)
 
 type event =
   | Alloc of { cpu : int; gap : int; id : int; bytes : int }
@@ -30,36 +27,24 @@ val ncpus : t -> int
 (** [ncpus t] is [1 + ] the largest CPU id in [t] (1 for the empty
     trace): the machine width a replay needs. *)
 
+val size_mix : (int * int) array
+(** [(weight, bytes)] pairs: mostly small tracking structures,
+    occasional page-sized buffers.  {!Mixed} draws from it too. *)
+
 val synthesize :
-  ?seed:int ->
-  ?live_window:int ->
-  ?size_mix:(int * int) array ->
-  ?ncpus:int ->
-  ?mean_gap:int ->
-  ops:int ->
-  unit ->
-  t
+  ?seed:int -> ?ncpus:int -> ?mean_gap:int -> ops:int -> unit -> t
 (** [synthesize ~ops ()] builds a well-formed trace: every [Free] names
-    a live id, and everything left live is freed at the end (so
-    replaying leaves the allocator empty).  [size_mix] weights request
-    sizes (defaults to the kernel-ish mix of {!Mixed}); [ncpus]
-    (default 1) spreads events over CPUs with naturally-occurring
-    cross-CPU frees; [mean_gap] (default 0) draws each event's
-    inter-arrival gap uniformly from [[0, 2*mean_gap]]. *)
+    a live id, at most 64 ids are live at once, and everything left
+    live is freed at the end (so replaying leaves the allocator empty).
+    Request sizes follow {!size_mix}; [ncpus] (default 1) spreads
+    events over CPUs with naturally-occurring cross-CPU frees;
+    [mean_gap] (default 0) draws each event's inter-arrival gap
+    uniformly from [[0, 2*mean_gap]]. *)
 
 val validate : t -> (unit, string) result
 (** [validate t] checks trace well-formedness: no double allocation of
     an id, no free of a dead id, every id freed by the end, and no
     negative CPU, gap or size field. *)
-
-val to_string : t -> string
-(** Serialise in the v2 format (header line included). *)
-
-val of_string : string -> (t, string) result
-(** Strict parse of either format; every error is line-numbered.
-    Rejects trailing garbage on a line, non-integer fields, negative
-    CPUs/gaps, non-positive sizes, duplicate-id allocations, and
-    unknown [kma-trace] versions. *)
 
 (** {1 Scaling transforms}
 

@@ -133,6 +133,52 @@ let test_e8_default_geometry_pin () =
   Sim.Machine.set_fast_path false;
   Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check_exact
 
+(* E8 pin under denials: at a 20 % denial rate the pressure policy
+   shrinks, regrows, reaps and retries, so these rows pin its constants
+   (shrink shift, floors, grow step and clocks, retry bound) as well as
+   the cycles.  Fields: pairs/s, failures, pages held, reclaims, reaps,
+   reap pages, retries, shrinks, grows. *)
+let e8_denial_pins =
+  [
+    ("cookie", (505367.42317362322, [ 0; 26; 34; 2; 0; 2; 16; 78 ]));
+    ("newkma", (373091.40428495477, [ 0; 21; 60; 2; 0; 2; 16; 78 ]));
+  ]
+
+let test_e8_denial_pins () =
+  let check_exact () =
+    let r =
+      Experiments.Pressure.run ~ncpus:2 ~rounds:10 ~batch:120 ~rates:[ 0.2 ] ()
+    in
+    List.iter
+      (fun (name, (pps, counts)) ->
+        let s =
+          List.find
+            (fun s -> s.Experiments.Pressure.name = name)
+            r.Experiments.Pressure.series
+        in
+        let row = List.hd s.Experiments.Pressure.rows in
+        Alcotest.(check (float 0.)) (name ^ "@20% pairs/s") pps
+          row.Experiments.Pressure.pairs_per_sec;
+        Alcotest.(check (list int))
+          (name ^ "@20% counters")
+          counts
+          Experiments.Pressure.
+            [
+              row.failures;
+              row.pages_held;
+              row.reclaims;
+              row.reaps;
+              row.reap_pages;
+              row.retries;
+              row.shrinks;
+              row.grows;
+            ])
+      e8_denial_pins
+  in
+  check_exact ();
+  Sim.Machine.set_fast_path false;
+  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check_exact
+
 (* Parked handoffs at trace scale: a cross-CPU free parks until the
    allocating CPU publishes, where the scheduled path polls.  Replay
    producer→consumer traces both ways, whole and in windows, and
@@ -254,6 +300,8 @@ let suite =
       test_e13_pins_slow_path;
     Alcotest.test_case "E8 default-geometry pin" `Quick
       test_e8_default_geometry_pin;
+    Alcotest.test_case "E8 pins under 20% denials, fast and scheduled" `Quick
+      test_e8_denial_pins;
     Alcotest.test_case "parked replay: producer_consumer fast = slow" `Quick
       test_producer_consumer_parked;
     Alcotest.test_case "parked replay: 24-CPU fan_out fast = slow" `Quick

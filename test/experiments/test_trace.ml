@@ -1,4 +1,4 @@
-(* Trace record / synthesise / serialise / replay. *)
+(* Trace record / synthesise / replay. *)
 
 let machine () =
   Sim.Machine.create
@@ -32,20 +32,6 @@ let test_synthesize_multicpu () =
   Alcotest.(check bool) "uses several CPUs" true (Workload.Trace.ncpus t > 1);
   Alcotest.(check bool) "has nonzero gaps" true
     (List.exists (fun e -> Workload.Trace.gap_of e > 0) t)
-
-let test_serialise_roundtrip () =
-  let t = Workload.Trace.synthesize ~ops:300 ~ncpus:3 ~mean_gap:4 () in
-  match Workload.Trace.of_string (Workload.Trace.to_string t) with
-  | Ok t' -> Alcotest.(check bool) "roundtrip" true (t = t')
-  | Error e -> Alcotest.fail e
-
-let test_of_string_rejects_garbage () =
-  (match Workload.Trace.of_string "a 1 64\nnonsense\n" with
-  | Ok _ -> Alcotest.fail "accepted garbage"
-  | Error _ -> ());
-  match Workload.Trace.of_string "a 1 sixty\n" with
-  | Ok _ -> Alcotest.fail "accepted bad int"
-  | Error _ -> ()
 
 let test_validate_catches () =
   let open Workload.Trace in
@@ -166,9 +152,6 @@ let suite =
       test_synthesize_deterministic;
     Alcotest.test_case "multi-CPU synthesis with gaps" `Quick
       test_synthesize_multicpu;
-    Alcotest.test_case "serialise roundtrip" `Quick test_serialise_roundtrip;
-    Alcotest.test_case "parser rejects garbage" `Quick
-      test_of_string_rejects_garbage;
     Alcotest.test_case "validate catches malformed traces" `Quick
       test_validate_catches;
     Alcotest.test_case "replays on every allocator" `Quick

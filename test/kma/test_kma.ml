@@ -10,7 +10,6 @@ let () =
       ("percpu", Test_percpu.suite);
       ("kmem", Test_kmem.suite);
       ("debug", Test_debug.suite);
-      ("objcache", Test_objcache.suite);
       ("kstats", Test_kstats.suite);
       ("pressure", Test_pressure.suite);
     ]

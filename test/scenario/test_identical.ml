@@ -46,30 +46,8 @@ let test_bit_identical_cycles () =
   Alcotest.(check int) "no failures" 0 r.Workload.Trace.failures;
   Alcotest.(check int) "no skipped frees" 0 r.Workload.Trace.skipped_frees
 
-(* Same property through the serialised form: synthesize -> to_string ->
-   of_string -> the replay is cycle-identical to the original's. *)
-let test_bit_identical_through_text () =
-  let m1 = mk () in
-  let a1 = Baseline.Allocator.create Baseline.Allocator.Newkma m1 in
-  let trace = ref [] in
-  Sim.Machine.run m1
-    [| (fun _ -> trace := Workload.Trace.record a1 recorded_program) |];
-  let recorded_cycles = Sim.Machine.elapsed m1 in
-  let parsed =
-    match Workload.Trace.of_string (Workload.Trace.to_string !trace) with
-    | Ok t -> t
-    | Error e -> Alcotest.fail e
-  in
-  let m2 = mk () in
-  let a2 = Baseline.Allocator.create Baseline.Allocator.Newkma m2 in
-  let r = Workload.Trace.replay m2 parsed a2 in
-  Alcotest.(check int) "cycle count survives serialisation" recorded_cycles
-    r.Workload.Trace.cycles
-
 let suite =
   [
     Alcotest.test_case "replay reproduces recorded cycles" `Quick
       test_bit_identical_cycles;
-    Alcotest.test_case "cycles survive the text round-trip" `Quick
-      test_bit_identical_through_text;
   ]

@@ -1,70 +1,5 @@
-(* v2 trace format: parser error paths, round-trip property, scaling
-   transforms, and the skipped-frees accounting of replay. *)
-
-let expect_error ~line what s =
-  match Workload.Trace.of_string s with
-  | Ok _ -> Alcotest.failf "%s: accepted" what
-  | Error e ->
-      let prefix = Printf.sprintf "line %d:" line in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: error %S names line %d" what e line)
-        true
-        (String.length e >= String.length prefix
-        && String.sub e 0 (String.length prefix) = prefix)
-
-let test_error_paths () =
-  expect_error ~line:2 "trailing garbage (v2 alloc)"
-    "kma-trace v2\na 0 0 1 64 junk\n";
-  expect_error ~line:2 "trailing garbage (v2 free)" "kma-trace v2\nf 0 0 1 junk\n";
-  expect_error ~line:1 "trailing garbage (v1)" "a 1 64 junk\n";
-  expect_error ~line:2 "non-positive size" "kma-trace v2\na 0 0 1 0\n";
-  expect_error ~line:2 "negative size" "kma-trace v2\na 0 0 1 -64\n";
-  expect_error ~line:4 "duplicate-id alloc"
-    "kma-trace v2\na 0 0 1 64\nf 0 0 1\na 0 0 1 64\n";
-  expect_error ~line:2 "negative gap" "kma-trace v2\na 0 -1 1 64\n";
-  expect_error ~line:2 "negative cpu" "kma-trace v2\na -1 0 1 64\n";
-  expect_error ~line:2 "bad integer" "kma-trace v2\na 0 0 one 64\n";
-  expect_error ~line:1 "unknown version" "kma-trace v3\na 0 0 1 64\n"
-
-let test_v1_legacy_accepted () =
-  match Workload.Trace.of_string "a 0 64\nf 0\n" with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-      Alcotest.(check bool)
-        "v1 lines become cpu-0, gap-0 events" true
-        (t
-        = [
-            Workload.Trace.Alloc { cpu = 0; gap = 0; id = 0; bytes = 64 };
-            Workload.Trace.Free { cpu = 0; gap = 0; id = 0 };
-          ])
-
-let test_header_roundtrip () =
-  let t = Workload.Trace.synthesize ~ops:250 ~ncpus:4 ~mean_gap:9 ~seed:3 () in
-  let s = Workload.Trace.to_string t in
-  Alcotest.(check bool) "v2 header present" true
-    (String.length s > 12 && String.sub s 0 12 = "kma-trace v2");
-  match Workload.Trace.of_string s with
-  | Ok t' -> Alcotest.(check bool) "identical events" true (t = t')
-  | Error e -> Alcotest.fail e
-
-(* The round-trip property with replay: serialising and re-parsing a
-   trace cannot change what a replay of it does. *)
-let test_roundtrip_identical_replay () =
-  let t = Workload.Trace.synthesize ~ops:300 ~ncpus:2 ~mean_gap:5 ~seed:11 () in
-  let t' =
-    match Workload.Trace.of_string (Workload.Trace.to_string t) with
-    | Ok t' -> t'
-    | Error e -> Alcotest.fail e
-  in
-  let run trace =
-    let m =
-      Sim.Machine.create
-        (Workload.Rig.paper_config ~ncpus:(Workload.Trace.ncpus trace) ())
-    in
-    let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
-    (Workload.Trace.replay m trace a).Workload.Trace.cycles
-  in
-  Alcotest.(check int) "same replay cycles" (run t) (run t')
+(* Trace scaling transforms and the skipped-frees accounting of
+   replay. *)
 
 let test_scale_rate () =
   let t =
@@ -142,13 +77,6 @@ let test_skipped_frees_counted () =
 
 let suite =
   [
-    Alcotest.test_case "parser error paths name their line" `Quick
-      test_error_paths;
-    Alcotest.test_case "legacy v1 lines still parse" `Quick
-      test_v1_legacy_accepted;
-    Alcotest.test_case "v2 header round-trip" `Quick test_header_roundtrip;
-    Alcotest.test_case "round-trip preserves replay cycles" `Quick
-      test_roundtrip_identical_replay;
     Alcotest.test_case "scale_rate divides gaps" `Quick test_scale_rate;
     Alcotest.test_case "fan_out remaps ids deterministically" `Quick
       test_fan_out;
