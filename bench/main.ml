@@ -51,13 +51,12 @@ let service_json (label, (o : Service.outcome)) =
       ( "contention_rate",
         Printf.sprintf "%.6f"
           (if Float.is_nan o.o_contention then 0. else o.o_contention) );
-      ("drops", int s.s_drops); ("prefills", int s.s_prefills);
-      ("grows", int s.s_grows);
+      ("drops", int s.s_drops); ("grows", int s.s_grows);
       ("final_target", int o.o_final_target);
       ("final_bound", int o.o_final_bound);
     ]
 
-let write_host_json path ~jobs records =
+let write_host_json path ~geometry ~jobs records =
   let section (name, seconds, (l : Harness.ledger), jobs1) =
     obj
       [
@@ -80,7 +79,7 @@ let write_host_json path ~jobs records =
       ( "recommended_domains",
         string_of_int (Domain.recommended_domain_count ()) );
       ("jobs", string_of_int jobs);
-      ("geometry", str (Sim.Geometry.to_string (Sim.Geometry.ambient ())));
+      ("geometry", str (Sim.Geometry.to_string geometry));
       ( "total_seconds",
         secs (List.fold_left (fun a (_, s, _, _) -> a +. s) 0. records) );
       ("sections", arr (List.map section records));
@@ -97,7 +96,6 @@ let write_host_json path ~jobs records =
 
 let main geometry jobs checks allocs host_json no_host_json compare_jobs1
     names () =
-  Option.iter Sim.Geometry.set_ambient geometry;
   let all = List.map fst Rows.rows in
   let names = if names = [] then List.filter (( <> ) "smoke") all else names in
   (match List.filter (fun n -> not (List.mem n all)) names with
@@ -111,7 +109,7 @@ let main geometry jobs checks allocs host_json no_host_json compare_jobs1
   let parse o name =
     match Rows.parse o name with Some run -> run | None -> exit 2
   in
-  let opts = { Rows.jobs; checks; allocs } in
+  let opts = { Rows.geometry; jobs; checks; allocs } in
   let plan =
     List.map
       (fun name ->
@@ -138,7 +136,10 @@ let main geometry jobs checks allocs host_json no_host_json compare_jobs1
   in
   match List.map timed plan with
   | records ->
-      if not no_host_json then write_host_json host_json ~jobs records;
+      if not no_host_json then
+        write_host_json host_json
+          ~geometry:(Option.value geometry ~default:Sim.Geometry.default)
+          ~jobs records;
       print_newline ();
       print_endline "bench: all requested sections completed"
   | exception Harness.Check_failed msg ->
@@ -146,7 +147,6 @@ let main geometry jobs checks allocs host_json no_host_json compare_jobs1
       exit 3
 
 let () =
-  Harness.init_geometry "bench";
   let checks =
     Arg.(
       value

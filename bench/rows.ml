@@ -31,15 +31,17 @@ let rows =
 
 (* bench's global flags, as forwarded to every row. *)
 type opts = {
+  geometry : Sim.Geometry.t option;
   jobs : int;
   checks : Harness.check list;
   allocs : Baseline.Allocator.which list;
 }
 
-(* The section's command line with bench's flags appended: --jobs to
-   every command that fans out, each armed checker to every command
-   that accepts it (unless the row names its own checkers, as smoke
-   does), and --allocs to the lockfree section alone. *)
+(* The section's command line with bench's flags appended: --geometry
+   to every command that takes it, --jobs to every command that fans
+   out, each armed checker to every command that accepts it (unless the
+   row names its own checkers, as smoke does), and --allocs to the
+   lockfree section alone. *)
 let argv o section =
   let args = String.split_on_char ' ' (List.assoc section rows) in
   let flag c = "--" ^ Harness.check_name c in
@@ -51,6 +53,9 @@ let argv o section =
       let pinned = List.exists (fun c -> List.mem (flag c) args) e.checks in
       let armed = List.filter (fun c -> List.mem c o.checks) e.checks in
       args
+      @ (match o.geometry with
+        | Some g when e.shaped -> [ "--geometry"; Sim.Geometry.to_string g ]
+        | _ -> [])
       @ (if e.fans_out then [ "--jobs"; string_of_int o.jobs ] else [])
       @ (if pinned then [] else List.map flag armed)
       @

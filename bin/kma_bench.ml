@@ -14,7 +14,6 @@ let exit_code run =
       3
 
 let () =
-  Harness.init_geometry "kma_bench";
   let info =
     Cmd.info "kma_bench" ~version:"1.0"
       ~doc:

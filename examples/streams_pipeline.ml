@@ -81,4 +81,4 @@ let () =
     !delivered !bytes_moved;
   Printf.printf "%.0f packets/s at %d MHz (%d cycles)\n"
     (float_of_int !delivered /. Sim.Config.seconds_of_cycles cfg cycles)
-    cfg.Sim.Config.mhz cycles
+    Sim.Config.mhz cycles

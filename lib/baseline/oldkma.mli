@@ -23,12 +23,7 @@
 
 type t
 
-val w_fixed : int
-(** Fixed straight-line charge per operation (calibration constant; see
-    EXPERIMENTS.md). *)
 
-val stats_touches : int
-(** Uncacheable counter updates per operation. *)
 
 val create : Sim.Machine.t -> t
 (** Boots the allocator owning the memory above its control words and

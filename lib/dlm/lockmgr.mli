@@ -21,7 +21,6 @@ type mode = NL | CR | CW | PR | PW | EX
 val compatible : mode -> mode -> bool
 (** The standard DLM compatibility matrix. *)
 
-val mode_index : mode -> int
 val all_modes : mode array
 
 type status = Granted | Waiting

@@ -17,8 +17,6 @@ type result = {
   cycles : int;
 }
 
-val mode_mix : (int * Lockmgr.mode) array
-(** Read-heavy OLTP mode weights. *)
 
 val run :
   kmem:Kma.Kmem.t ->

@@ -33,10 +33,6 @@ type row = {
   pairs_per_sec : float;
 }
 
-val default_points : (int * int) list
-(** [(line_words, ways)] grid: line sweep at full associativity, then
-    associativity sweep at the default line size. *)
-
 val run :
   ?jobs:int ->
   ?points:(int * int) list ->
@@ -47,8 +43,10 @@ val run :
   ?bytes:int ->
   unit ->
   row list
-(** [run ()] sweeps {!default_points} for newkma and cookie on a fresh
-    8-CPU machine per cell ([jobs] fans cells across domains; results
+(** [run ()] sweeps [points], [(line_words, ways)] pairs (default: a
+    line sweep at full associativity, then an associativity sweep at the
+    default line size), for newkma and cookie on a fresh 8-CPU machine
+    per cell ([jobs] fans cells across domains; results
     are in canonical order regardless).  [depth] is the burst size —
     blocks held live at once per CPU. *)
 

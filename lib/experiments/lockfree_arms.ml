@@ -162,45 +162,54 @@ let run_storm ?(jobs = 1) ?(whichs = Baseline.Allocator.lockfree)
        (fun which -> List.map (fun ncpus -> (which, ncpus)) cpus)
        whichs)
 
-let print_storm points =
-  Series.heading
-    "E13: mixed-size storm (overlapping claims), CAS-retry counters";
-  let rows =
-    List.filter_map
-      (fun p ->
-        match p.sstats with
-        | None -> None
-        | Some s ->
-            let fail_rate =
-              if s.Lockfree.Stats.cas_attempts = 0 then nan
-              else
-                float_of_int s.Lockfree.Stats.cas_failures
-                /. float_of_int s.Lockfree.Stats.cas_attempts
-            in
-            Some
-              [
-                Baseline.Allocator.name_of p.swhich;
-                string_of_int p.sncpus;
-                string_of_int p.sops;
-                Series.sci p.sops_per_sec;
-                string_of_int s.Lockfree.Stats.cas_attempts;
-                string_of_int s.Lockfree.Stats.cas_failures;
-                Series.pct fail_rate;
-                string_of_int s.Lockfree.Stats.mark_rmws;
-                string_of_int s.Lockfree.Stats.conflicts;
-                string_of_int s.Lockfree.Stats.helps;
-                string_of_int s.Lockfree.Stats.refills;
-                string_of_int s.Lockfree.Stats.flushes;
-              ])
-      points
+(* The lock-free counter columns every E13 counter table ends with, and
+   a table of one row per cell that has counters: the columns [header]
+   names, then the counters. *)
+let counter_table header cells =
+  let row (lead, stats) =
+    Option.map
+      (fun (s : Lockfree.Stats.t) ->
+        let fail_rate =
+          if s.cas_attempts = 0 then nan
+          else float_of_int s.cas_failures /. float_of_int s.cas_attempts
+        in
+        lead
+        @ [
+            string_of_int s.cas_attempts;
+            string_of_int s.cas_failures;
+            Series.pct fail_rate;
+            string_of_int s.mark_rmws;
+            string_of_int s.conflicts;
+            string_of_int s.helps;
+            string_of_int s.refills;
+            string_of_int s.flushes;
+          ])
+      stats
   in
   Series.table
     ~header:
-      [
-        "alloc"; "cpus"; "ops"; "ops/s"; "cas"; "fail"; "fail%"; "marks";
-        "conflicts"; "helps"; "refills"; "flushes";
-      ]
-    rows
+      (header
+      @ [
+          "cas"; "fail"; "fail%"; "marks"; "conflicts"; "helps"; "refills";
+          "flushes";
+        ])
+    (List.filter_map row cells)
+
+let print_storm points =
+  Series.heading
+    "E13: mixed-size storm (overlapping claims), CAS-retry counters";
+  counter_table
+    [ "alloc"; "cpus"; "ops"; "ops/s" ]
+    (List.map
+       (fun p ->
+         ( [
+             Baseline.Allocator.name_of p.swhich;
+             string_of_int p.sncpus;
+             string_of_int p.sops;
+             Series.sci p.sops_per_sec;
+           ],
+           p.sstats ))
+       points)
 
 type remote_point = {
   rwhich : Baseline.Allocator.which;
@@ -252,78 +261,31 @@ let print_crosscpu points =
                 | None -> "-")
               cols)
        pairs);
-  let rows =
-    List.filter_map
-      (fun p ->
-        match p.rstats with
-        | None -> None
-        | Some s ->
-            let fail_rate =
-              if s.Lockfree.Stats.cas_attempts = 0 then nan
-              else
-                float_of_int s.Lockfree.Stats.cas_failures
-                /. float_of_int s.Lockfree.Stats.cas_attempts
-            in
-            Some
-              [
-                Baseline.Allocator.name_of p.rwhich;
-                string_of_int p.rpairs;
-                string_of_int p.transfers;
-                string_of_int s.Lockfree.Stats.cas_attempts;
-                string_of_int s.Lockfree.Stats.cas_failures;
-                Series.pct fail_rate;
-                string_of_int s.Lockfree.Stats.mark_rmws;
-                string_of_int s.Lockfree.Stats.conflicts;
-                string_of_int s.Lockfree.Stats.helps;
-                string_of_int s.Lockfree.Stats.refills;
-                string_of_int s.Lockfree.Stats.flushes;
-              ])
-      points
-  in
-  if rows <> [] then (
+  if List.exists (fun p -> p.rstats <> None) points then begin
     Series.heading "E13: remote-free CAS-retry and helping counters";
-    Series.table
-      ~header:
-        [
-          "alloc"; "pairs"; "xfers"; "cas"; "fail"; "fail%"; "marks";
-          "conflicts"; "helps"; "refills"; "flushes";
-        ]
-      rows)
+    counter_table
+      [ "alloc"; "pairs"; "xfers" ]
+      (List.map
+         (fun p ->
+           ( [
+               Baseline.Allocator.name_of p.rwhich;
+               string_of_int p.rpairs;
+               string_of_int p.transfers;
+             ],
+             p.rstats ))
+         points)
+  end
 
 let print_retries points =
   Series.heading "E13: CAS-retry and helping counters (whole timed region)";
-  let rows =
-    List.filter_map
-      (fun p ->
-        match p.stats with
-        | None -> None
-        | Some s ->
-            let fail_rate =
-              if s.Lockfree.Stats.cas_attempts = 0 then nan
-              else
-                float_of_int s.Lockfree.Stats.cas_failures
-                /. float_of_int s.Lockfree.Stats.cas_attempts
-            in
-            Some
-              [
-                Baseline.Allocator.name_of p.which;
-                string_of_int p.ncpus;
-                string_of_int p.pairs;
-                string_of_int s.Lockfree.Stats.cas_attempts;
-                string_of_int s.Lockfree.Stats.cas_failures;
-                Series.pct fail_rate;
-                string_of_int s.Lockfree.Stats.mark_rmws;
-                string_of_int s.Lockfree.Stats.conflicts;
-                string_of_int s.Lockfree.Stats.helps;
-                string_of_int s.Lockfree.Stats.refills;
-                string_of_int s.Lockfree.Stats.flushes;
-              ])
-      points
-  in
-  Series.table
-    ~header:
-      [
-        "alloc"; "cpus"; "pairs"; "cas"; "fail"; "fail%"; "marks";
-        "conflicts"; "helps"; "refills"; "flushes";
-      ]
-    rows
+  counter_table
+    [ "alloc"; "cpus"; "pairs" ]
+    (List.map
+       (fun p ->
+         ( [
+             Baseline.Allocator.name_of p.which;
+             string_of_int p.ncpus;
+             string_of_int p.pairs;
+           ],
+           p.stats ))
+       points)

@@ -16,7 +16,6 @@
     path; [Global] means the operation had to take a lock. *)
 type layer = Percpu | Global | Pagepool | Vmblk | Kmem
 
-val layer_name : layer -> string
 
 type kind =
   | Alloc of { si : int; layer : layer }

@@ -20,7 +20,6 @@ let create ?(capacity = 65536) ~ncpus () =
   }
 
 let ncpus t = Array.length t.rings
-let capacity t = t.capacity
 
 (* The globally-installed recorder and its hot flag.  [hot] mirrors
    "installed && enabled" so the disabled path at every instrumentation
@@ -100,7 +99,3 @@ let events ?cpu ?si ?kind ?t_min ?t_max t =
       | 0 -> compare a.Event.cpu b.Event.cpu
       | c -> c)
     (List.rev all)
-
-let clear t =
-  Array.iter Ring.clear t.rings;
-  t.oob <- 0

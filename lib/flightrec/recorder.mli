@@ -29,7 +29,6 @@ val create : ?capacity:int -> ncpus:int -> unit -> t
     @raise Invalid_argument if [ncpus < 1] or [capacity < 1]. *)
 
 val ncpus : t -> int
-val capacity : t -> int
 
 (** {1 Installation and the hot flag} *)
 
@@ -90,6 +89,3 @@ val events :
     CPU, size class ({!Event.si_of}), kind predicate, and inclusive
     simulated-time window. *)
 
-val clear : t -> unit
-(** Drop all recorded events and zero drop counters (the lock-name
-    registry survives). *)

@@ -22,9 +22,6 @@
     Rendering is deterministic for a deterministic simulation, so the
     output is suitable for golden tests. *)
 
-val pp : ?buckets:int -> Format.formatter -> Recorder.t -> unit
-(** [pp ppf r] renders the report; [buckets] (default 10) controls the
-    timeline resolution. *)
 
 val to_string : ?buckets:int -> Recorder.t -> string
 

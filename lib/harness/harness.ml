@@ -107,26 +107,16 @@ let geometry_flag =
           (Printf.sprintf
              "Cache geometry and cost model for the simulated machine, as \
               a comma-separated key=value list of any of the keys of the \
-              recorded-results default, which is %s.  Overrides the \
-              $(b,KMA_GEOMETRY) environment variable."
+              recorded-results default, which is %s."
              (Sim.Geometry.to_string Sim.Geometry.default)))
-
-(* KMA_GEOMETRY is read once, before any flag, so --geometry wins. *)
-let init_geometry prog =
-  match Sim.Geometry.of_env () with
-  | Ok g -> Sim.Geometry.set_ambient g
-  | Error msg ->
-      Printf.eprintf "%s: bad %s: %s\n" prog Sim.Geometry.env_var msg;
-      exit 2
 
 (* Sim.Config refuses a machine with more NUMA nodes than CPUs, so a
    command that takes --geometry checks the node count it will run
-   under (the flag's, else the ambient one) against the fewest CPUs it
-   simulates.  An empty [cpus] checks nothing: numa sets the node count
-   of each cell itself. *)
+   under against the fewest CPUs it simulates.  An empty [cpus] checks
+   nothing: numa sets the node count of each cell itself. *)
 let geometry_for cpus =
   let fit geometry cpus =
-    let g = Option.value geometry ~default:(Sim.Geometry.ambient ()) in
+    let g = Option.value geometry ~default:Sim.Geometry.default in
     let fewest = List.fold_left min max_int cpus in
     if g.Sim.Geometry.nodes <= fewest then `Ok geometry
     else
@@ -158,16 +148,23 @@ let allocs_flag default =
 
 (* The selected arms with the --bytes they are measured at, which every
    one of them must be able to serve: a block size above an arm's
-   largest class would fail inside the measured loop. *)
+   largest class, or above the simulated memory for the arms that serve
+   whole-page spans, would fail inside the measured loop.  Every
+   command that takes --allocs boots at most Workload.Rig.memory_words
+   per simulated CPU and holds at least one block per CPU live, so a
+   block larger than that never fits. *)
 let arms_serving whichs =
   let fit whichs bytes =
+    let memory_bytes = Workload.Rig.memory_words * Kma.Params.bytes_per_word in
     let over w =
+      let name = Baseline.Allocator.name_of w in
       match Baseline.Allocator.max_bytes w with
       | Some most when bytes > most ->
+          Some (Printf.sprintf "%s serves at most %d" name most)
+      | None when bytes > memory_bytes ->
           Some
-            (Printf.sprintf "%s serves at most %d"
-               (Baseline.Allocator.name_of w)
-               most)
+            (Printf.sprintf "%s serves at most %d, the simulated memory" name
+               memory_bytes)
       | _ -> None
     in
     match List.filter_map over whichs with
@@ -272,6 +269,7 @@ let with_flightrec on ~ncpus f =
 type t = {
   name : string;
   fans_out : bool;
+  shaped : bool;
   checks : check list;
   info : Cmd.info;
   term : (unit -> ledger) Term.t;
@@ -286,7 +284,8 @@ type env = { jobs : int; checked : 'a. ?ncpus:int -> (unit -> 'a) -> 'a }
 let experiment' ?(fans_out = false) ?(checks = []) ?geometry name ~doc body =
   let accepts c flag off = if List.mem c checks then flag else Term.const off in
   let run body geometry jobs lockcheck heapcheck flightrec () : ledger =
-    Option.iter Sim.Geometry.set_ambient geometry;
+    Sim.Geometry.set_ambient
+      (Option.value geometry ~default:Sim.Geometry.default);
     (* Checker serialization (DESIGN.md §9): the flight recorder and
        lockcheck keep host-global state, so a run that arms either one
        is clamped to jobs=1; heapcheck shards and composes with any job
@@ -310,6 +309,7 @@ let experiment' ?(fans_out = false) ?(checks = []) ?geometry name ~doc body =
   {
     name;
     fans_out;
+    shaped = Option.is_some geometry;
     checks;
     info = Cmd.info name ~doc;
     term =
@@ -330,6 +330,10 @@ let experiment ?fans_out ?checks ?geometry name ~doc body =
     (Term.map (fun body env -> body env; quiet) body)
 
 let every_check = [ Lockcheck; Heapcheck; Flightrec ]
+
+(* The CPU count of the commands that simulate one CPU, for their
+   --geometry check. *)
+let one_cpu = Term.const [ 1 ]
 
 (* --- The paper's experiments (kma_bench's subcommands) --- *)
 
@@ -406,22 +410,24 @@ let fig8 =
     Experiments.Fig7.print_semilog
       (Experiments.Fig7.run ~jobs:env.jobs ~whichs ~cpus ~iters ())
   in
-  experiment "fig8" ~fans_out:true
+  let cpus = cpu_list Experiments.Fig7.default_cpus in
+  experiment "fig8" ~fans_out:true ~geometry:cpus
     ~doc:"Same data as fig7 on a semilog scale (Figure 8)."
     Term.(
       const run
       $ allocs_flag Baseline.Allocator.all
-      $ cpu_list Experiments.Fig7.default_cpus
+      $ cpus
       $ count "iters" 2000 "Pairs/CPU.")
 
 let fig9 =
-  (* The memory must also be whole cache lines of the geometry the run
-     will use.  fig9 takes no --geometry of its own: both drivers
-     install theirs (or KMA_GEOMETRY) as the ambient one before they
-     parse a command line. *)
+  (* The memory must also be whole cache lines of the --geometry the
+     run will use. *)
   let memory_words =
-    let line_aligned words =
-      let line = (Sim.Geometry.ambient ()).Sim.Geometry.line_words in
+    let line_aligned geometry words =
+      let line =
+        (Option.value geometry ~default:Sim.Geometry.default)
+          .Sim.Geometry.line_words
+      in
       if words mod line = 0 then `Ok words
       else
         `Error
@@ -433,7 +439,7 @@ let fig9 =
     in
     Term.(
       ret
-        (const line_aligned
+        (const line_aligned $ geometry_flag
         $ count ~lo:16384 "memory-words" (1024 * 1024)
             "Simulated memory size in words (at least 16384: the control \
              region plus one vmblk; a multiple of the cache line)."))
@@ -472,7 +478,7 @@ let fig9 =
       "mk (no coalescing) wedged on %d of %d sizes, as the paper predicts\n"
       (List.length wedged) (List.length mk)
   in
-  experiment "fig9" ~fans_out:true
+  experiment "fig9" ~fans_out:true ~geometry:one_cpu
     ~doc:
       "Worst-case pairs/s vs block size (Figure 9), with mk's sweep \
        alongside (an allocator without coalescing wedges)."
@@ -486,7 +492,7 @@ let opcounts =
   let run env =
     Experiments.Opcounts.print (Experiments.Opcounts.run ~jobs:env.jobs ())
   in
-  experiment "opcounts" ~fans_out:true
+  experiment "opcounts" ~fans_out:true ~geometry:one_cpu
     ~doc:"Warm fast-path instruction counts (E2)." (Term.const run)
 
 let analysis =
@@ -495,6 +501,7 @@ let analysis =
         Experiments.Analysis.print (Experiments.Analysis.run ~samples ()))
   in
   experiment "analysis" ~checks:[ Lockcheck ]
+    ~geometry:(Term.const [ 2 ])
     ~doc:
       "allocb/freeb access-cost profile on the old allocator (E1); \
        $(b,--lockcheck) validates the synchronization discipline (E9)."
@@ -540,14 +547,16 @@ let pressure =
           Printf.printf "\ngraceful degradation at 20%% denials: %b\n"
             (Experiments.Pressure.graceful r))
   in
+  let cpus = ncpus 4 in
   experiment "pressure" ~fans_out:true ~checks:every_check
+    ~geometry:(Term.map (fun n -> [ n ]) cpus)
     ~doc:
       "Memory pressure: throughput and pages held vs VM grant-denial rate, \
        cookie/newkma (reap + adaptive targets) vs mk (E8); $(b,--lockcheck) \
        validates the synchronization discipline; $(b,--heapcheck) verifies \
        heap consistency after each cell."
     Term.(
-      const run $ ncpus 4
+      const run $ cpus
       $ count "rounds" 30 "Alloc/free rounds per CPU."
       $ count "batch" 120 "Blocks per round."
       $ rates
@@ -619,7 +628,7 @@ let cyclic =
       r.Workload.Cyclic.night_failures r.Workload.Cyclic.day_peak_pages
       r.Workload.Cyclic.night_pages
   in
-  experiment "cyclic"
+  experiment "cyclic" ~geometry:one_cpu
     ~doc:"Day/night workload: coalescing reuses day memory at night."
     Term.(const run $ count "days" 3 "Day/night cycles.")
 
@@ -640,14 +649,17 @@ let crosscpu =
     in
     Experiments.Series.table ~header:[ "allocator"; "transfers/s" ] rows
   in
+  let pairs =
+    Arg.(
+      value & opt pairs_in 2 & info [ "pairs" ] ~doc:"Producer/consumer pairs.")
+  in
   experiment "crosscpu" ~fans_out:true
+    ~geometry:(Term.map (fun p -> [ 2 * p ]) pairs)
     ~doc:"Cross-CPU producer/consumer throughput (the global layer's job)."
     Term.(
       const run
       $ allocs_flag Baseline.Allocator.(all @ [ Lazybuddy ])
-      $ Arg.(
-          value & opt pairs_in 2
-          & info [ "pairs" ] ~doc:"Producer/consumer pairs.")
+      $ pairs
       $ count "blocks" 2000 "Blocks transferred per pair.")
 
 let trace =
@@ -680,7 +692,7 @@ let trace =
       ~header:[ "allocator"; "failures"; "skipped"; "ops/s" ]
       rows
   in
-  experiment "trace"
+  experiment "trace" ~geometry:one_cpu
     ~doc:
       "Synthesize an allocation trace and replay it bit-for-bit on every \
        allocator."
@@ -841,7 +853,17 @@ let scenario =
             in
             env.checked (fun () -> List.iter one whichs))
   in
+  (* The scenario's own CPUs (it may boot a machine of that size to
+     generate its trace), and any fan-out count. *)
+  let scenario_cpus name cpus =
+    Option.to_list cpus
+    @
+    match Option.bind name Scenario.find with
+    | Some sc -> [ sc.Scenario.ncpus ]
+    | None -> []
+  in
   experiment "scenario" ~checks:[ Heapcheck ]
+    ~geometry:Term.(const scenario_cpus $ name_arg $ cpus)
     ~doc:
       "Replay a library scenario (production-shaped multi-CPU trace), \
        optionally scaled with $(b,--scale) / $(b,--cpus); $(b,--report) \
@@ -999,14 +1021,6 @@ let service =
              $(b,open:<mean-ns>) (seeded inter-arrival, latency measured \
              from the scheduled arrival).")
   in
-  let refill =
-    Arg.(
-      value & flag
-      & info [ "refill" ]
-          ~doc:
-            "Add a dedicated depot-refill domain (SpeedMalloc's allocation \
-             core): workers never pay constructor cost in steady state.")
-  in
   let list_shapes () =
     section "Service shapes (lib/scenario request graphs)";
     Experiments.Series.table
@@ -1018,8 +1032,8 @@ let service =
            | Some _ -> Some [ s.Scenario.name; s.Scenario.summary ])
          Scenario.all)
   in
-  let run name domains requests seed mode refill target depot_batches arrival
-      obj_bytes _env =
+  let run name domains requests seed mode target depot_batches arrival obj_bytes
+      _env =
     match name with
     | None | Some "list" -> list_shapes ()
     | Some n -> (
@@ -1035,7 +1049,6 @@ let service =
                 Service.domains;
                 requests;
                 seed;
-                refill;
                 target;
                 depot_batches;
                 arrival;
@@ -1076,7 +1089,7 @@ let service =
       $ count "domains" 2 ~docv:"N" "Worker domains (default 2)."
       $ count "requests" 100_000 ~docv:"N"
           "Requests served per domain (default 100000)."
-      $ seed 42 "Deterministic seed." $ mode $ refill
+      $ seed 42 "Deterministic seed." $ mode
       $ count "target" 16 "Base magazine target (batch size)."
       $ count "depot-batches" 32 "Base depot bound, in batches."
       $ arrival
@@ -1128,7 +1141,7 @@ let ablation_target =
       "expected: miss rates fall roughly as 1/target; throughput rises then \
        flattens"
   in
-  experiment "ablation-target" ~fans_out:true
+  experiment "ablation-target" ~fans_out:true ~geometry:(Term.const [ 4 ])
     ~doc:"Ablation A: the per-CPU target parameter." (Term.const run)
 
 let ablation_pagepolicy =
@@ -1207,7 +1220,7 @@ let ablation_pagepolicy =
       "expected: same live data, but fullest-first holds it in fewer pages \
        and recycles more"
   in
-  experiment "ablation-pagepolicy" ~fans_out:true
+  experiment "ablation-pagepolicy" ~fans_out:true ~geometry:one_cpu
     ~doc:"Ablation B: radix page order vs emptiest-first." (Term.const run)
 
 let roads_not_taken =
@@ -1229,7 +1242,7 @@ let roads_not_taken =
       (Experiments.Fig9.completed
          (Experiments.Fig9.run ~which:Lazybuddy ~memory_words:(256 * 1024) ()))
   in
-  experiment "roads-not-taken" ~fans_out:true
+  experiment "roads-not-taken" ~fans_out:true ~geometry:one_cpu
     ~doc:"The watermark lazy buddy the paper argues against." (Term.const run)
 
 let bechamel =
@@ -1357,22 +1370,19 @@ let scenarios =
     }
   in
   experiment' "scenarios" ~fans_out:true
+    ~geometry:
+      (Term.const
+         (List.map (fun (s : Scenario.t) -> s.Scenario.ncpus) Scenario.all))
     ~doc:"Replay every library scenario; host seconds go to the ledger."
     (Term.const run)
 
 let service_matrix =
   let run _env =
     section "Serving traffic through the native pool (E15: fixed vs adaptive)";
-    let serve (label, scenario, domains, requests, refill, mode) =
+    let serve (label, scenario, domains, requests, mode) =
       let o =
         Service.run
-          {
-            (Service.default ~scenario) with
-            Service.domains;
-            requests;
-            mode;
-            refill;
-          }
+          { (Service.default ~scenario) with Service.domains; requests; mode }
       in
       print_string (Service.to_string o);
       print_newline ();
@@ -1381,18 +1391,14 @@ let service_matrix =
     let arms =
       List.map serve
         [
-          (* A steady closed loop, plus the SpeedMalloc dedicated
-             refill domain on the same load (prefills > 0 proves the
-             stocker ran). *)
-          ("steady/fixed", "steady", 2, 125_000, false, `Fixed);
-          ("steady/fixed+refill", "steady", 2, 125_000, true, `Fixed);
+          (* A steady closed loop. *)
+          ("steady/fixed", "steady", 2, 125_000, `Fixed);
           (* The E15 headline: cross-domain producer/consumer flow,
              where every object is freed on a different domain than its
              alloc. *)
-          ( "producer_consumer/fixed", "producer_consumer", 4, 150_000, false,
-            `Fixed );
+          ("producer_consumer/fixed", "producer_consumer", 4, 150_000, `Fixed);
           ( "producer_consumer/adaptive", "producer_consumer", 4, 150_000,
-            false, `Adaptive );
+            `Adaptive );
         ]
     in
     let fx = List.assoc "producer_consumer/fixed" arms

@@ -33,11 +33,15 @@ type ledger = {
 type t = {
   name : string;
   fans_out : bool;  (** takes [--jobs] *)
+  shaped : bool;
+      (** takes [--geometry]: every command whose simulated machines
+          take the cache shape it sets *)
   checks : check list;  (** the checker flags it accepts *)
   info : Cmdliner.Cmd.info;
   term : (unit -> ledger) Cmdliner.Term.t;
 }
-(** One experiment.  Its closure applies [--geometry], arms the
+(** One experiment.  Its closure installs [--geometry] (or the default
+    geometry) as {!Sim.Geometry.ambient}, arms the
     checkers given on its command line, and, per DESIGN.md §9's checker
     serialization, clamps the job count to 1 when the flight recorder or
     lockcheck is armed (both keep host-global state; heapcheck shards). *)
@@ -59,10 +63,6 @@ val cmd : ((unit -> ledger) -> 'a) -> t -> 'a Cmdliner.Cmd.t
 val jobs_flag : int Cmdliner.Term.t
 val geometry_flag : Sim.Geometry.t option Cmdliner.Term.t
 val alloc_conv : Baseline.Allocator.which Cmdliner.Arg.conv
-
-val init_geometry : string -> unit
-(** [init_geometry prog] installs [KMA_GEOMETRY]; a bad spec exits 2.
-    Call it before parsing, so [--geometry] overrides it. *)
 
 val with_heapcheck : Heapcheck.mode option -> (unit -> 'a) -> 'a
 (** Arm the heap checker around a run and print its report.

@@ -557,11 +557,6 @@ let absorb = function
               st.viols <- v :: st.viols)
             h.hviols)
 
-let violations () =
-  match state () with
-  | None -> []
-  | Some st -> List.rev_map (fun v -> (v.rule, v.detail)) st.viols
-
 let violation_count () = match state () with None -> 0 | Some st -> st.nviol
 let check_count () = match state () with None -> 0 | Some st -> st.checks
 

@@ -170,8 +170,6 @@ val absorb : harvest option -> unit
 
 (** {1 Results (host-side)} *)
 
-val violations : unit -> (rule * string) list
-(** All recorded violations, oldest first (empty when disabled). *)
 
 val violation_count : unit -> int
 val check_count : unit -> int

@@ -222,7 +222,8 @@ let execute cfg trace =
   let m =
     Machine.create
       (Config.make ~ncpus:cfg.ncpus ~memory_words:cfg.memory_words
-         ~cache_lines:0 ())
+         ~geometry:{ Geometry.default with cache_lines = 0 }
+         ())
   in
   let params = Kma.Params.make ~vmblk_pages:cfg.vmblk_pages ~debug:cfg.debug () in
   let k = Kma.Kmem.create m ~params () in

@@ -19,8 +19,6 @@ let get (kmem : Kmem.t) ~bytes =
         (Printf.sprintf "Kma.Cookie: %d bytes exceeds the largest class"
            bytes)
 
-let size_index c = c.si
-let bytes (kmem : Kmem.t) c = (Ctx.params kmem).Params.sizes_bytes.(c.si)
 
 let try_alloc (kmem : Kmem.t) c =
   let a = Kmem.alloc_class kmem ~si:c.si in

@@ -22,9 +22,6 @@ val of_bytes_host : Kmem.t -> bytes:int -> t
 (** Host-side cookie construction, for cookies a real kernel would have
     baked in at compile time. *)
 
-val size_index : t -> int
-val bytes : Kmem.t -> t -> int
-(** Block size of the cookie's class. *)
 
 val alloc : Kmem.t -> t -> int
 (** [alloc kmem c] is [KMEM_ALLOC_COOKIE]: 13 instructions warm.

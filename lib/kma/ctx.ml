@@ -41,5 +41,3 @@ let make_pressure_state ~ncpus ~(params : Params.t) =
     clean_allocs = 0;
   }
 
-let desired_target t si = t.pressure.desired_targets.(si)
-let desired_gbltarget t si = t.pressure.desired_gbltargets.(si)

@@ -67,8 +67,3 @@ val make_pressure_state : ncpus:int -> params:Params.t -> pressure_state
 (** A disabled pressure state with every target at its {!Params}
     default (boot-time, host-side). *)
 
-val desired_target : t -> int -> int
-(** [desired_target t si]: the adaptive [target] for class [si]
-    (equals the {!Params} default until {!Pressure} shrinks it). *)
-
-val desired_gbltarget : t -> int -> int

@@ -39,7 +39,7 @@ let make (cfg : Sim.Config.t) (p : Params.t) =
   let nsizes = Params.nsizes p in
   let page_words = Params.page_words p in
   let page_shift = log2 page_words in
-  let line = cfg.Sim.Config.line_words in
+  let line = cfg.Sim.Config.geometry.line_words in
   let pd_words = 8 in
   let pcc_words = round_up 16 line in
   let gbl_words = round_up 24 line in
@@ -65,7 +65,7 @@ let make (cfg : Sim.Config.t) (p : Params.t) =
      records exist whether or not the per-node global layer is enabled
      (the flat layer simply only ever touches node 0's). *)
   align_to line;
-  let global_base = take (cfg.Sim.Config.nodes * nsizes * gbl_words) in
+  let global_base = take (cfg.Sim.Config.geometry.nodes * nsizes * gbl_words) in
   (* Coalesce-to-page radix structures: lock line, minhint, then one list
      head per possible free count (1 .. blocks_per_page). *)
   let pagepool_bases =
@@ -104,7 +104,7 @@ let make (cfg : Sim.Config.t) (p : Params.t) =
   {
     params = p;
     ncpus = cfg.Sim.Config.ncpus;
-    nnodes = cfg.Sim.Config.nodes;
+    nnodes = cfg.Sim.Config.geometry.nodes;
     nsizes;
     line_words = line;
     page_words;

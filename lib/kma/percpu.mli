@@ -31,9 +31,6 @@ exception Corruption of string
 (** Raised by the debug kernel ([Params.debug]) on a detected
     use-after-free write or double free. *)
 
-val poison : int
-(** The debug-kernel poison pattern written over words 3+ of freed
-    blocks. *)
 
 val o_main_head : int
 val o_main_cnt : int

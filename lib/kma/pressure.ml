@@ -235,13 +235,6 @@ let with_retries (ctx : Ctx.t) (attempt : unit -> int) =
 
 (* --- host-side oracles --- *)
 
-let desired_target (ctx : Ctx.t) ~si = (state ctx).Ctx.desired_targets.(si)
-
-let desired_gbltarget (ctx : Ctx.t) ~si =
-  (state ctx).Ctx.desired_gbltargets.(si)
-
 let at_defaults (ctx : Ctx.t) =
   recount ctx;
   (state ctx).Ctx.below_default = 0
-
-let denial_streak (ctx : Ctx.t) = (state ctx).Ctx.denial_streak

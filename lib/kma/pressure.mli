@@ -46,33 +46,18 @@ val reap : Ctx.t -> full:bool -> int
     halves of this CPU's caches and empty the global layer, so every
     drainable page goes back.  Emits a [Reap] flight-recorder event. *)
 
-val note_denial : Ctx.t -> unit
-(** [note_denial ctx] records an allocation-visible denial:
-    multiplicative shrink of every class's adaptive bounds (emitting
-    [Target_adjust] events).  No-op while disabled. *)
-
-val note_success : Ctx.t -> unit
-(** [note_success ctx] gives the subsystem a chance to recover: after
-    4 denial-free VM grants or 64 denial-free successful allocations,
-    one additive step back toward the defaults.  A single host branch
-    once fully recovered. *)
-
 val with_retries : Ctx.t -> (unit -> int) -> int
 (** [with_retries ctx attempt] is [attempt ()] with the bounded
     reap-and-retry path of {!Kmem.try_alloc} wrapped around it when
-    the subsystem is enabled: on a 0 result, shrink ({!note_denial}),
-    {!reap} (light first, full from the second retry on) and try
-    again, up to 8 times — stopping early once a full reap
-    reclaims nothing while the VM system is empty.  Returns 0 only
-    when the retries are exhausted or provably hopeless. *)
+    the subsystem is enabled: on a 0 result, halve every class's
+    adaptive bounds (emitting [Target_adjust] events), {!reap} (light
+    first, full from the second retry on) and try again, up to 8 times
+    — stopping early once a full reap reclaims nothing while the VM
+    system is empty.  A success counts toward recovery (the policy
+    above).  Returns 0 only when the retries are exhausted or provably
+    hopeless. *)
 
 (** {1 Host-side oracles} *)
 
-val desired_target : Ctx.t -> si:int -> int
-val desired_gbltarget : Ctx.t -> si:int -> int
-
 val at_defaults : Ctx.t -> bool
 (** Every adaptive bound is back at its {!Params} default. *)
-
-val denial_streak : Ctx.t -> int
-(** Consecutive denials since the last completed recovery step. *)

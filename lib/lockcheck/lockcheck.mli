@@ -44,8 +44,6 @@ exception Violation of string
 (** The three invariants checked. *)
 type rule = Lock_order | Irq_discipline | Vm_hold
 
-val rule_name : rule -> string
-(** ["lock-order"], ["irq-discipline"], ["vm-hold"]. *)
 
 (** {1 Lifecycle} *)
 

@@ -79,7 +79,7 @@ let local_addr t ~cpu ~c =
 let create machine =
   let cfg = Machine.config machine in
   let mem = Machine.memory machine in
-  let line = cfg.Config.line_words in
+  let line = cfg.Config.geometry.line_words in
   let round_line x = (x + line - 1) / line * line in
   let ncpus = cfg.Config.ncpus in
   let heads_base = round_line 1024 in
@@ -380,10 +380,3 @@ let free_blocks_oracle t ~c =
     n := !n + (Memory.get mem (local_addr t ~cpu ~c) land addr_mask)
   done;
   !n
-
-let total_free_words_oracle t =
-  let total = ref 0 in
-  for c = 0 to nclasses - 1 do
-    total := !total + (free_blocks_oracle t ~c * words_of c)
-  done;
-  !total

@@ -67,6 +67,3 @@ val free_blocks_oracle : t -> c:int -> int
 (** Blocks of class [c] currently free: shared batches plus every CPU's
     private stack.  Only meaningful at quiescence. *)
 
-val total_free_words_oracle : t -> int
-(** Free words across all classes (conservation partner of the blocks
-    held by callers). *)

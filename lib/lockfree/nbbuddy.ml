@@ -73,7 +73,7 @@ let hint_addr t ~cpu ~c = t.hints_base + (cpu * t.hint_stride) + c
 let create machine =
   let cfg = Machine.config machine in
   let mem = Machine.memory machine in
-  let line = cfg.Config.line_words in
+  let line = cfg.Config.geometry.line_words in
   let round_line x = (x + line - 1) / line * line in
   let ncpus = cfg.Config.ncpus in
   let hints_base = round_line 1024 in

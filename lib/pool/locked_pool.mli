@@ -8,5 +8,3 @@ type 'a t
 val create : ctor:(unit -> 'a) -> ?reset:('a -> unit) -> unit -> 'a t
 val alloc : 'a t -> 'a
 val release : 'a t -> 'a -> unit
-val with_obj : 'a t -> ('a -> 'b) -> 'b
-val stats : 'a t -> Pstats.t

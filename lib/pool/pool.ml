@@ -176,26 +176,8 @@ let flush_local t =
   | [] -> ()
   | items -> deposit_partial t sl items
 
-let refill t ~batches =
-  if batches < 0 then invalid_arg "Pool.refill: batches < 0";
-  let sl = slot t in
-  let kept = ref 0 in
-  (try
-     for _ = 1 to batches do
-       (* Stop constructing as soon as the depot reports full: one
-          speculative batch at most goes to the GC. *)
-       let tgt = target_at t (Atomic.get t.level) in
-       let batch = List.init tgt (fun _ -> t.ctor ()) in
-       if deposit t sl batch then raise Exit;
-       incr kept;
-       sl.st.prefills <- sl.st.prefills + 1
-     done
-   with Exit -> ());
-  !kept
-
 let stats t = t.stats
 let mode t = t.mode
-let target t = t.base_target
 let current_target t = target_at t (Atomic.get t.level)
 let depot_bound t = bound_at t (Atomic.get t.level)
 let depot_batches t = Depot.batches t.depot

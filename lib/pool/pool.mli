@@ -83,19 +83,8 @@ val flush_local : 'a t -> unit
 (** [flush_local t] drains the calling domain's magazine to the depot
     (call before a domain exits to keep its stock usable by others). *)
 
-val refill : 'a t -> batches:int -> int
-(** [refill t ~batches] constructs up to [batches] full target-sized
-    batches with [ctor] and deposits them, stopping early once the
-    depot is full; returns the number kept.  This is the SpeedMalloc
-    dedicated-allocation-core hook (PAPERS.md): a domain that loops on
-    [refill] keeps worker domains from ever paying constructor cost.
-    @raise Invalid_argument if [batches < 0]. *)
-
 val stats : 'a t -> Pstats.t
 val mode : 'a t -> mode
-
-val target : 'a t -> int
-(** The configured (base) magazine target. *)
 
 val current_target : 'a t -> int
 (** The current level's magazine target ([= target] in [`Fixed]

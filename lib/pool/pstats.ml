@@ -12,7 +12,6 @@ type cell = {
   mutable depot_acquires : int;
   mutable depot_contended : int;
   mutable grows : int;
-  mutable prefills : int;
 }
 
 type t = { cells : cell list Atomic.t }
@@ -31,7 +30,6 @@ let register t =
       depot_acquires = 0;
       depot_contended = 0;
       grows = 0;
-      prefills = 0;
     }
   in
   let rec push () =
@@ -52,7 +50,6 @@ let drops t = sum t (fun c -> c.drops)
 let depot_acquires t = sum t (fun c -> c.depot_acquires)
 let depot_contended t = sum t (fun c -> c.depot_contended)
 let grows t = sum t (fun c -> c.grows)
-let prefills t = sum t (fun c -> c.prefills)
 
 type snapshot = {
   s_allocs : int;
@@ -65,7 +62,6 @@ type snapshot = {
   s_depot_contended : int;
   s_grows : int;
   s_shrinks : int;
-  s_prefills : int;
 }
 
 let read t =
@@ -80,7 +76,6 @@ let read t =
     s_depot_contended = depot_contended t;
     s_grows = grows t;
     s_shrinks = 0;
-    s_prefills = prefills t;
   }
 
 let magazine_hit_rate t =

@@ -23,8 +23,7 @@ type t
     (allocations no layer could satisfy); [drops] batches released to
     the GC on depot overflow; [depot_acquires] data-path depot-lock
     acquisitions, of which [depot_contended] found the lock held;
-    [grows] adaptive level steps; [prefills] batches constructed and
-    deposited by [Pool.refill]. *)
+    [grows] adaptive level steps. *)
 type cell = {
   mutable allocs : int;
   mutable frees : int;
@@ -35,7 +34,6 @@ type cell = {
   mutable depot_acquires : int;
   mutable depot_contended : int;
   mutable grows : int;
-  mutable prefills : int;
 }
 
 val create : unit -> t
@@ -51,10 +49,6 @@ val creates : t -> int
 val depot_gets : t -> int
 val depot_puts : t -> int
 val drops : t -> int
-val depot_acquires : t -> int
-val depot_contended : t -> int
-val grows : t -> int
-val prefills : t -> int
 
 type snapshot = {
   s_allocs : int;
@@ -67,7 +61,6 @@ type snapshot = {
   s_depot_contended : int;
   s_grows : int;
   s_shrinks : int;  (** always 0: the adaptive level never shrinks *)
-  s_prefills : int;
 }
 
 val read : t -> snapshot

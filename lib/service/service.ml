@@ -40,7 +40,6 @@ type config = {
   requests : int;  (* per domain *)
   seed : int;
   mode : Pool.mode;
-  refill : bool;
   target : int;
   depot_batches : int;
   arrival : arrival;
@@ -54,7 +53,6 @@ let default ~scenario =
     requests = 100_000;
     seed = 42;
     mode = `Fixed;
-    refill = false;
     target = 16;
     depot_batches = 32;
     arrival = `Closed;
@@ -214,7 +212,6 @@ let run cfg =
   let n = cfg.domains in
   let mailboxes = Array.init n (fun _ -> Atomic.make []) in
   let active = Atomic.make n in
-  let stop_refill = Atomic.make false in
   let hists = Array.init n (fun _ -> Hist.create ()) in
   let reqdone = Array.make n 0 in
   let drain_mailbox di =
@@ -270,30 +267,10 @@ let run cfg =
     drain_mailbox di;
     Pool.flush_local pool
   in
-  let refiller () =
-    let pass () =
-      let stocked = Pool.depot_batches pool in
-      let bound = Pool.depot_bound pool in
-      if stocked < max 1 (bound / 2) then
-        ignore (Pool.refill pool ~batches:(bound - stocked))
-      else Domain.cpu_relax ()
-    in
-    (* One unconditional stocking pass before looking at the stop flag:
-       even on a single-core host where the workers can finish before
-       this domain ever gets a slice, [refill:true] always stocks the
-       depot at least once. *)
-    pass ();
-    while not (Atomic.get stop_refill) do
-      pass ()
-    done
-  in
   let t_start = now64 () in
-  let refill_dom = if cfg.refill then Some (Domain.spawn refiller) else None in
   let doms = List.init n (fun di -> Domain.spawn (worker di)) in
   List.iter Domain.join doms;
   let wall_ns = Int64.to_int (Int64.sub (now64 ()) t_start) in
-  Atomic.set stop_refill true;
-  Option.iter Domain.join refill_dom;
   (* Belt and braces: workers leave every mailbox empty, but sweep so
      accounting cannot leak even if a shape changes. *)
   Array.iter (fun mb -> List.iter (Pool.release pool) (mailbox_take mb)) mailboxes;
@@ -358,11 +335,11 @@ let to_string o =
     if s.Pstats.s_allocs = 0 then 0.
     else float_of_int s.Pstats.s_depot_gets /. float_of_int s.Pstats.s_allocs);
   Printf.bprintf b
-    "  depot: acquires %d  contended %d (rate %s)  drops %d  prefills %d\n"
+    "  depot: acquires %d  contended %d (rate %s)  drops %d\n"
     s.Pstats.s_depot_acquires s.Pstats.s_depot_contended
     (if Float.is_nan o.o_contention then "-"
      else Printf.sprintf "%.4f" o.o_contention)
-    s.Pstats.s_drops s.Pstats.s_prefills;
+    s.Pstats.s_drops;
   Printf.bprintf b
     "  geometry: target %d  depot bound %d  grows %d\n" o.o_final_target
     o.o_final_bound s.Pstats.s_grows;

@@ -15,12 +15,7 @@
     {!Hist} histograms (p50/p99/p999); depot contention, drops, and
     adaptation steps come out of {!Pstats}.  The request *count* and
     every allocation decision are deterministic from [seed]; timings
-    and contention are the machine's own.
-
-    With [refill] a dedicated extra domain keeps the depot stocked
-    between a low watermark and its bound (SpeedMalloc's dedicated
-    allocation core, PAPERS.md), so workers never pay constructor
-    cost in steady state. *)
+    and contention are the machine's own. *)
 
 module Hist = Hist
 (** Re-exported: the latency histograms the harness fills. *)
@@ -50,7 +45,6 @@ type config = {
   requests : int;  (** per domain *)
   seed : int;
   mode : Pool.mode;
-  refill : bool;  (** dedicated depot-refill domain *)
   target : int;
   depot_batches : int;
   arrival : arrival;
@@ -58,8 +52,8 @@ type config = {
 }
 
 val default : scenario:string -> config
-(** 2 domains, 100k requests each, seed 42, [`Fixed], no refill,
-    target 16, 32 depot batches, closed loop, 256-byte objects. *)
+(** 2 domains, 100k requests each, seed 42, [`Fixed], target 16, 32
+    depot batches, closed loop, 256-byte objects. *)
 
 type domain_stat = {
   d_index : int;
@@ -99,5 +93,3 @@ val run : config -> outcome
 
 val to_string : outcome -> string
 (** Multi-line human-readable report (the [kma_bench service] body). *)
-
-val mode_name : Pool.mode -> string

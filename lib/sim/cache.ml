@@ -87,6 +87,7 @@ type percpu = {
    implies the sharer set is exactly that CPU. *)
 type t = {
   cfg : Config.t;
+  geometry : Geometry.t; (* [cfg.geometry]: the costs every access reads *)
   line_shift : int;
   set_mask : int; (* line land set_mask = the line's set index *)
   set_capacity : int; (* resident lines allowed per set (ways, or the
@@ -136,17 +137,22 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
+(* Cycles per access to the uncacheable region, hit or not. *)
+let uncached_cost = 40
+
 let create (cfg : Config.t) =
-  let nlines = cfg.memory_words / cfg.line_words in
+  let g = cfg.geometry in
+  let nlines = cfg.memory_words / g.line_words in
   (* ways = 0 is the fully-associative paper-era default: one set, one
      FIFO over the whole cache.  Geometry validation guarantees a
      power-of-two set count otherwise. *)
-  let nsets = if cfg.ways = 0 then 1 else cfg.cache_lines / cfg.ways in
-  let set_capacity = if cfg.ways = 0 then cfg.cache_lines else cfg.ways in
+  let nsets = if g.ways = 0 then 1 else g.cache_lines / g.ways in
+  let set_capacity = if g.ways = 0 then g.cache_lines else g.ways in
   let swords = (cfg.ncpus + 31) / 32 in
   {
     cfg;
-    line_shift = log2 cfg.line_words;
+    geometry = g;
+    line_shift = log2 g.line_words;
     set_mask = nsets - 1;
     set_capacity;
     uncached_base = cfg.memory_words - cfg.uncached_words;
@@ -162,9 +168,9 @@ let create (cfg : Config.t) =
             set_nres = Array.make nsets 0;
             nresident = 0;
           });
-    nnodes = cfg.nodes;
+    nnodes = g.nodes;
     node_of = Array.init cfg.ncpus (fun cpu -> Config.node_of cfg cpu);
-    lines_per_node = (nlines + cfg.nodes - 1) / cfg.nodes;
+    lines_per_node = (nlines + g.nodes - 1) / g.nodes;
     trace = None;
   }
 
@@ -233,7 +239,9 @@ let drop_copy t line cpu =
 (* Make room in [cpu]'s target set if bounded and full, FIFO order. *)
 let rec evict_if_full t cpu set =
   let pc = Array.unsafe_get t.cpus cpu in
-  if t.cfg.cache_lines > 0 && Array.unsafe_get pc.set_nres set >= t.set_capacity
+  if
+    t.geometry.cache_lines > 0
+    && Array.unsafe_get pc.set_nres set >= t.set_capacity
   then begin
     let f = Array.unsafe_get pc.fifos set in
     if f.len = 0 then
@@ -264,7 +272,8 @@ let insert_copy t line cpu =
     Array.unsafe_set pc.set_nres set (Array.unsafe_get pc.set_nres set + 1);
     (* The FIFO only feeds eviction; an unbounded cache never evicts,
        so skip the ring entirely. *)
-    if t.cfg.cache_lines > 0 then fifo_push (Array.unsafe_get pc.fifos set) line
+    if t.geometry.cache_lines > 0 then
+      fifo_push (Array.unsafe_get pc.fifos set) line
   end
 
 (* Invalidate every copy other than [cpu]'s; returns how many were
@@ -344,7 +353,7 @@ let[@inline never] violation ~cpu a kind o =
             a o))
 
 let access t ~cpu a kind =
-  let cfg = t.cfg in
+  let g = t.geometry in
   let line = a lsr t.line_shift in
   let pc = t.cpus.(cpu) in
   let st = pc.st in
@@ -354,7 +363,7 @@ let access t ~cpu a kind =
   | Rmw -> st.rmws <- st.rmws + 1);
   if a >= t.uncached_base then begin
     (* Uncacheable device-register space: every access goes to the bus. *)
-    let cost = cfg.uncached_cost in
+    let cost = uncached_cost in
     st.misses <- st.misses + 1;
     st.stall_cycles <- st.stall_cycles + cost;
     (match t.trace with
@@ -378,16 +387,16 @@ let access t ~cpu a kind =
        [node_c2c_cost]. *)
   let miss_extra =
     if numa && home_node t line <> Array.unsafe_get t.node_of cpu then
-      cfg.node_miss_cost
+      g.node_miss_cost
     else 0
   in
   let c2c_extra =
     if numa && dirty_elsewhere then begin
       let my = Array.unsafe_get t.node_of cpu in
       let own = Array.unsafe_get t.node_of dirty in
-      let e = if own <> my then cfg.node_c2c_cost else 0 in
+      let e = if own <> my then g.node_c2c_cost else 0 in
       let h = home_node t line in
-      if h <> my && h <> own then e + cfg.node_miss_cost else e
+      if h <> my && h <> own then e + g.node_miss_cost else e
     end
     else 0
   in
@@ -408,13 +417,13 @@ let access t ~cpu a kind =
             Array.unsafe_set t.dirty line (-1);
             insert_copy t line cpu;
             if c2c_extra > 0 then st.remote <- st.remote + 1;
-            cfg.c2c_cost + c2c_extra
+            g.c2c_cost + c2c_extra
           end
           else begin
             st.misses <- st.misses + 1;
             insert_copy t line cpu;
             if miss_extra > 0 then st.remote <- st.remote + 1;
-            cfg.miss_cost + miss_extra
+            g.miss_cost + miss_extra
           end
         end
     | Store | Rmw ->
@@ -437,16 +446,16 @@ let access t ~cpu a kind =
                 if
                   numa
                   && remote_holder t line cpu (Array.unsafe_get t.node_of cpu)
-                then cfg.node_c2c_cost
+                then g.node_c2c_cost
                 else 0
               in
               if e > 0 then st.remote <- st.remote + 1;
-              cfg.upgrade_cost + e
+              g.upgrade_cost + e
             end
             else if dirty_elsewhere then begin
               st.c2c <- st.c2c + 1;
               if c2c_extra > 0 then st.remote <- st.remote + 1;
-              cfg.c2c_cost + c2c_extra
+              g.c2c_cost + c2c_extra
             end
             else begin
               st.misses <- st.misses + 1;
@@ -458,15 +467,15 @@ let access t ~cpu a kind =
                     numa
                     && remote_holder t line cpu
                          (Array.unsafe_get t.node_of cpu)
-                  then cfg.node_c2c_cost
+                  then g.node_c2c_cost
                   else 0
                 in
                 if e > 0 then st.remote <- st.remote + 1;
-                cfg.upgrade_cost + cfg.miss_cost + e
+                g.upgrade_cost + g.miss_cost + e
               end
               else begin
                 if miss_extra > 0 then st.remote <- st.remote + 1;
-                cfg.miss_cost + miss_extra
+                g.miss_cost + miss_extra
               end
             end
           in

@@ -5,9 +5,9 @@
     Memory-Allocator Cache Profile") attributes the allocators'
     performance gap almost entirely to which accesses miss and who
     services them, and this module is where those misses are decided
-    and priced.  Geometry and costs come from {!Config} (ultimately
-    {!Geometry}), so the paper's informal "what if the cache were
-    shaped differently" arguments are runnable (experiment E12).
+    and priced.  Shape and costs come from the machine's {!Geometry},
+    so the paper's informal "what if the cache were shaped differently"
+    arguments are runnable (experiment E12).
 
     The model tracks, for every cache line, which CPUs hold a copy and
     which CPU (if any) holds it modified.  Exclusive and Shared are
@@ -20,7 +20,8 @@
     - load miss serviced from another CPU's modified line: [c2c_cost];
     - store to a line shared with other CPUs: [upgrade_cost] (bus
       invalidation round), plus [miss_cost] or [c2c_cost] if not resident;
-    - atomic read-modify-write: as a store, plus [rmw_cost].
+    - atomic read-modify-write: as a store, plus [rmw_cost];
+    - any access to the uncacheable region at the top of memory: 40.
 
     When [cache_lines] is positive, each CPU's cache is bounded and lines
     are evicted FIFO, so capacity misses occur; with [0] the caches are

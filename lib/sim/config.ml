@@ -1,40 +1,10 @@
 type t = {
   ncpus : int;
   memory_words : int;
-  line_words : int;
-  cache_lines : int;
-  ways : int;
-  insn_cost : int;
-  miss_cost : int;
-  c2c_cost : int;
-  upgrade_cost : int;
-  rmw_cost : int;
-  nodes : int;
-  node_miss_cost : int;
-  node_c2c_cost : int;
-  irq_cost : int;
-  spin_cost : int;
+  geometry : Geometry.t;
   uncached_words : int;
-  uncached_cost : int;
   bus_model : bool;
-  bus_occupancy_div : int;
-  mhz : int;
 }
-
-let geometry t =
-  {
-    Geometry.line_words = t.line_words;
-    cache_lines = t.cache_lines;
-    ways = t.ways;
-    insn_cost = t.insn_cost;
-    miss_cost = t.miss_cost;
-    c2c_cost = t.c2c_cost;
-    upgrade_cost = t.upgrade_cost;
-    rmw_cost = t.rmw_cost;
-    nodes = t.nodes;
-    node_miss_cost = t.node_miss_cost;
-    node_c2c_cost = t.node_c2c_cost;
-  }
 
 (* The only remaining width cap in the simulator: the scheduler heap
    packs (time, id) into one int with [Machine.id_bits] bits of id, and
@@ -50,91 +20,41 @@ let validate t =
   check
     (t.ncpus >= 1 && t.ncpus <= max_cpus)
     (Printf.sprintf "ncpus must be in [1, %d]" max_cpus);
-  Geometry.validate (geometry t);
-  check (t.nodes <= t.ncpus) "nodes must not exceed ncpus";
+  Geometry.validate t.geometry;
+  check (t.geometry.nodes <= t.ncpus) "nodes must not exceed ncpus";
   check (t.memory_words > 0) "memory_words must be positive";
   check
-    (t.memory_words mod t.line_words = 0)
+    (t.memory_words mod t.geometry.line_words = 0)
     "memory_words must be a multiple of line_words";
-  check (t.irq_cost >= 0) "irq_cost must be non-negative";
-  check (t.spin_cost >= 1) "spin_cost must be at least 1";
   check
     (t.uncached_words >= 0 && t.uncached_words < t.memory_words)
-    "uncached_words must fit below memory_words";
-  check (t.uncached_cost >= 0) "uncached_cost must be non-negative";
-  check (t.bus_occupancy_div >= 1) "bus_occupancy_div must be >= 1";
-  check (t.mhz >= 1) "mhz must be positive"
+    "uncached_words must fit below memory_words"
 
 let default =
   {
     ncpus = 4;
     memory_words = 4 * 1024 * 1024;
-    line_words = Geometry.default.Geometry.line_words;
-    cache_lines = Geometry.default.Geometry.cache_lines;
-    ways = Geometry.default.Geometry.ways;
-    insn_cost = Geometry.default.Geometry.insn_cost;
-    miss_cost = Geometry.default.Geometry.miss_cost;
-    c2c_cost = Geometry.default.Geometry.c2c_cost;
-    upgrade_cost = Geometry.default.Geometry.upgrade_cost;
-    rmw_cost = Geometry.default.Geometry.rmw_cost;
-    nodes = Geometry.default.Geometry.nodes;
-    node_miss_cost = Geometry.default.Geometry.node_miss_cost;
-    node_c2c_cost = Geometry.default.Geometry.node_c2c_cost;
-    irq_cost = 4;
-    spin_cost = 4;
+    geometry = Geometry.default;
     uncached_words = 0;
-    uncached_cost = 40;
     bus_model = true;
-    bus_occupancy_div = 4;
-    mhz = 50;
   }
 
-let make ?geometry:geom ?ncpus ?memory_words ?line_words ?cache_lines ?ways
-    ?insn_cost ?miss_cost ?c2c_cost ?upgrade_cost ?rmw_cost ?nodes
-    ?node_miss_cost ?node_c2c_cost ?irq_cost ?spin_cost ?uncached_words
-    ?uncached_cost ?bus_model ?bus_occupancy_div ?mhz () =
-  (* Three layers of defaults, outermost wins: the compiled-in
-     [default], then the [?geometry] record, then any explicit
-     per-field argument. *)
-  let g =
-    match geom with Some g -> g | None -> geometry default
-  in
-  let pick field fallback =
-    match field with Some v -> v | None -> fallback
-  in
-  let dfl = pick in
-  let t =
-    {
-      ncpus = dfl ncpus default.ncpus;
-      memory_words = dfl memory_words default.memory_words;
-      line_words = pick line_words g.Geometry.line_words;
-      cache_lines = pick cache_lines g.Geometry.cache_lines;
-      ways = pick ways g.Geometry.ways;
-      insn_cost = pick insn_cost g.Geometry.insn_cost;
-      miss_cost = pick miss_cost g.Geometry.miss_cost;
-      c2c_cost = pick c2c_cost g.Geometry.c2c_cost;
-      upgrade_cost = pick upgrade_cost g.Geometry.upgrade_cost;
-      rmw_cost = pick rmw_cost g.Geometry.rmw_cost;
-      nodes = pick nodes g.Geometry.nodes;
-      node_miss_cost = pick node_miss_cost g.Geometry.node_miss_cost;
-      node_c2c_cost = pick node_c2c_cost g.Geometry.node_c2c_cost;
-      irq_cost = dfl irq_cost default.irq_cost;
-      spin_cost = dfl spin_cost default.spin_cost;
-      uncached_words = dfl uncached_words default.uncached_words;
-      uncached_cost = dfl uncached_cost default.uncached_cost;
-      bus_model = dfl bus_model default.bus_model;
-      bus_occupancy_div = dfl bus_occupancy_div default.bus_occupancy_div;
-      mhz = dfl mhz default.mhz;
-    }
-  in
+let make ?(geometry = default.geometry) ?(ncpus = default.ncpus)
+    ?(memory_words = default.memory_words)
+    ?(uncached_words = default.uncached_words)
+    ?(bus_model = default.bus_model) () =
+  let t = { ncpus; memory_words; geometry; uncached_words; bus_model } in
   validate t;
   t
 
-let seconds_of_cycles t cycles = float_of_int cycles /. (float_of_int t.mhz *. 1e6)
+let mhz = 50
+let seconds_of_cycles _ cycles =
+  float_of_int cycles /. (float_of_int mhz *. 1e6)
 
 (* CPU-to-node mapping, shared by the cache model, the machine's
    per-node buses, and the NUMA-aware kma global layer so they can
    never disagree about topology: contiguous blocks, last node possibly
    short when nodes does not divide ncpus. *)
-let cpus_per_node t = (t.ncpus + t.nodes - 1) / t.nodes
-let node_of t cpu = if t.nodes = 1 then 0 else cpu / cpus_per_node t
+let node_of t cpu =
+  let nodes = t.geometry.nodes in
+  if nodes = 1 then 0 else cpu / ((t.ncpus + nodes - 1) / nodes)

@@ -1,5 +1,4 @@
-(** Cost model and machine parameters for the simulated shared-memory
-    multiprocessor.
+(** Machine parameters for the simulated shared-memory multiprocessor.
 
     All costs are in CPU cycles.  The defaults are loosely calibrated to a
     50 MHz 80486-based Sequent Symmetry: a fast pipeline relative to its
@@ -8,58 +7,28 @@
     microsecond numbers; they are chosen so that the *relative* behaviour
     (coherence-miss domination, lock-contention collapse) is realistic.
 
-    The cache-shaped subset of these fields (line size, capacity,
-    associativity, per-access costs) is a {!Geometry.t}: pass one to
-    {!make} — typically parsed at run time from [--geometry] or the
-    [KMA_GEOMETRY] environment — to sweep cache geometry without
-    recompiling.  See the paper's Design section cache-profile analysis,
-    which this turns into an experiment axis (E12). *)
+    The cache shape and the per-access costs (line size, capacity,
+    associativity, miss, remote-dirty, upgrade and RMW costs, NUMA
+    nodes) are one {!Geometry.t}, the only way to set them: the drivers
+    parse one from [--geometry], which turns the paper's Design section
+    cache-profile analysis into an experiment axis (E12).  The costs no
+    experiment varies (interrupt toggle, spin pause, bus occupancy,
+    uncached access, clock rate) are constants of the module that
+    charges them. *)
 
 type t = {
   ncpus : int;  (** number of simulated CPUs *)
   memory_words : int;  (** size of simulated physical memory, in words *)
-  line_words : int;  (** cache-line size in words; must be a power of two *)
-  cache_lines : int;
-      (** per-CPU cache capacity in lines; [0] means unbounded *)
-  ways : int;
-      (** set associativity (lines per set); [0] means fully
-          associative.  When positive it must divide [cache_lines] with
-          a power-of-two set count; replacement is FIFO within a set. *)
-  insn_cost : int;  (** base cost of any instruction *)
-  miss_cost : int;  (** extra cycles for a miss serviced from memory *)
-  c2c_cost : int;
-      (** extra cycles for a miss serviced from another CPU's dirty line *)
-  upgrade_cost : int;
-      (** extra cycles to upgrade a shared line to exclusive (bus
-          invalidation round) *)
-  rmw_cost : int;  (** extra pipeline-stall cycles for an atomic RMW *)
-  nodes : int;
-      (** NUMA nodes (contiguous CPU blocks, address-range memory
-          homes); [1] = the flat paper machine, bit-identical to the
-          pre-NUMA model *)
-  node_miss_cost : int;
-      (** extra cycles for a miss serviced by remote-node memory (and
-          the third directory hop of an off-node dirty transfer) *)
-  node_c2c_cost : int;
-      (** extra cycles when a dirty transfer or invalidation crosses
-          the node interconnect *)
-  irq_cost : int;  (** cost of disabling or enabling interrupts *)
-  spin_cost : int;  (** cost of one spin-wait pause iteration *)
+  geometry : Geometry.t;  (** cache shape and per-access costs *)
   uncached_words : int;
       (** size of the uncacheable region at the top of memory (device
-          registers); accesses there always pay [uncached_cost] *)
-  uncached_cost : int;  (** cycles per access to the uncacheable region *)
+          registers); every access there goes to the bus *)
   bus_model : bool;
       (** model the shared system bus as a single queued resource: every
           off-chip transfer (miss, cache-to-cache, upgrade, uncached
           access) queues for the bus, so misses from many CPUs serialise
           — the global saturation that caps lock-based allocators on
           real shared-bus machines *)
-  bus_occupancy_div : int;
-      (** a transfer holds the bus for [stall / bus_occupancy_div]
-          cycles (min 1): a split-transaction bus is busy for the
-          request/arbitration phases, not the whole memory latency *)
-  mhz : int;  (** simulated clock rate, used to convert cycles to seconds *)
 }
 
 val default : t
@@ -71,45 +40,26 @@ val make :
   ?geometry:Geometry.t ->
   ?ncpus:int ->
   ?memory_words:int ->
-  ?line_words:int ->
-  ?cache_lines:int ->
-  ?ways:int ->
-  ?insn_cost:int ->
-  ?miss_cost:int ->
-  ?c2c_cost:int ->
-  ?upgrade_cost:int ->
-  ?rmw_cost:int ->
-  ?nodes:int ->
-  ?node_miss_cost:int ->
-  ?node_c2c_cost:int ->
-  ?irq_cost:int ->
-  ?spin_cost:int ->
   ?uncached_words:int ->
-  ?uncached_cost:int ->
   ?bus_model:bool ->
-  ?bus_occupancy_div:int ->
-  ?mhz:int ->
   unit ->
   t
 (** [make ()] is [default] with the given fields overridden.
-    [?geometry] supplies the cache-shaped fields ([line_words],
-    [cache_lines], [ways] and the access costs) in one validated
-    bundle; an explicit per-field argument still wins over it.
 
     @raise Invalid_argument if a field is out of range (e.g. [ncpus < 1],
-    [line_words] not a power of two, or [memory_words] not line-aligned). *)
+    a geometry {!Geometry.validate} rejects, or [memory_words] not a
+    whole number of cache lines). *)
 
-val geometry : t -> Geometry.t
-(** [geometry t] projects the cache-shaped subset back out of a config
-    (the exact inverse of passing [?geometry] to {!make}). *)
+val mhz : int
+(** Simulated clock rate (50 MHz), for converting cycles to seconds. *)
 
 val seconds_of_cycles : t -> int -> float
-(** [seconds_of_cycles t c] converts a cycle count to seconds at [t.mhz]. *)
+(** [seconds_of_cycles t c] converts a cycle count to seconds at {!mhz}. *)
 
 val validate : t -> unit
 (** [validate t] checks the invariants documented in {!make}, including
-    {!Geometry.validate} on the cache-shaped subset, [ncpus <=]
-    {!max_cpus} and [nodes <= ncpus].
+    {!Geometry.validate} on [t.geometry], [ncpus <=] {!max_cpus} and
+    [nodes <= ncpus].
     @raise Invalid_argument on violation. *)
 
 val max_cpus : int
@@ -119,12 +69,8 @@ val max_cpus : int
     wide enough, so a future mismatch fails at module init, not as
     silent bitmask corruption. *)
 
-val cpus_per_node : t -> int
-(** CPUs per NUMA node (last node possibly short), [ncpus] at
-    [nodes = 1]. *)
-
 val node_of : t -> int -> int
 (** [node_of t cpu] is the NUMA node of [cpu]: contiguous blocks of
-    {!cpus_per_node} CPUs.  Always [0] at [nodes = 1].  The single
-    source of topology truth for the cache model, the per-node buses
-    and the NUMA-aware global layer. *)
+    [ceil (ncpus / nodes)] CPUs, the last block possibly short.  Always
+    [0] at [nodes = 1].  The single source of topology truth for the
+    cache model, the per-node buses and the NUMA-aware global layer. *)

@@ -107,13 +107,6 @@ let of_string spec =
   | Error _ as e -> e
   | Ok g -> ( match validate g with () -> Ok g | exception Invalid_argument m -> Error m)
 
-let env_var = "KMA_GEOMETRY"
-
-let of_env () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> Ok default
-  | Some spec -> of_string spec
-
 (* The ambient geometry is written once by a driver at startup (before
    any domain is spawned) and only read afterwards, so a plain ref is
    race-free: the Domain.spawn in lib/parallel publishes it. *)

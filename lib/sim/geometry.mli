@@ -5,12 +5,12 @@
     line size against block size, per-CPU cache capacity against working
     set — to argue where coherence misses come from.  This module makes
     that axis a first-class, {e runtime} experiment parameter instead of
-    a recompile: the subset of {!Config} that describes the cache
+    a recompile: the part of a {!Config} that describes the cache
     (geometry proper: line size, capacity, associativity) together with
     the per-access cost model (hit, memory miss, remote-dirty miss,
-    invalidation round, atomic RMW), parsed from a [key=value] spec
-    string or the [KMA_GEOMETRY] environment variable, validated before
-    any machine is built.
+    invalidation round, atomic RMW), parsed from the drivers'
+    [--geometry] [key=value] spec string and validated before any
+    machine is built.
 
     A geometry never changes what the simulator {e does}, only what it
     {e charges} (and, through capacity/associativity, which accesses
@@ -77,19 +77,13 @@ val of_string : string -> (t, string) result
     invariant violation is [Error msg] — the drivers turn it into a
     usage error (non-zero exit), never an exception escaping mid-run. *)
 
-val env_var : string
-(** ["KMA_GEOMETRY"] — the environment variable both drivers consult
-    before their [--geometry] flag (the flag wins). *)
-
-val of_env : unit -> (t, string) result
-(** [of_env ()] parses {!env_var} ([Ok default] when unset or empty). *)
-
 val set_ambient : t -> unit
 (** [set_ambient g] installs [g] as the process-wide geometry that
     {!Workload.Rig.paper_config} (and so every experiment that does not
-    build its own {!Config}) picks up.  Drivers call this once at
-    startup, before any domain is spawned; tests that need a specific
-    geometry pass an explicit config instead. *)
+    build its own {!Config}) picks up.  The experiment table calls it
+    with a command's [--geometry] value before the command runs, before
+    any domain is spawned; tests that need a specific geometry pass an
+    explicit config instead. *)
 
 val ambient : unit -> t
 (** The installed geometry; {!default} until {!set_ambient} is called. *)

@@ -50,17 +50,10 @@ type cpu = {
 
 type t = {
   cfg : Config.t;
+  geometry : Geometry.t; (* [cfg.geometry]: the costs every access reads *)
   memory : Memory.t;
   cache : Cache.t;
   cpus : cpu array;
-  bus_shift : int;
-      (* log2 of bus_occupancy_div when it is a power of two (the
-         default), -1 otherwise: turns the per-transfer occupancy
-         division — on the path of every off-chip access — into a
-         shift. *)
-  spin_d : int; (* jitter modulus: 3 * spin_cost + 1 *)
-  spin_k1d : int; (* hash stride mod spin_d *)
-  spin_wd : int; (* 2^62 mod spin_d, for hash wraparound *)
   node_of : int array; (* cpu -> NUMA node (all 0 on the flat machine) *)
   bus_free : int array;
       (* Virtual instant each node's bus becomes free.  The flat
@@ -85,21 +78,28 @@ let id_bits = 10
 let id_mask = (1 lsl id_bits) - 1
 let () = assert (Config.max_cpus <= 1 lsl id_bits)
 
-(* Multiplicative stride of the spin-jitter hash (see [exec_spin]). *)
+(* Costs no experiment varies, in cycles. *)
+let irq_cost = 4 (* disabling or enabling interrupts *)
+let spin_cost = 4 (* one spin-wait pause, before jitter *)
+
+(* A bus transfer holds the bus for [stall / 4] cycles (at least 1): a
+   split-transaction bus is busy for the request/arbitration phases,
+   not the whole memory latency.  The division is a shift. *)
+let bus_occupancy_shift = 2
+
+(* The spin-jitter hash (see [exec_spin]): multiplicative stride
+   [spin_k1], modulus [spin_d], the stride mod [spin_d], and 2^62 mod
+   [spin_d] for hash wraparound. *)
 let spin_k1 = 2654435761
+let spin_d = (3 * spin_cost) + 1
+let spin_k1d = spin_k1 mod spin_d
+let spin_wd = ((max_int mod spin_d) + 1) mod spin_d
 
 let create (cfg : Config.t) =
   Config.validate cfg;
-  let spin_d = (3 * cfg.spin_cost) + 1 in
-  let bus_shift =
-    let d = cfg.bus_occupancy_div in
-    if d land (d - 1) = 0 then
-      let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-      go 0 d
-    else -1
-  in
   {
     cfg;
+    geometry = cfg.geometry;
     memory = Memory.create ~words:cfg.memory_words;
     cache = Cache.create cfg;
     cpus =
@@ -117,12 +117,8 @@ let create (cfg : Config.t) =
             parked = Done;
             sync_key = 0;
           });
-    bus_shift;
-    spin_d;
-    spin_k1d = spin_k1 mod spin_d;
-    spin_wd = ((max_int mod spin_d) + 1) mod spin_d;
     node_of = Array.init cfg.ncpus (fun cpu -> Config.node_of cfg cpu);
-    bus_free = Array.make cfg.nodes 0;
+    bus_free = Array.make cfg.geometry.nodes 0;
     heap = Array.make cfg.ncpus 0;
     heap_n = 0;
   }
@@ -233,10 +229,9 @@ let perform_op o =
    arbitration.  Top-level (not a closure inside [exec]) so the hot
    path allocates nothing. *)
 let mem_access t (c : cpu) a kind =
-  let cfg = t.cfg in
   let stall = Cache.access t.cache ~cpu:c.id a kind in
   let stall =
-    if stall > 0 && cfg.bus_model then begin
+    if stall > 0 && t.cfg.bus_model then begin
       (* The transfer waits for the requester's node bus, then holds it
          for its request/arbitration phases while the CPU stalls for
          the full transfer latency.  (One bus total on the flat
@@ -244,17 +239,13 @@ let mem_access t (c : cpu) a kind =
       let node = Array.unsafe_get t.node_of c.id in
       let free = Array.unsafe_get t.bus_free node in
       let wait = max 0 (free - c.time) in
-      let occ =
-        if t.bus_shift >= 0 then stall lsr t.bus_shift
-        else stall / cfg.bus_occupancy_div
-      in
-      let occupancy = max 1 occ in
+      let occupancy = max 1 (stall lsr bus_occupancy_shift) in
       Array.unsafe_set t.bus_free node (c.time + wait + occupancy);
       wait + stall
     end
     else stall
   in
-  cfg.insn_cost + stall
+  t.geometry.insn_cost + stall
 
 (* Per-operation executors.  Each charges cycle cost and retired
    instructions directly onto [c] and returns the operation's result
@@ -273,7 +264,7 @@ let exec_write t (c : cpu) a v =
   0
 
 let exec_cas t (c : cpu) a expected desired =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.cfg.rmw_cost;
+  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let cur = Memory.get t.memory a in
   if cur = expected then begin
@@ -286,46 +277,46 @@ let exec_cas t (c : cpu) a expected desired =
    loops re-CAS from the value that defeated them instead of paying a
    separate reload.  Same charge as [exec_cas] whether it wins or not. *)
 let exec_casv t (c : cpu) a expected desired =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.cfg.rmw_cost;
+  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let cur = Memory.get t.memory a in
   if cur = expected then Memory.set t.memory a desired;
   cur
 
 let exec_faa t (c : cpu) a n =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.cfg.rmw_cost;
+  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let old = Memory.get t.memory a in
   Memory.set t.memory a (old + n);
   old
 
 let exec_for t (c : cpu) a n =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.cfg.rmw_cost;
+  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let old = Memory.get t.memory a in
   Memory.set t.memory a (old lor n);
   old
 
 let exec_fand t (c : cpu) a n =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.cfg.rmw_cost;
+  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let old = Memory.get t.memory a in
   Memory.set t.memory a (old land n);
   old
 
 let exec_swap t (c : cpu) a v =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.cfg.rmw_cost;
+  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let old = Memory.get t.memory a in
   Memory.set t.memory a v;
   old
 
 let exec_work t (c : cpu) n =
-  c.time <- c.time + (n * t.cfg.insn_cost);
+  c.time <- c.time + (n * t.geometry.insn_cost);
   c.nretired <- c.nretired + n;
   0
 
-let exec_spin t (c : cpu) =
+let exec_spin (c : cpu) =
   (* Deterministic pseudo-random jitter.  Without it, a spinning CPU
      can phase-lock with another CPU's periodic lock/unlock pattern
      and lose the race forever — an artifact of the discrete-event
@@ -342,19 +333,19 @@ let exec_spin t (c : cpu) =
      pinned by the equivalence suite. *)
   c.nspins <- c.nspins + 1;
   let mix = ((c.nspins * spin_k1) + (c.id * 40503)) land max_int in
-  let r = c.spin_r + t.spin_k1d in
-  let r = if mix < c.spin_mix then r - t.spin_wd else r in
-  let r = if r < 0 then r + t.spin_d else r in
-  let r = if r >= t.spin_d then r - t.spin_d else r in
+  let r = c.spin_r + spin_k1d in
+  let r = if mix < c.spin_mix then r - spin_wd else r in
+  let r = if r < 0 then r + spin_d else r in
+  let r = if r >= spin_d then r - spin_d else r in
   c.spin_mix <- mix;
   c.spin_r <- r;
-  c.time <- c.time + t.cfg.spin_cost + r;
+  c.time <- c.time + spin_cost + r;
   c.nretired <- c.nretired + 1;
   0
 
-let exec_irq t (c : cpu) on =
+let exec_irq (c : cpu) on =
   c.irq_off <- on;
-  c.time <- c.time + t.cfg.irq_cost;
+  c.time <- c.time + irq_cost;
   c.nretired <- c.nretired + 1;
   0
 
@@ -370,10 +361,10 @@ let exec t (c : cpu) (o : op) : int =
   | Fand (a, n) -> exec_fand t c a n
   | Swap (a, v) -> exec_swap t c a v
   | Work n -> exec_work t c n
-  | Spin -> exec_spin t c
+  | Spin -> exec_spin c
   | Cpu_id -> c.id
   | Now -> c.time
-  | Irq on -> exec_irq t c on
+  | Irq on -> exec_irq c on
   | Sync -> 0
 
 (* Operation fronts.  Each is specialised rather than routed through
@@ -547,7 +538,7 @@ let work n =
 let spin_pause () =
   let ctx = fast_ctx () in
   match ctx.mach with
-  | Some t when may_run_ahead ctx -> ignore (exec_spin t (ahead_cpu t ctx))
+  | Some t when may_run_ahead ctx -> ignore (exec_spin (ahead_cpu t ctx))
   | _ -> ignore (perform_op Spin)
 
 let cpu_id () =
@@ -559,14 +550,14 @@ let cpu_id () =
 let irq_disable () =
   let ctx = fast_ctx () in
   match ctx.mach with
-  | Some t when may_run_ahead ctx -> ignore (exec_irq t (ahead_cpu t ctx) true)
+  | Some t when may_run_ahead ctx -> ignore (exec_irq (ahead_cpu t ctx) true)
   | _ -> ignore (perform_op (Irq true))
 
 let irq_enable () =
   let ctx = fast_ctx () in
   match ctx.mach with
   | Some t when may_run_ahead ctx ->
-      ignore (exec_irq t (ahead_cpu t ctx) false)
+      ignore (exec_irq (ahead_cpu t ctx) false)
   | _ -> ignore (perform_op (Irq false))
 
 let now () =
@@ -693,7 +684,7 @@ let wake cpu =
           if t.heap_n > 0 then begin
             let p = Array.unsafe_get t.cpus ctx.cur in
             while w.time < p.time || (w.time = p.time && w.id < p.id) do
-              ignore (exec_spin t w)
+              ignore (exec_spin w)
             done;
             heap_push t (key_of w);
             (* The sleeper may now be the earliest other pending CPU:

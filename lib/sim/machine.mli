@@ -179,7 +179,7 @@ val work : int -> unit
 
 val spin_pause : unit -> unit
 (** [spin_pause ()] charges one spin-wait pause and yields the bus.  The
-    pause costs between [spin_cost] and [4 * spin_cost] cycles, varied
+    pause costs between 4 and 16 cycles, varied
     by a deterministic per-CPU hash: the jitter models real bus
     arbitration and keeps spin loops from phase-locking against another
     CPU's periodic critical section (a livelock artifact of purely

@@ -5,7 +5,6 @@ let create ~words =
   if words <= 0 then invalid_arg "Sim.Memory.create: words must be positive";
   { words = Array.make words 0 }
 
-let size t = Array.length t.words
 
 let[@inline never] bad t a who =
   ignore (t : t);

@@ -24,8 +24,6 @@ val create : words:int -> t
 (** [create ~words] is a zero-filled memory of [words] words.
     @raise Invalid_argument if [words <= 0]. *)
 
-val size : t -> int
-(** [size t] is the number of words in [t]. *)
 
 val get : t -> addr -> int
 (** [get t a] reads word [a].

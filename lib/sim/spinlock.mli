@@ -16,7 +16,6 @@
 type t
 
 val locked_value : int
-val unlocked_value : int
 
 val init : Memory.t -> Memory.addr -> t
 (** [init mem a] initialises the word at [a] to unlocked (boot-time,

@@ -110,7 +110,6 @@ let reclaim t =
 
 let granted t = t.ngranted
 let available t = t.total - t.ngranted
-let total_pages t = t.total
 let peak_granted t = t.peak
 let grant_count t = t.grants
 let reclaim_count t = t.reclaims

@@ -48,7 +48,6 @@ val fault_rate : t -> float
 
 val granted : t -> int
 val available : t -> int
-val total_pages : t -> int
 val peak_granted : t -> int
 val grant_count : t -> int
 val reclaim_count : t -> int

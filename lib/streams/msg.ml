@@ -13,5 +13,3 @@ let db_ref = 2
 let db_type = 3
 
 let m_data = 0
-let m_proto = 1
-let m_ctl = 2

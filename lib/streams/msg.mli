@@ -32,5 +32,3 @@ val db_ref : int
 val db_type : int
 
 val m_data : int
-val m_proto : int
-val m_ctl : int

@@ -22,7 +22,6 @@ let int t ~bound =
   if bound <= 0 then invalid_arg "Workload.Prng.int: bound <= 0";
   next t mod bound
 
-let bool t = next t land 1 = 1
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Workload.Prng.pick: empty";

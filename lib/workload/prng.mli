@@ -14,7 +14,6 @@ val int : t -> bound:int -> int
 (** [int t ~bound] is uniform in [0, bound). @raise Invalid_argument if
     [bound <= 0]. *)
 
-val bool : t -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform choice. @raise Invalid_argument on an empty array. *)
 

@@ -1,7 +1,9 @@
-let paper_config ?(memory_words = 2 * 1024 * 1024) ~ncpus () =
+let memory_words = 2 * 1024 * 1024
+
+let paper_config ?(memory_words = memory_words) ~ncpus () =
   (* Cache shape and costs come from the ambient geometry (the
-     drivers' --geometry / KMA_GEOMETRY), which defaults to the
-     paper-era 256-line fully-associative caches. *)
+     command's --geometry), which defaults to the paper-era 256-line
+     fully-associative caches. *)
   Sim.Config.make ~geometry:(Sim.Geometry.ambient ()) ~ncpus ~memory_words
     ~uncached_words:512 ()
 

@@ -3,12 +3,16 @@
     caches, a slow shared bus, a patch of uncacheable register space),
     and fresh machine/allocator pairs for experiments. *)
 
+val memory_words : int
+(** The simulated memory {!paper_config} boots by default: 2 MiW
+    (8 MiB). *)
+
 val paper_config : ?memory_words:int -> ncpus:int -> unit -> Sim.Config.t
 (** The {!Sim.Geometry.ambient} cache geometry (by default the paper-era
     256-line (8 KiB) bounded caches), 512 uncacheable words at the top
     of memory, default bus costs, 50 MHz.  Because every experiment that
-    does not build its own config comes through here, a driver's
-    [--geometry] / [KMA_GEOMETRY] spec reshapes the whole suite. *)
+    does not build its own config comes through here, a command's
+    [--geometry] spec reshapes the whole experiment. *)
 
 val fresh :
   Baseline.Allocator.which ->

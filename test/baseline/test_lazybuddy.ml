@@ -1,5 +1,8 @@
 let machine ?(ncpus = 4) ?(memory_words = 131072) () =
-  Sim.Machine.create (Sim.Config.make ~ncpus ~memory_words ~cache_lines:0 ())
+  Sim.Machine.create
+    (Sim.Config.make ~ncpus ~memory_words
+       ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+       ())
 
 let on_cpu m f =
   let r = ref None in

@@ -1,6 +1,8 @@
 let machine ?(ncpus = 4) ?(memory_words = 65536) ?(uncached_words = 512) () =
   Sim.Machine.create
-    (Sim.Config.make ~ncpus ~memory_words ~cache_lines:0 ~uncached_words ())
+    (Sim.Config.make ~ncpus ~memory_words
+       ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+       ~uncached_words ())
 
 let on_cpu m f =
   let r = ref None in

@@ -4,7 +4,9 @@
 
 let build ?(ncpus = 2) () =
   let cfg =
-    Sim.Config.make ~ncpus ~memory_words:(512 * 1024) ~cache_lines:0 ()
+    Sim.Config.make ~ncpus ~memory_words:(512 * 1024)
+      ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+      ()
   in
   let m = Sim.Machine.create cfg in
   let kmem =

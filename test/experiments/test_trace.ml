@@ -2,7 +2,9 @@
 
 let machine () =
   Sim.Machine.create
-    (Sim.Config.make ~ncpus:1 ~memory_words:131072 ~cache_lines:0 ())
+    (Sim.Config.make ~ncpus:1 ~memory_words:131072
+       ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+       ())
 
 let on_cpu m f =
   let r = ref None in
@@ -133,7 +135,9 @@ let test_cyclic_handoff_deadlocks () =
   | Ok () -> Alcotest.fail "cyclic trace accepted");
   let m =
     Sim.Machine.create
-      (Sim.Config.make ~ncpus:2 ~memory_words:131072 ~cache_lines:0 ())
+      (Sim.Config.make ~ncpus:2 ~memory_words:131072
+         ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+         ())
   in
   let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
   (match replay m t a with

@@ -4,9 +4,9 @@
 
 let sections = List.map fst Rows.rows
 
-let opts ?(checks = []) ?(allocs = Experiments.Lockfree_arms.default_whichs)
-    jobs =
-  { Rows.jobs; checks; allocs }
+let opts ?geometry ?(checks = [])
+    ?(allocs = Experiments.Lockfree_arms.default_whichs) jobs =
+  { Rows.geometry; jobs; checks; allocs }
 
 let every_check = Harness.[ Lockcheck; Heapcheck; Flightrec ]
 
@@ -25,19 +25,27 @@ let test_rows_parse () =
       opts 4;
       opts ~checks:every_check 2;
       opts ~allocs:Baseline.Allocator.[ Nbbuddy; Cookie ] 1;
+      opts ~geometry:{ Sim.Geometry.default with line_words = 16 } 2;
     ]
 
 let reached o flag =
   List.filter (fun s -> List.mem flag (Rows.argv o s)) sections
 
 let test_forwarding () =
-  let armed = opts ~checks:every_check 3 in
+  let armed = opts ~geometry:Sim.Geometry.default ~checks:every_check 3 in
   let check flag expected =
     Alcotest.(check (list string)) flag expected (reached armed flag)
   in
   check "--lockcheck" [ "analysis"; "missrates"; "pressure"; "smoke" ];
   check "--heapcheck" [ "missrates"; "pressure" ];
   check "--flight-recorder" [ "missrates"; "pressure"; "smoke" ];
+  (* --geometry reaches every section that simulates a machine. *)
+  check "--geometry"
+    [
+      "analysis"; "opcounts"; "fig7"; "fig9"; "missrates"; "geometry";
+      "ablation-target"; "ablation-pagepolicy"; "crosscpu"; "lockfree"; "numa";
+      "scenarios"; "roads-not-taken"; "pressure"; "smoke";
+    ];
   check "--jobs"
     [
       "opcounts"; "fig7"; "fig9"; "geometry"; "ablation-target";

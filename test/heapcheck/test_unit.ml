@@ -10,7 +10,9 @@ let si = 4 (* 256-byte class: target 10, gbltarget 15 *)
 let kmem () =
   let m =
     Sim.Machine.create
-      (Sim.Config.make ~ncpus:4 ~memory_words:131072 ~cache_lines:0 ())
+      (Sim.Config.make ~ncpus:4 ~memory_words:131072
+         ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+         ())
   in
   let k = Kmem.create m ~params:(Params.make ~vmblk_pages:16 ()) () in
   (m, k)

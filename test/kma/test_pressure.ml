@@ -77,6 +77,34 @@ let test_retries_rescue_all_allocations () =
   Alcotest.(check int) "no allocation degraded to failure" 0
     st.Kstats.pressure_failures
 
+let test_ninth_attempt_succeeds () =
+  (* The retry bound is exactly 8: an allocation whose first 8 attempts
+     the VM system denies, and whose 9th it grants, still succeeds.
+     Injection denies every grant until the attempt itself switches it
+     off on its 9th call; pages stay available throughout, so no reap
+     ends the retries early. *)
+  let m, k = Util.kmem () in
+  Pressure.enable k;
+  let vm = Kmem.vmsys k in
+  Sim.Vmsys.set_fault_rate vm ~seed:1 1.;
+  let attempts = ref 0 in
+  let a =
+    Util.on_cpu m (fun () ->
+        Pressure.with_retries k (fun () ->
+            incr attempts;
+            if !attempts = 9 then Sim.Vmsys.set_fault_rate vm 0.;
+            Vmblk.alloc_large k ~bytes:8192))
+  in
+  let st = Kmem.stats k in
+  Alcotest.(check int) "nine attempts" 9 !attempts;
+  Alcotest.(check int) "eight injected denials" 8
+    (Sim.Vmsys.injected_denial_count vm);
+  Alcotest.(check bool) "the ninth attempt allocated" true (a <> 0);
+  Alcotest.(check int) "one allocation rescued by retries" 1
+    st.Kstats.pressure_retries;
+  Alcotest.(check int) "no allocation degraded to failure" 0
+    st.Kstats.pressure_failures
+
 let test_targets_shrink_then_converge () =
   (* Sustained denial shrinks the adaptive bounds; once the pressure
      ends, the additive recovery must walk every class all the way back
@@ -177,6 +205,8 @@ let suite =
       test_light_reap_keeps_warmth;
     Alcotest.test_case "retry-with-reap rescues all allocations" `Quick
       test_retries_rescue_all_allocations;
+    Alcotest.test_case "the ninth attempt still succeeds" `Quick
+      test_ninth_attempt_succeeds;
     Alcotest.test_case "targets shrink then converge to defaults" `Quick
       test_targets_shrink_then_converge;
     Alcotest.test_case "disable restores the default bounds" `Quick

@@ -6,7 +6,10 @@ let small_params ?targets ?gbltargets ?phys_pages () =
   Kma.Params.make ~vmblk_pages:16 ?targets ?gbltargets ?phys_pages ()
 
 let machine ?(ncpus = 4) ?(memory_words = 131072) ?(cache_lines = 0) () =
-  Sim.Machine.create (Sim.Config.make ~ncpus ~memory_words ~cache_lines ())
+  Sim.Machine.create
+    (Sim.Config.make ~ncpus ~memory_words
+       ~geometry:{ Sim.Geometry.default with cache_lines }
+       ())
 
 let kmem ?ncpus ?memory_words ?cache_lines ?targets ?gbltargets ?phys_pages
     () =

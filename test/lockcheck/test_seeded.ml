@@ -22,7 +22,10 @@ let has_violation rule sub =
     (Lockcheck.violations ())
 
 let machine ~ncpus () =
-  Machine.create (Config.make ~ncpus ~cache_lines:0 ~memory_words:65536 ())
+  Machine.create
+    (Config.make ~ncpus
+       ~geometry:{ Geometry.default with cache_lines = 0 }
+       ~memory_words:65536 ())
 
 (* The lockdep value proposition: the two runs below never deadlock —
    each takes both locks alone — yet the order cycle is detected,
@@ -117,7 +120,8 @@ let test_clean_kmem_run () =
          by with the small default machine. *)
       let m =
         Machine.create
-          (Config.make ~ncpus:2 ~cache_lines:0
+          (Config.make ~ncpus:2
+             ~geometry:{ Geometry.default with cache_lines = 0 }
              ~memory_words:(2 * 1024 * 1024) ())
       in
       let kmem = Kma.Kmem.create m () in

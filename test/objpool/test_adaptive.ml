@@ -3,7 +3,7 @@ open Objpool
 (* Edge cases and the adaptive-geometry discipline: depot-overflow
    drops, cross-domain reachability after flush_local, reset raising
    mid-release, degenerate target:1 geometry, racing Pstats readers,
-   refill, and the adaptive level, driven by real drops. *)
+   and the adaptive level, driven by real drops. *)
 
 type obj = { id : int; mutable poison : bool }
 
@@ -203,14 +203,22 @@ let test_alloc_only_domain_adopts_target () =
   let d =
     Domain.spawn (fun () ->
         (* Overflow the depot until three drops have raised the level
-           to 3; the objects left over go to the GC. *)
+           to 3, which leaves at most 12 of its 16 batches stocked; the
+           objects left over go to the GC. *)
         let objs = List.init 200 (fun _ -> Pool.alloc p) in
         List.iter
           (fun o -> if Pool.current_target p < 16 then Pool.release p o)
           objs;
-        Pool.refill p ~batches:4)
+        (* Release new objects until four more full 16-object batches
+           have been flushed to the depot. *)
+        let stocked = Pool.depot_batches p + 4 in
+        while Pool.depot_batches p < stocked do
+          Pool.release p { id = -1; poison = false }
+        done;
+        Pool.current_target p)
   in
-  Alcotest.(check int) "four 16-object batches stocked" 4 (Domain.join d);
+  Alcotest.(check int)
+    "four 16-object batches stocked, no drop" 16 (Domain.join d);
   Alcotest.(check int) "target grew" 16 (Pool.current_target p);
   let s0 = Pstats.read (Pool.stats p) in
   let objs = List.init 64 (fun _ -> Pool.alloc p) in
@@ -222,25 +230,6 @@ let test_alloc_only_domain_adopts_target () =
   Alcotest.(check int) "no constructor calls" 0
     (s1.Pstats.s_creates - s0.Pstats.s_creates);
   List.iter (Pool.release p) (first :: objs)
-
-(* --- satellite: refill (the SpeedMalloc dedicated-core hook) --- *)
-
-let test_refill () =
-  let p = make_pool ~target:4 ~depot_batches:4 () in
-  Alcotest.(check int) "kept until full" 4 (Pool.refill p ~batches:10);
-  let s = Pstats.read (Pool.stats p) in
-  Alcotest.(check int) "prefills counted" 4 s.Pstats.s_prefills;
-  Alcotest.(check int) "one speculative batch dropped" 1 s.Pstats.s_drops;
-  Alcotest.(check int) "depot fully stocked" 4 (Pool.depot_batches p);
-  (* Workers now never pay constructor cost. *)
-  let o = Pool.alloc p in
-  Alcotest.(check int) "no create on alloc" 0
-    (Pstats.creates (Pool.stats p));
-  Pool.release p o;
-  Alcotest.(check int) "zero batches is a no-op" 0 (Pool.refill p ~batches:0);
-  Alcotest.check_raises "negative batches rejected"
-    (Invalid_argument "Pool.refill: batches < 0") (fun () ->
-      ignore (Pool.refill p ~batches:(-1)))
 
 let suite =
   [
@@ -259,5 +248,4 @@ let suite =
       test_adaptive_grows_under_churn;
     Alcotest.test_case "alloc-only domain adopts target" `Quick
       test_alloc_only_domain_adopts_target;
-    Alcotest.test_case "refill" `Quick test_refill;
   ]

@@ -98,17 +98,6 @@ let test_adaptive_mode () =
     "geometry stayed in range" true
     (o.Service.o_final_target >= 4 && o.Service.o_final_target <= 32)
 
-let test_refill_domain () =
-  let o =
-    Service.run
-      { (small ~requests:2_000 "steady") with Service.refill = true }
-  in
-  check_balanced o;
-  (* The refiller always completes one stocking pass, even if the
-     workers finish first. *)
-  Alcotest.(check bool) "depot was prefilled" true
-    (o.Service.o_stats.Pstats.s_prefills > 0)
-
 let suite =
   [
     Alcotest.test_case "all shapes balance" `Quick test_all_shapes;
@@ -119,5 +108,4 @@ let suite =
       test_alloc_count_deterministic;
     Alcotest.test_case "open arrival" `Quick test_open_arrival;
     Alcotest.test_case "adaptive mode" `Quick test_adaptive_mode;
-    Alcotest.test_case "refill domain" `Quick test_refill_domain;
   ]

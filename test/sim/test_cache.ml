@@ -1,14 +1,16 @@
 open Sim
 
 let cfg ?(ncpus = 4) ?(cache_lines = 0) () =
-  Config.make ~ncpus ~cache_lines ~memory_words:4096 ()
+  Config.make ~ncpus
+    ~geometry:{ Geometry.default with cache_lines }
+    ~memory_words:4096 ()
 
 let test_cold_miss_then_hit () =
   let c = cfg () in
   let cache = Cache.create c in
   let cost1 = Cache.access cache ~cpu:0 100 Cache.Load in
   let cost2 = Cache.access cache ~cpu:0 100 Cache.Load in
-  Alcotest.(check int) "cold miss" c.Config.miss_cost cost1;
+  Alcotest.(check int) "cold miss" c.Config.geometry.miss_cost cost1;
   Alcotest.(check int) "hit" 0 cost2;
   let st = Cache.stats cache ~cpu:0 in
   Alcotest.(check int) "one miss" 1 st.Cache.misses;
@@ -22,7 +24,7 @@ let test_same_line_hits () =
   let cost = Cache.access cache ~cpu:0 71 Cache.Load in
   Alcotest.(check int) "same line is a hit" 0 cost;
   let cost' = Cache.access cache ~cpu:0 72 Cache.Load in
-  Alcotest.(check int) "next line misses" c.Config.miss_cost cost'
+  Alcotest.(check int) "next line misses" c.Config.geometry.miss_cost cost'
 
 let test_c2c_transfer () =
   let c = cfg () in
@@ -31,7 +33,7 @@ let test_c2c_transfer () =
   Alcotest.(check (option int)) "cpu0 dirty" (Some 0)
     (Cache.dirty_owner cache 200);
   let cost = Cache.access cache ~cpu:1 200 Cache.Load in
-  Alcotest.(check int) "dirty line costs c2c" c.Config.c2c_cost cost;
+  Alcotest.(check int) "dirty line costs c2c" c.Config.geometry.c2c_cost cost;
   Alcotest.(check (option int)) "clean after transfer" None
     (Cache.dirty_owner cache 200);
   Alcotest.(check (list int)) "both hold it" [ 0; 1 ] (Cache.holders cache 200)
@@ -50,7 +52,7 @@ let test_shared_store_upgrades () =
   ignore (Cache.access cache ~cpu:1 300 Cache.Load);
   ignore (Cache.access cache ~cpu:2 300 Cache.Load);
   let cost = Cache.access cache ~cpu:0 300 Cache.Store in
-  Alcotest.(check int) "upgrade round" c.Config.upgrade_cost cost;
+  Alcotest.(check int) "upgrade round" c.Config.geometry.upgrade_cost cost;
   Alcotest.(check (list int)) "others invalidated" [ 0 ]
     (Cache.holders cache 300);
   let st = Cache.stats cache ~cpu:0 in
@@ -61,7 +63,7 @@ let test_store_to_dirty_elsewhere () =
   let cache = Cache.create c in
   ignore (Cache.access cache ~cpu:0 300 Cache.Store);
   let cost = Cache.access cache ~cpu:1 300 Cache.Store in
-  Alcotest.(check int) "steal dirty line" c.Config.c2c_cost cost;
+  Alcotest.(check int) "steal dirty line" c.Config.geometry.c2c_cost cost;
   Alcotest.(check (option int)) "cpu1 owns" (Some 1)
     (Cache.dirty_owner cache 300);
   Alcotest.(check (list int)) "only cpu1" [ 1 ] (Cache.holders cache 300)
@@ -85,7 +87,7 @@ let test_bounded_eviction () =
   Alcotest.(check int) "resident capped" 4 (Cache.resident cache ~cpu:0);
   Alcotest.(check (list int)) "line 0 evicted" [] (Cache.holders cache 0);
   let cost = Cache.access cache ~cpu:0 0 Cache.Load in
-  Alcotest.(check int) "re-fetch misses" c.Config.miss_cost cost;
+  Alcotest.(check int) "re-fetch misses" c.Config.geometry.miss_cost cost;
   let st = Cache.stats cache ~cpu:0 in
   Alcotest.(check int) "evictions counted" 2 st.Cache.evictions
 
@@ -101,12 +103,12 @@ let test_trace_hook () =
   ignore (Cache.access cache ~cpu:2 48 Cache.Load);
   Alcotest.(check (list (triple int int int)))
     "trace captured"
-    [ (2, 40, 0); (2, 40, c.Config.miss_cost) ]
+    [ (2, 40, 0); (2, 40, c.Config.geometry.miss_cost) ]
     !seen
 
 let test_uncached_region () =
   let c =
-    Config.make ~memory_words:4096 ~uncached_words:512 ~uncached_cost:40 ()
+    Config.make ~memory_words:4096 ~uncached_words:512 ()
   in
   let cache = Cache.create c in
   (* Below the threshold: normal caching. *)

@@ -6,30 +6,38 @@ let expect_invalid f =
 let test_default_validates () = Sim.Config.validate Sim.Config.default
 
 let test_make_overrides () =
-  let c = Sim.Config.make ~ncpus:8 ~miss_cost:99 () in
+  let c =
+    Sim.Config.make ~ncpus:8
+      ~geometry:{ Sim.Geometry.default with miss_cost = 99 }
+      ()
+  in
   Alcotest.(check int) "ncpus" 8 c.Sim.Config.ncpus;
-  Alcotest.(check int) "miss" 99 c.Sim.Config.miss_cost;
+  Alcotest.(check int) "miss" 99 c.Sim.Config.geometry.miss_cost;
   Alcotest.(check int)
-    "others keep defaults" Sim.Config.default.Sim.Config.c2c_cost
-    c.Sim.Config.c2c_cost
+    "others keep defaults" Sim.Config.default.Sim.Config.memory_words
+    c.Sim.Config.memory_words;
+  Alcotest.(check int)
+    "other costs keep defaults" Sim.Geometry.default.c2c_cost
+    c.Sim.Config.geometry.c2c_cost
 
 let test_bad_ncpus () = expect_invalid (fun () -> Sim.Config.make ~ncpus:0 ())
 
 let test_bad_line_words () =
-  expect_invalid (fun () -> Sim.Config.make ~line_words:3 ())
+  expect_invalid (fun () ->
+      Sim.Config.make ~geometry:{ Sim.Geometry.default with line_words = 3 } ())
 
 let test_bad_memory_alignment () =
   expect_invalid (fun () ->
-      Sim.Config.make ~memory_words:1001 ~line_words:8 ())
+      Sim.Config.make ~memory_words:1001 ())
 
 let test_negative_cost () =
-  expect_invalid (fun () -> Sim.Config.make ~miss_cost:(-1) ())
+  expect_invalid (fun () ->
+      Sim.Config.make ~geometry:{ Sim.Geometry.default with miss_cost = -1 } ())
 
 let test_seconds_of_cycles () =
-  let c = Sim.Config.make ~mhz:50 () in
   Alcotest.(check (float 1e-12))
     "1M cycles at 50MHz" 0.02
-    (Sim.Config.seconds_of_cycles c 1_000_000)
+    (Sim.Config.seconds_of_cycles Sim.Config.default 1_000_000)
 
 let suite =
   [

@@ -1,5 +1,5 @@
 (* Geometry parsing and validation: the spec-string surface both
-   drivers expose as --geometry / KMA_GEOMETRY.  The invariants are the
+   drivers expose as --geometry.  The invariants are the
    ones documented in geometry.mli; the drivers rely on every bad spec
    coming back as [Error] (never an exception) so they can exit with a
    usage error before any simulation runs. *)
@@ -73,22 +73,6 @@ let test_validate_raises () =
         && String.length m >= 10
         && String.sub m 0 12 = "Sim.Geometry")
 
-let test_of_env () =
-  (* putenv mutates process state; restore the unset-equivalent ("")
-     so later tests and of_env callers see the default again. *)
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv Sim.Geometry.env_var "")
-    (fun () ->
-      Unix.putenv Sim.Geometry.env_var "";
-      Alcotest.check geom "unset/empty is default" Sim.Geometry.default
-        (ok (Sim.Geometry.of_env ()));
-      Unix.putenv Sim.Geometry.env_var "line=4,miss=45";
-      let g = ok (Sim.Geometry.of_env ()) in
-      Alcotest.(check int) "line from env" 4 g.Sim.Geometry.line_words;
-      Alcotest.(check int) "miss from env" 45 g.Sim.Geometry.miss_cost;
-      Unix.putenv Sim.Geometry.env_var "line=5";
-      err "bad env spec" (Sim.Geometry.of_env ()))
-
 let test_ambient_install () =
   let g = ok (Sim.Geometry.of_string "line=16,lines=128") in
   Fun.protect
@@ -103,9 +87,7 @@ let test_ambient_install () =
 let test_config_carries_geometry () =
   let g = ok (Sim.Geometry.of_string "line=16,lines=64,miss=42") in
   let c = Sim.Config.make ~geometry:g ~memory_words:(64 * 1024) () in
-  Alcotest.(check int) "line_words" 16 c.Sim.Config.line_words;
-  Alcotest.(check int) "cache_lines" 64 c.Sim.Config.cache_lines;
-  Alcotest.(check int) "miss_cost" 42 c.Sim.Config.miss_cost
+  Alcotest.check geom "the whole geometry" g c.Sim.Config.geometry
 
 let suite =
   [
@@ -118,7 +100,6 @@ let suite =
     Alcotest.test_case "bad specs are Error" `Quick test_bad_specs_error;
     Alcotest.test_case "validate raises with field name" `Quick
       test_validate_raises;
-    Alcotest.test_case "of_env parses KMA_GEOMETRY" `Quick test_of_env;
     Alcotest.test_case "set_ambient installs" `Quick test_ambient_install;
     Alcotest.test_case "Config.make carries geometry" `Quick
       test_config_carries_geometry;

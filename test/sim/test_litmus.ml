@@ -8,7 +8,10 @@
 open Sim
 
 let machine () =
-  Machine.create (Config.make ~ncpus:2 ~memory_words:4096 ~cache_lines:0 ())
+  Machine.create
+    (Config.make ~ncpus:2 ~memory_words:4096
+       ~geometry:{ Geometry.default with cache_lines = 0 }
+       ())
 
 (* Store buffering (SB): x = y = 0; P0: x:=1; r0:=y | P1: y:=1; r1:=x.
    Under SC, r0 = r1 = 0 is forbidden.  Sweep relative timings by

@@ -1,7 +1,10 @@
 open Sim
 
 let machine ?(ncpus = 4) ?(cache_lines = 0) () =
-  Machine.create (Config.make ~ncpus ~cache_lines ~memory_words:65536 ())
+  Machine.create
+    (Config.make ~ncpus
+       ~geometry:{ Geometry.default with cache_lines }
+       ~memory_words:65536 ())
 
 let test_read_write_roundtrip () =
   let m = machine () in
@@ -231,7 +234,8 @@ let test_bus_model_single_cpu_neutral () =
   let run bus_model =
     let m =
       Machine.create
-        (Config.make ~ncpus:1 ~memory_words:65536 ~cache_lines:64
+        (Config.make ~ncpus:1 ~memory_words:65536
+           ~geometry:{ Geometry.default with cache_lines = 64 }
            ~bus_model ())
     in
     Machine.run m
@@ -253,7 +257,8 @@ let test_bus_model_serialises_misses () =
   let run bus_model =
     let m =
       Machine.create
-        (Config.make ~ncpus:8 ~memory_words:131072 ~cache_lines:8
+        (Config.make ~ncpus:8 ~memory_words:131072
+           ~geometry:{ Geometry.default with cache_lines = 8 }
            ~bus_model ())
     in
     Machine.run_symmetric m ~ncpus:8 (fun cpu ->

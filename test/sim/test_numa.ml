@@ -12,9 +12,19 @@ open Sim
    tests fail against that representation and pass against the word
    array. *)
 
-let cfg ?(ncpus = 4) ?nodes ?node_miss_cost ?node_c2c_cost
-    ?(memory_words = 4096) () =
-  Config.make ~ncpus ?nodes ?node_miss_cost ?node_c2c_cost ~cache_lines:0
+let cfg ?(ncpus = 4) ?(nodes = 1)
+    ?(node_miss_cost = Geometry.default.node_miss_cost)
+    ?(node_c2c_cost = Geometry.default.node_c2c_cost) ?(memory_words = 4096)
+    () =
+  Config.make ~ncpus
+    ~geometry:
+      {
+        Geometry.default with
+        cache_lines = 0;
+        nodes;
+        node_miss_cost;
+        node_c2c_cost;
+      }
     ~memory_words ()
 
 (* --- the sharer-bitmask overflow, directly on the cache model --- *)
@@ -93,7 +103,7 @@ let test_config_guard () =
   expect_invalid "ncpus above max_cpus" (fun () ->
       Config.make ~ncpus:(Config.max_cpus + 1) ~memory_words:65536 ());
   expect_invalid "nodes > ncpus" (fun () ->
-      Config.make ~ncpus:4 ~nodes:8 ())
+      Config.make ~ncpus:4 ~geometry:{ Geometry.default with nodes = 8 } ())
 
 (* --- scheduler above the old 64-CPU heap packing --- *)
 
@@ -152,11 +162,11 @@ let test_local_vs_remote_miss () =
   let c = cfg ~ncpus:8 ~nodes:2 ~node_miss_cost:60 () in
   let cache = Cache.create c in
   (* Address 0 homes on node 0: local for cpu 0, remote for cpu 4. *)
-  Alcotest.(check int) "local miss at flat price" c.Config.miss_cost
+  Alcotest.(check int) "local miss at flat price" c.Config.geometry.miss_cost
     (Cache.access cache ~cpu:0 0 Cache.Load);
   let remote_addr = 4088 (* last line, homes on node 1 *) in
   Alcotest.(check int) "remote miss pays the surcharge"
-    (c.Config.miss_cost + 60)
+    (c.Config.geometry.miss_cost + 60)
     (Cache.access cache ~cpu:0 remote_addr Cache.Load);
   let st = Cache.stats cache ~cpu:0 in
   Alcotest.(check int) "one remote access counted" 1 st.Cache.remote
@@ -167,11 +177,11 @@ let test_c2c_same_vs_cross_node () =
   (* Dirty on cpu 0 (node 0); address homes on node 0. *)
   ignore (Cache.access cache ~cpu:0 0 Cache.Store);
   Alcotest.(check int) "same-node dirty transfer at flat price"
-    c.Config.c2c_cost
+    c.Config.geometry.c2c_cost
     (Cache.access cache ~cpu:1 0 Cache.Load);
   ignore (Cache.access cache ~cpu:0 0 Cache.Store);
   Alcotest.(check int) "cross-node dirty transfer pays node_c2c"
-    (c.Config.c2c_cost + 80)
+    (c.Config.geometry.c2c_cost + 80)
     (Cache.access cache ~cpu:4 0 Cache.Load)
 
 let test_c2c_three_hop_directory () =
@@ -186,7 +196,7 @@ let test_c2c_three_hop_directory () =
   Alcotest.(check int) "home is node 1" 1 (Cache.home_of_addr cache addr);
   ignore (Cache.access cache ~cpu:8 addr Cache.Store);
   Alcotest.(check int) "three-hop transfer"
-    (c.Config.c2c_cost + 80 + 60)
+    (c.Config.geometry.c2c_cost + 80 + 60)
     (Cache.access cache ~cpu:0 addr Cache.Load)
 
 let test_upgrade_cross_node () =
@@ -196,13 +206,13 @@ let test_upgrade_cross_node () =
   ignore (Cache.access cache ~cpu:0 0 Cache.Load);
   ignore (Cache.access cache ~cpu:1 0 Cache.Load);
   Alcotest.(check int) "same-node upgrade at flat price"
-    c.Config.upgrade_cost
+    c.Config.geometry.upgrade_cost
     (Cache.access cache ~cpu:0 0 Cache.Store);
   (* Shared across nodes: the round crosses the interconnect. *)
   ignore (Cache.access cache ~cpu:1 0 Cache.Load);
   ignore (Cache.access cache ~cpu:4 0 Cache.Load);
   Alcotest.(check int) "cross-node upgrade pays node_c2c"
-    (c.Config.upgrade_cost + 80)
+    (c.Config.geometry.upgrade_cost + 80)
     (Cache.access cache ~cpu:0 0 Cache.Store)
 
 let test_flat_machine_never_pays () =
@@ -212,9 +222,9 @@ let test_flat_machine_never_pays () =
   let c = cfg ~ncpus:8 ~node_miss_cost:999 ~node_c2c_cost:999 () in
   let cache = Cache.create c in
   ignore (Cache.access cache ~cpu:0 0 Cache.Store);
-  Alcotest.(check int) "c2c at flat price" c.Config.c2c_cost
+  Alcotest.(check int) "c2c at flat price" c.Config.geometry.c2c_cost
     (Cache.access cache ~cpu:7 0 Cache.Load);
-  Alcotest.(check int) "miss at flat price" c.Config.miss_cost
+  Alcotest.(check int) "miss at flat price" c.Config.geometry.miss_cost
     (Cache.access cache ~cpu:3 4088 Cache.Load);
   Alcotest.(check int) "no remote accesses" 0
     (Cache.total_stats cache).Cache.remote
@@ -226,7 +236,9 @@ let test_per_node_buses () =
      first. *)
   let run nodes =
     let c =
-      Config.make ~ncpus:8 ~nodes ~cache_lines:0 ~memory_words:4096 ()
+      Config.make ~ncpus:8
+        ~geometry:{ Geometry.default with nodes; cache_lines = 0 }
+        ~memory_words:4096 ()
     in
     let m = Machine.create c in
     let t = Array.make 8 0 in

@@ -8,7 +8,10 @@ open Sim
 exception Boom
 
 let machine ?(ncpus = 2) () =
-  Machine.create (Config.make ~ncpus ~cache_lines:0 ~memory_words:65536 ())
+  Machine.create
+    (Config.make ~ncpus
+       ~geometry:{ Geometry.default with cache_lines = 0 }
+       ~memory_words:65536 ())
 
 let test_try_acquire_free () =
   let m = machine () in

@@ -3,7 +3,9 @@ open Streams
 let fixture ?(ncpus = 2) () =
   let m =
     Sim.Machine.create
-      (Sim.Config.make ~ncpus ~memory_words:131072 ~cache_lines:0 ())
+      (Sim.Config.make ~ncpus ~memory_words:131072
+         ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
+         ())
   in
   let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
   (m, Buf.create a)

@@ -12,10 +12,15 @@
       (the classic silently-broken markup: an unclosed {v, {[ or {!);
    4. interfaces that export a lock or critical-section API must state
       their synchronization discipline on an "Invariants:" doc line —
-      the prose the lockcheck validator dynamically enforces.
+      the prose the lockcheck validator dynamically enforces;
+   5. every [val] a lib/*/*.mli exports is used by some other source
+      file (libraries, drivers, tools, examples, perfbench and tests
+      all count), so dead surface cannot accumulate.
 
-   Exits non-zero naming every violation, so the @docs alias (run as
-   part of dune runtest) fails the build. *)
+   Its arguments are every source file of the repo; checks 1-4 read
+   the library interfaces among them.  Exits non-zero naming every
+   violation, so the @docs alias (run as part of dune runtest) fails
+   the build. *)
 
 let errors = ref 0
 
@@ -204,16 +209,205 @@ let check_markup file src =
   in
   scan 0
 
+(* --- Check 5: no exported value without a user ---
+
+   A rough lexical model, not a type checker.  String and character
+   literals are skipped; the rest, comments included (a value another
+   module's documentation names is part of the documented surface), is
+   read as dotted paths ([Sim.Config.make]) and the punctuation that
+   follows them.  A file other than the module's own .ml/.mli uses
+   [M.v] when it has the path [... M.v], the path [X.v] under
+   [module X = ... M], or the bare identifier [v] after opening [M]
+   ([open], [let open], [M.( )]).  A module that [include]s [M]
+   re-exports it under its own name. *)
+
+let is_ident_char c =
+  match c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+(* The source with string and character literals blanked, in code and
+   in comments alike (OCaml lexes strings inside comments too). *)
+let code_of src =
+  let n = String.length src in
+  let b = Buffer.create n in
+  let rec code i =
+    if i >= n then ()
+    else if src.[i] = '"' then string (i + 1)
+    else if
+      src.[i] = '\''
+      && (i = 0 || not (is_ident_char src.[i - 1]))
+      && ((i + 2 < n && src.[i + 2] = '\'')
+         || (i + 1 < n && src.[i + 1] = '\\'))
+    then char (i + 1)
+    else begin
+      Buffer.add_char b src.[i];
+      code (i + 1)
+    end
+  and string i =
+    let j = skip_string i in
+    Buffer.add_string b "\"\"";
+    code j
+  and skip_string i =
+    if i >= n then n
+    else if src.[i] = '\\' then skip_string (i + 2)
+    else if src.[i] = '"' then i + 1
+    else skip_string (i + 1)
+  and char i =
+    let rec close i =
+      if i >= n || src.[i] = '\'' then i + 1 else close (i + 1)
+    in
+    let j = if src.[i] = '\\' then close (i + 2) else close (i + 1) in
+    Buffer.add_char b ' ';
+    code j
+  in
+  code 0;
+  Buffer.contents b
+
+(* Dotted paths, each flagged when a local open [M.( ... )] follows. *)
+let paths code =
+  let n = String.length code in
+  let rec word k =
+    if k < n && is_ident_char code.[k] then word (k + 1) else k
+  in
+  let dot_then e c = e + 1 < n && code.[e] = '.' && c code.[e + 1] in
+  let rec path start comps =
+    let e = word start in
+    let comps = String.sub code start (e - start) :: comps in
+    if dot_then e is_ident_char then path (e + 1) comps
+    else (List.rev comps, dot_then e (( = ) '('), e)
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_ident_char code.[i] && not (code.[i] >= '0' && code.[i] <= '9')
+    then
+      let comps, local_open, e = path i [] in
+      go e ((comps, local_open) :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let last l = List.nth l (List.length l - 1)
+let capitalized s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+
+type uses = {
+  pairs : (string * string) list;  (* [M.v] as written or through an alias *)
+  opened : string list;
+  bare : string list;  (* the first identifier of every path *)
+  includes : string list;
+}
+
+let uses_of code =
+  let ps = Array.of_list (paths code) in
+  let module_at i =
+    if i < Array.length ps && List.for_all capitalized (fst ps.(i)) then
+      Some (last (fst ps.(i)))
+    else None
+  in
+  let aliases = ref [] and opened = ref [] and includes = ref [] in
+  Array.iteri
+    (fun i (comps, local_open) ->
+      match (comps, module_at (i + 1)) with
+      | [ ("open" | "include") as kw ], Some m ->
+          opened := m :: !opened;
+          if kw = "include" then includes := m :: !includes
+      | [ "module" ], Some x -> (
+          match module_at (i + 2) with
+          | Some m -> aliases := (x, m) :: !aliases
+          | None -> ())
+      | _ ->
+          if local_open && List.for_all capitalized comps then
+            opened := last comps :: !opened)
+    ps;
+  let rec pairs acc = function
+    | m :: (v :: _ as rest) ->
+        let via_alias =
+          List.filter_map
+            (fun (x, m') -> if x = m then Some (m', v) else None)
+            !aliases
+        in
+        pairs (((m, v) :: via_alias) @ acc) rest
+    | _ -> acc
+  in
+  {
+    pairs = Array.fold_left (fun acc (comps, _) -> pairs acc comps) [] ps;
+    opened = !opened;
+    bare = Array.to_list (Array.map (fun (c, _) -> List.hd c) ps);
+    includes = !includes;
+  }
+
+(* lib/<library>/<module>.mli, the interfaces the checks read. *)
+let is_interface f =
+  Filename.check_suffix f ".mli"
+  && Filename.basename (Filename.dirname (Filename.dirname f)) = "lib"
+
+let module_of f =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename f))
+
+let stem f = Filename.concat (Filename.dirname f) (module_of f)
+
+let exported_vals src =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | "val" :: name :: _ when name <> "" && name.[0] <> '(' ->
+          let name =
+            match String.index_opt name ':' with
+            | Some i -> String.sub name 0 i
+            | None -> name
+          in
+          Some name
+      | _ -> None)
+    (String.split_on_char '\n' src)
+
+let check_unused files srcs =
+  let uses =
+    List.map (fun f -> (f, uses_of (code_of (List.assoc f srcs)))) files
+  in
+  (* Modules that re-export [m] under their own name. *)
+  let reexports m =
+    m
+    :: List.filter_map
+         (fun (f, u) ->
+           if List.mem m u.includes then Some (module_of f) else None)
+         uses
+  in
+  List.iter
+    (fun f ->
+      if is_interface f then begin
+        let m = module_of f in
+        let names = reexports m in
+        let others = List.filter (fun (g, _) -> stem g <> stem f) uses in
+        List.iter
+          (fun v ->
+            let used (_, u) =
+              List.exists (fun n -> List.mem (n, v) u.pairs) names
+              || (List.exists (fun n -> List.mem n u.opened) names
+                 && List.mem v u.bare)
+            in
+            if not (List.exists used others) then
+              fail f
+                (Printf.sprintf
+                   "val %s is used by no other file: delete it, or drop it \
+                    from the interface if %s still uses it"
+                   v m))
+          (exported_vals (List.assoc f srcs))
+      end)
+    files
+
 let () =
   let files = List.tl (Array.to_list Sys.argv) in
   if files = [] then begin
     prerr_endline "doclint: no files given";
     exit 2
   end;
+  let srcs = List.map (fun f -> (f, read_file f)) files in
   List.iter
-    (fun f ->
-      let src = read_file f in
-      check_module_doc f src;
-      check_markup f src)
-    files;
+    (fun (f, src) ->
+      if is_interface f then begin
+        check_module_doc f src;
+        check_markup f src
+      end)
+    srcs;
+  check_unused files srcs;
   if !errors > 0 then exit 1
