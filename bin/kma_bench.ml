@@ -9,6 +9,9 @@ open Cmdliner
 let exit_code run =
   match run () with
   | _ -> 0
+  | exception Harness.Usage_error msg ->
+      prerr_endline ("kma_bench: " ^ msg);
+      Cmd.Exit.cli_error
   | exception Harness.Check_failed msg ->
       prerr_endline ("kma_bench: " ^ msg);
       3

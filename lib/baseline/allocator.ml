@@ -46,32 +46,34 @@ let of_name = function
   | "bwfixed" -> Some Bwfixed
   | _ -> None
 
-let auto_params machine =
-  Kma.Params.auto
-    ~memory_words:(Sim.Machine.config machine).Sim.Config.memory_words
-
-let create_cookie machine =
-  let kmem = Kma.Kmem.create machine ~params:(auto_params machine) () in
-  (* One cookie per size class, resolved host-side: the paper's
-     compile-time-size usage. *)
-  let p = Kma.Kmem.params kmem in
-  let cookies =
-    Array.map
-      (fun bytes -> Kma.Cookie.of_bytes_host kmem ~bytes)
-      p.Kma.Params.sizes_bytes
-  in
-  let cookie_for bytes =
-    match Kma.Params.size_index_of_bytes p bytes with
-    | Some si -> Some cookies.(si)
-    | None -> None
+(* A kmem-backed arm.  With [cookie], each size class's cookie is
+   resolved once, host-side: the paper's compile-time-size usage. *)
+let of_kmem ?(cookie = false) kmem =
+  let cookie_for =
+    if not cookie then fun _ -> None
+    else
+      let p = Kma.Kmem.params kmem in
+      let cookies =
+        Array.map
+          (fun bytes -> Kma.Cookie.of_bytes_host kmem ~bytes)
+          p.Kma.Params.sizes_bytes
+      in
+      fun bytes ->
+        Option.map (Array.get cookies) (Kma.Params.size_index_of_bytes p bytes)
   in
   {
-    name = "cookie";
+    name =
+      (if cookie then "cookie"
+       else if kmem.Kma.Ctx.numa_global then "numakma"
+       else "newkma");
     alloc =
       (fun ~bytes ->
-        match cookie_for bytes with
-        | Some c -> ( match Kma.Cookie.try_alloc kmem c with Some a -> a | None -> 0)
-        | None -> ( match Kma.Kmem.try_alloc kmem ~bytes with Some a -> a | None -> 0));
+        let a =
+          match cookie_for bytes with
+          | Some c -> Kma.Cookie.try_alloc kmem c
+          | None -> Kma.Kmem.try_alloc kmem ~bytes
+        in
+        Option.value a ~default:0);
     free =
       (fun ~addr ~bytes ->
         match cookie_for bytes with
@@ -79,30 +81,12 @@ let create_cookie machine =
         | None -> Kma.Kmem.free kmem ~addr ~bytes);
   }
 
-let create_newkma machine =
-  let kmem = Kma.Kmem.create machine ~params:(auto_params machine) () in
-  {
-    name = "newkma";
-    alloc =
-      (fun ~bytes ->
-        match Kma.Kmem.try_alloc kmem ~bytes with Some a -> a | None -> 0);
-    free = (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
-  }
-
-(* The per-node-global variant of newkma: identical code, identical
-   layout, but each NUMA node owns a private gblfree (see Global).  On
-   a 1-node machine it degenerates to newkma exactly. *)
-let create_numakma machine =
-  let kmem =
-    Kma.Kmem.create machine ~params:(auto_params machine) ~numa_global:true ()
-  in
-  {
-    name = "numakma";
-    alloc =
-      (fun ~bytes ->
-        match Kma.Kmem.try_alloc kmem ~bytes with Some a -> a | None -> 0);
-    free = (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
-  }
+let boot ?numa_global machine =
+  Kma.Kmem.create machine ?numa_global
+    ~params:
+      (Kma.Params.auto
+         ~memory_words:(Sim.Machine.config machine).Sim.Config.memory_words)
+    ()
 
 let create_mk machine =
   let mk = Mk.create machine in
@@ -182,9 +166,9 @@ let create_bwfixed machine =
 
 let create_probed which machine =
   match which with
-  | Cookie -> (create_cookie machine, unprobed)
-  | Newkma -> (create_newkma machine, unprobed)
-  | Numakma -> (create_numakma machine, unprobed)
+  | Cookie -> (of_kmem ~cookie:true (boot machine), unprobed)
+  | Newkma -> (of_kmem (boot machine), unprobed)
+  | Numakma -> (of_kmem (boot ~numa_global:true machine), unprobed)
   | Mk -> (create_mk machine, unprobed)
   | Oldkma -> (create_oldkma machine, unprobed)
   | Lazybuddy -> (create_lazybuddy machine, unprobed)

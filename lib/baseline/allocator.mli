@@ -68,6 +68,14 @@ val create : which -> Sim.Machine.t -> t
     every size the benchmark touches pays the translation only once —
     the paper's compile-time-size usage. *)
 
+val of_kmem : ?cookie:bool -> Kma.Kmem.t -> t
+(** [of_kmem kmem] is the arm over an already booted new allocator,
+    for a caller that keeps the [kmem] handle (for heapcheck, the page
+    oracle or the pressure subsystem): the newkma arm, or numakma when
+    [kmem] has the per-node global layer.  With [~cookie:true] it is
+    the cookie arm: every size class's cookie is resolved once, and a
+    request above the largest class goes to [kmem_alloc]. *)
+
 type probe = {
   stats : Lockfree.Stats.t option;
       (** retry/helping counters when [which] is a lock-free arm

@@ -48,17 +48,7 @@ let with_ring ring f =
 let run ~kmem ~ncpus ~transactions_per_cpu ?(resources = 4096) ?(seed = 11)
     () =
   let m = Kma.Kmem.machine kmem in
-  let a =
-    {
-      Baseline.Allocator.name = "newkma";
-      alloc =
-        (fun ~bytes ->
-          match Kma.Kmem.try_alloc kmem ~bytes with
-          | Some x -> x
-          | None -> 0);
-      free = (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
-    }
-  in
+  let a = Baseline.Allocator.of_kmem kmem in
   let grants = Array.make ncpus 0 in
   let rejects = Array.make ncpus 0 in
   let txs = Array.make ncpus 0 in

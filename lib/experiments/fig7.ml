@@ -38,16 +38,19 @@ let rows points fmt =
            cols)
     cpus
 
-let header points =
-  "cpus" :: List.map Baseline.Allocator.name_of (columns points)
+let header lead points =
+  lead :: List.map Baseline.Allocator.name_of (columns points)
 
-let print_linear points =
-  Series.heading "Figure 7: best-case alloc/free pairs per second vs CPUs";
-  Series.table ~header:(header points) (rows points Series.sci)
+let print_table ?(lead = "cpus") heading points =
+  Series.heading heading;
+  Series.table ~header:(header lead points) (rows points Series.sci)
+
+let print_linear =
+  print_table "Figure 7: best-case alloc/free pairs per second vs CPUs"
 
 let print_semilog points =
   Series.heading "Figure 8: same data, log10(pairs per second)";
-  Series.table ~header:(header points)
+  Series.table ~header:(header "cpus" points)
     (rows points (fun v -> Series.f3 (Float.log10 (max v 1.))))
 
 let speedup points ~which =

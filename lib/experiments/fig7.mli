@@ -32,6 +32,12 @@ val run :
     (default 1) fans them out with [Parallel.map] — results are
     bit-identical at any job count. *)
 
+val print_table : ?lead:string -> string -> point list -> unit
+(** [print_table heading points] prints [heading], then one row per CPU
+    count (its column headed [lead], default ["cpus"]) and one column
+    of pairs/s per arm: the Figure 7 table, under another sweep's
+    heading. *)
+
 val print_linear : point list -> unit
 (** Figure 7: rows of pairs/s per CPU count, one column per
     allocator. *)

@@ -32,60 +32,26 @@ let cell ~line_words ~ways ~which ~ncpus ~iters ~depth ~bytes =
     Sim.Config.make ~geometry ~memory_words:(2 * 1024 * 1024)
       ~uncached_words:512 ()
   in
-  let m, a = Workload.Rig.fresh which ~config ~ncpus () in
-  let words = bytes / 4 in
-  (* One iteration: allocate a burst of [depth] blocks, write every
-     word of each (a consumer actually using its memory — this is what
-     makes line size and capacity bite: the burst's working set,
-     [depth * bytes] per CPU plus allocator metadata, overflows the
-     smaller geometries), then free the burst.  The stash is per-CPU
-     host state: sharing it across the simulated CPUs would corrupt
-     the heap with cross-CPU double frees. *)
-  let burst addrs =
-    for i = 0 to depth - 1 do
-      Sim.Machine.work Workload.Bestcase.loop_overhead;
-      let addr = a.Baseline.Allocator.alloc ~bytes in
-      assert (addr <> 0);
-      addrs.(i) <- addr;
-      for w = 0 to words - 1 do
-        Sim.Machine.write (addr + w) i
-      done
-    done;
-    for i = 0 to depth - 1 do
-      a.Baseline.Allocator.free ~addr:addrs.(i) ~bytes
-    done
+  (* Every word of each block is written (a consumer actually using
+     its memory): this is what makes line size and capacity bite, as
+     the burst's working set, [depth * bytes] per CPU plus allocator
+     metadata, overflows the smaller geometries. *)
+  let r =
+    Workload.Bestcase.run ~which ~ncpus ~iters ~bytes ~depth
+      ~touch:(bytes / 4) ~config ()
   in
-  let warmup = (iters / 10) + 1 in
-  Sim.Machine.run_symmetric m ~ncpus (fun _ ->
-      let addrs = Array.make depth 0 in
-      for _ = 1 to warmup do
-        burst addrs
-      done);
-  (* Measure the steady state only: drop warm-up cycles AND warm-up
-     cache traffic, so miss rates are not diluted by cold fills. *)
-  Sim.Machine.reset_clocks m;
-  Sim.Cache.reset_stats (Sim.Machine.cache m);
-  Sim.Machine.run_symmetric m ~ncpus (fun _ ->
-      let addrs = Array.make depth 0 in
-      for _ = 1 to iters do
-        burst addrs
-      done);
-  let cycles = Sim.Machine.elapsed m in
-  let st = Sim.Cache.total_stats (Sim.Machine.cache m) in
-  let accesses = st.Sim.Cache.loads + st.Sim.Cache.stores + st.Sim.Cache.rmws in
-  let rate n = if accesses = 0 then 0. else 100. *. float_of_int n /. float_of_int accesses in
+  let st = r.Workload.Bestcase.cache in
   {
     line_words;
     ways;
     which;
     (* Per-CPU rate: the CPUs run concurrently, so the elapsed clock
        over per-CPU pairs is the cost of one alloc/write/free pair. *)
-    cycles_per_pair = float_of_int cycles /. float_of_int (iters * depth);
-    miss_pct = rate (st.Sim.Cache.misses + st.Sim.Cache.c2c);
-    c2c_pct = rate st.Sim.Cache.c2c;
-    pairs_per_sec =
-      Workload.Rig.pairs_per_sec (Sim.Machine.config m)
-        ~pairs:(ncpus * iters * depth) ~cycles;
+    cycles_per_pair = float_of_int r.cycles /. float_of_int (iters * depth);
+    miss_pct =
+      Workload.Bestcase.access_pct r (st.Sim.Cache.misses + st.Sim.Cache.c2c);
+    c2c_pct = Workload.Bestcase.access_pct r st.Sim.Cache.c2c;
+    pairs_per_sec = r.pairs_per_sec;
   }
 
 let run ?(jobs = 1) ?(points = default_points) ?(whichs = default_whichs)

@@ -6,12 +6,13 @@
     runtime knobs, so this experiment turns the argument into data.
     For each geometry point it runs a burst workload — each CPU
     repeatedly allocates a burst of blocks, writes every word of each
-    (a consumer actually using its memory), then frees the burst — on
-    the new allocator and on the cookie allocator, and reports cycles
-    per alloc/write/free pair and the cache miss mix.  The burst's
-    working set is sized to overflow the smaller geometries, so line
-    size (which at fixed line count is also capacity) and
-    associativity both move the numbers.
+    (a consumer actually using its memory), then frees the burst: the
+    Figure 7 cell, {!Workload.Bestcase.run}, at [~depth] with every
+    word touched — on the new allocator and on the cookie allocator,
+    and reports cycles per alloc/write/free pair and the cache miss
+    mix.  The burst's working set is sized to overflow the smaller
+    geometries, so line size (which at fixed line count is also
+    capacity) and associativity both move the numbers.
 
     Two axes, costs held at the defaults so every delta is a geometry
     effect: the line-size sweep (4–32 words, fully associative) shows

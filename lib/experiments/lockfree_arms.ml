@@ -10,78 +10,21 @@ let default_cpus = [ 1; 2; 4; 8; 12; 16; 20; 26 ]
 let default_whichs =
   Baseline.Allocator.[ Cookie; Newkma; Nbbuddy; Bwfixed ]
 
-exception Conservation of string
-
-let cell ~which ~ncpus ~iters ~bytes =
-  let m = Sim.Machine.create (Workload.Rig.paper_config ~ncpus ()) in
-  let a, probe = Baseline.Allocator.create_probed which m in
-  let pair () =
-    (* the Bestcase shape (same loop overhead) so throughput is
-       directly comparable with the Fig 7 numbers *)
-    Sim.Machine.work Workload.Bestcase.loop_overhead;
-    let addr = a.Baseline.Allocator.alloc ~bytes in
-    assert (addr <> 0);
-    a.Baseline.Allocator.free ~addr ~bytes
-  in
-  let warmup = (iters / 10) + 1 in
-  Sim.Machine.run_symmetric m ~ncpus (fun _ ->
-      for _ = 1 to warmup do
-        pair ()
-      done);
-  Sim.Machine.reset_clocks m;
-  Option.iter Lockfree.Stats.reset probe.Baseline.Allocator.stats;
-  Sim.Machine.run_symmetric m ~ncpus (fun _ ->
-      for _ = 1 to iters do
-        pair ()
-      done);
-  (match probe.Baseline.Allocator.drained () with
-  | None -> ()
-  | Some msg ->
-      raise
-        (Conservation
-           (Printf.sprintf "%s at %d CPUs: %s"
-              (Baseline.Allocator.name_of which)
-              ncpus msg)));
-  let cycles = Sim.Machine.elapsed m in
-  let pairs = ncpus * iters in
-  {
-    which;
-    ncpus;
-    pairs;
-    pairs_per_sec =
-      Workload.Rig.pairs_per_sec (Sim.Machine.config m) ~pairs ~cycles;
-    stats =
-      (* copy the counters out: the instance dies with this cell *)
-      Option.map Lockfree.Stats.copy probe.Baseline.Allocator.stats;
-  }
-
 let run ?(jobs = 1) ?(whichs = default_whichs) ?(cpus = default_cpus)
     ?(iters = 2000) ?(bytes = 256) () =
   Parallel.map ~jobs
-    (fun (which, ncpus) -> cell ~which ~ncpus ~iters ~bytes)
+    (fun (which, ncpus) ->
+      let r = Workload.Bestcase.run ~which ~ncpus ~iters ~bytes () in
+      {
+        which;
+        ncpus;
+        pairs = r.Workload.Bestcase.pairs;
+        pairs_per_sec = r.pairs_per_sec;
+        stats = r.stats;
+      })
     (List.concat_map
        (fun which -> List.map (fun ncpus -> (which, ncpus)) cpus)
        whichs)
-
-let print_throughput points =
-  Series.heading
-    "E13: lock-based vs lock-free, best-case alloc/free pairs per second";
-  let cols = List.sort_uniq compare (List.map (fun p -> p.which) points) in
-  let cpus = List.sort_uniq compare (List.map (fun p -> p.ncpus) points) in
-  Series.table
-    ~header:("cpus" :: List.map Baseline.Allocator.name_of cols)
-    (List.map
-       (fun n ->
-         string_of_int n
-         :: List.map
-              (fun w ->
-                match
-                  List.find_opt (fun p -> p.which = w && p.ncpus = n) points
-                with
-                | Some p -> Series.sci p.pairs_per_sec
-                | None -> "-")
-              cols)
-       cpus)
 
 type storm_point = {
   swhich : Baseline.Allocator.which;
@@ -136,14 +79,7 @@ let storm_cell ~which ~ncpus ~iters ~seed =
           end)
         live;
       ops := !ops + !mine);
-  (match probe.Baseline.Allocator.drained () with
-  | None -> ()
-  | Some msg ->
-      raise
-        (Conservation
-           (Printf.sprintf "storm: %s at %d CPUs: %s"
-              (Baseline.Allocator.name_of which)
-              ncpus msg)));
+  Workload.Rig.check_drained which ~ncpus probe;
   let cycles = Sim.Machine.elapsed m in
   {
     swhich = which;
@@ -241,26 +177,16 @@ let run_crosscpu ?(jobs = 1) ?(whichs = default_whichs)
        whichs)
 
 let print_crosscpu points =
-  Series.heading
-    "E13: cross-CPU producer/consumer (remote frees), transfers per second";
-  let cols = List.sort_uniq compare (List.map (fun p -> p.rwhich) points) in
-  let pairs = List.sort_uniq compare (List.map (fun p -> p.rpairs) points) in
-  Series.table
-    ~header:("pairs" :: List.map Baseline.Allocator.name_of cols)
+  Fig7.print_table ~lead:"pairs"
+    "E13: cross-CPU producer/consumer (remote frees), transfers per second"
     (List.map
-       (fun n ->
-         string_of_int n
-         :: List.map
-              (fun w ->
-                match
-                  List.find_opt
-                    (fun p -> p.rwhich = w && p.rpairs = n)
-                    points
-                with
-                | Some p -> Series.sci p.transfers_per_sec
-                | None -> "-")
-              cols)
-       pairs);
+       (fun p ->
+         {
+           Fig7.which = p.rwhich;
+           ncpus = p.rpairs;
+           pairs_per_sec = p.transfers_per_sec;
+         })
+       points);
   if List.exists (fun p -> p.rstats <> None) points then begin
     Series.heading "E13: remote-free CAS-retry and helping counters";
     counter_table

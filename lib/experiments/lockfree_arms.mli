@@ -1,10 +1,13 @@
 (** Experiment E13 — the allocator laboratory's lock-based vs lock-free
     head-to-head: the paper's best-case alloc/free sweep (the Figure 7
-    methodology, same loop overhead) run over the lock-free extension
+    cell, {!Workload.Bestcase.run}) run over the lock-free extension
     arms from PAPERS.md (Marotta et al.'s non-blocking buddy, Blelloch &
     Wei's constant-time fixed-size allocator) beside the paper's own
     allocators, with CAS-retry and helping counters collected per cell
-    and conservation checked after every cell's drain.
+    and conservation checked after every cell's drain
+    ({!Workload.Rig.check_drained}, in all three sweeps).  The
+    best-case and remote-free throughput tables print through
+    {!Fig7.print_table}.
 
     Shape criteria (see EXPERIMENTS.md E13): bwfixed tracks the
     per-CPU-freelist allocators' near-linear scaling (its hot path is
@@ -35,10 +38,6 @@ val default_whichs : Baseline.Allocator.which list
 (** Two lock-based reference arms (cookie, newkma) and the two
     lock-free arms. *)
 
-exception Conservation of string
-(** Raised when a cell's post-drain check fails — a lost or duplicated
-    block in a lock-free arm. *)
-
 val run :
   ?jobs:int ->
   ?whichs:Baseline.Allocator.which list ->
@@ -51,10 +50,7 @@ val run :
     CPU of [bytes]-byte blocks (default 256).  Each cell is an
     independent machine; [jobs] fans cells across domains with
     results bit-identical at any job count.
-    @raise Conservation on a failed drain check. *)
-
-val print_throughput : point list -> unit
-(** Pairs/s table, one column per arm. *)
+    @raise Workload.Rig.Conservation on a failed drain check. *)
 
 val print_retries : point list -> unit
 (** CAS attempts/failures/fail-rate, mark RMWs, conflicts, helps,
@@ -88,7 +84,8 @@ val run_crosscpu :
   remote_point list
 (** [run_crosscpu ()] sweeps every arm over the pair counts, each cell
     an independent machine; [jobs] fans cells across domains with
-    results bit-identical at any job count. *)
+    results bit-identical at any job count.
+    @raise Workload.Rig.Conservation on a failed drain check. *)
 
 val print_crosscpu : remote_point list -> unit
 (** Transfers/s table plus, when any arm carried counters, the
@@ -119,7 +116,7 @@ val run_storm :
 (** [run_storm ()] sweeps the lock-free arms (by default just those —
     lock-based arms carry no counters) over the CPU counts; cells are
     independent machines, deterministic at any [jobs].
-    @raise Conservation on a failed drain check. *)
+    @raise Workload.Rig.Conservation on a failed drain check. *)
 
 val print_storm : storm_point list -> unit
 (** Ops/s plus the full counter set per (arm, ncpus) cell. *)

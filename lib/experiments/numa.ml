@@ -23,57 +23,25 @@ let cell ~which ~ncpus ~nodes ~iters ~depth ~bytes =
       ~memory_words:(memory_words_for ~ncpus)
       ~uncached_words:512 ()
   in
-  let m, a = Workload.Rig.fresh which ~config ~ncpus () in
-  (* One iteration: allocate a burst deeper than the per-CPU cache can
-     hold (target = 10 lists of 256 B blocks, so depth 64 overflows it
-     several times over), touch each block once, free the burst.  Every
-     burst therefore makes several global-layer round trips per CPU —
-     the traffic whose lock and data lines convoy machine-wide on the
-     flat layer and stay node-local with [numakma]. *)
-  let burst addrs =
-    for i = 0 to depth - 1 do
-      Sim.Machine.work Workload.Bestcase.loop_overhead;
-      let addr = a.Baseline.Allocator.alloc ~bytes in
-      assert (addr <> 0);
-      addrs.(i) <- addr;
-      Sim.Machine.write addr i
-    done;
-    for i = 0 to depth - 1 do
-      a.Baseline.Allocator.free ~addr:addrs.(i) ~bytes
-    done
-  in
-  let warmup = (iters / 10) + 1 in
-  Sim.Machine.run_symmetric m ~ncpus (fun _ ->
-      let addrs = Array.make depth 0 in
-      for _ = 1 to warmup do
-        burst addrs
-      done);
-  Sim.Machine.reset_clocks m;
-  Sim.Cache.reset_stats (Sim.Machine.cache m);
-  Sim.Machine.run_symmetric m ~ncpus (fun _ ->
-      let addrs = Array.make depth 0 in
-      for _ = 1 to iters do
-        burst addrs
-      done);
-  let cycles = Sim.Machine.elapsed m in
-  let st = Sim.Cache.total_stats (Sim.Machine.cache m) in
-  let accesses =
-    st.Sim.Cache.loads + st.Sim.Cache.stores + st.Sim.Cache.rmws
-  in
-  let rate n =
-    if accesses = 0 then 0.
-    else 100. *. float_of_int n /. float_of_int accesses
+  (* Each burst is deeper than the per-CPU cache can hold (target =
+     10 lists of 256 B blocks, so depth 64 overflows it several times
+     over) and touches each block once, so every burst makes several
+     global-layer round trips per CPU: the traffic whose lock and data
+     lines convoy machine-wide on the flat layer and stay node-local
+     with [numakma]. *)
+  let r =
+    Workload.Bestcase.run ~which ~ncpus ~iters ~bytes ~depth ~touch:1 ~config
+      ()
   in
   {
     which;
     ncpus;
     nodes;
-    cycles_per_pair = float_of_int cycles /. float_of_int (iters * depth);
-    remote_pct = rate st.Sim.Cache.remote;
-    c2c_pct = rate st.Sim.Cache.c2c;
-    pairs_per_sec =
-      Workload.Rig.pairs_per_sec (Sim.Machine.config m)
-        ~pairs:(ncpus * iters * depth) ~cycles;
+    cycles_per_pair =
+      float_of_int r.Workload.Bestcase.cycles /. float_of_int (iters * depth);
+    remote_pct = Workload.Bestcase.access_pct r r.cache.Sim.Cache.remote;
+    c2c_pct = Workload.Bestcase.access_pct r r.cache.Sim.Cache.c2c;
+    pairs_per_sec = r.pairs_per_sec;
   }
 
 let run ?(jobs = 1) ?(whichs = default_whichs) ?(cpus = default_cpus)

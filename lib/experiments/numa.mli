@@ -6,7 +6,9 @@
     This experiment drives the global layer hard — each CPU repeatedly
     allocates a burst deeper than its per-CPU cache can absorb, touches
     each block, and frees it, so every burst makes several
-    global-layer round trips — and races the stock allocator
+    global-layer round trips (the Figure 7 cell,
+    {!Workload.Bestcase.run}, at [~depth] with one word touched) — and
+    races the stock allocator
     ([newkma], one gblfree pool per size class) against the per-node
     variant ([numakma], one pool per (node, size)).
 

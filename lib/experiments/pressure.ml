@@ -76,25 +76,10 @@ let kma_cell ~cookie ~ncpus ~rounds ~batch ~seed rate =
   Kma.Pressure.enable kmem;
   let vmsys = Kma.Kmem.vmsys kmem in
   Sim.Vmsys.set_fault_rate vmsys ~seed rate;
-  let cookies =
-    Array.map (fun b -> Kma.Cookie.of_bytes_host kmem ~bytes:b) sizes
-  in
-  let alloc ~slot =
-    let k = slot mod Array.length sizes in
-    if cookie then
-      match Kma.Cookie.try_alloc kmem cookies.(k) with
-      | Some a -> a
-      | None -> 0
-    else
-      match Kma.Kmem.try_alloc kmem ~bytes:sizes.(k) with
-      | Some a -> a
-      | None -> 0
-  in
-  let free ~slot a =
-    let k = slot mod Array.length sizes in
-    if cookie then Kma.Cookie.free kmem cookies.(k) a
-    else Kma.Kmem.free kmem ~addr:a ~bytes:sizes.(k)
-  in
+  let a = Baseline.Allocator.of_kmem ~cookie kmem in
+  let bytes ~slot = sizes.(slot mod Array.length sizes) in
+  let alloc ~slot = a.Baseline.Allocator.alloc ~bytes:(bytes ~slot) in
+  let free ~slot addr = a.Baseline.Allocator.free ~addr ~bytes:(bytes ~slot) in
   run_cell ~ncpus ~rounds ~batch ~alloc ~free m
     ~finish:(fun ~pairs_per_sec ~failures ->
       (* Quiescent point: the simulation has drained, so the heap

@@ -7,6 +7,7 @@
 open Cmdliner
 
 exception Check_failed of string
+exception Usage_error of string
 
 type check = Lockcheck | Heapcheck | Flightrec
 
@@ -146,25 +147,21 @@ let allocs_flag default =
           (Printf.sprintf "Allocator arms to sweep (any of: %s)."
              Baseline.Allocator.roster_string))
 
-(* The selected arms with the --bytes they are measured at, which every
-   one of them must be able to serve: a block size above an arm's
-   largest class, or above the simulated memory for the arms that serve
-   whole-page spans, would fail inside the measured loop.  Every
-   command that takes --allocs boots at most Workload.Rig.memory_words
-   per simulated CPU and holds at least one block per CPU live, so a
-   block larger than that never fits. *)
+(* The selected arms with the --bytes they are measured at: a block size
+   above an arm's largest class is a usage error here.  The arms that
+   serve whole-page spans are bounded by the simulated memory's layout
+   instead, which only the allocator knows; a block too large for them
+   fails in the measured loop as Workload.Rig.Alloc_failed, a usage
+   error too. *)
 let arms_serving whichs =
   let fit whichs bytes =
-    let memory_bytes = Workload.Rig.memory_words * Kma.Params.bytes_per_word in
     let over w =
-      let name = Baseline.Allocator.name_of w in
       match Baseline.Allocator.max_bytes w with
       | Some most when bytes > most ->
-          Some (Printf.sprintf "%s serves at most %d" name most)
-      | None when bytes > memory_bytes ->
           Some
-            (Printf.sprintf "%s serves at most %d, the simulated memory" name
-               memory_bytes)
+            (Printf.sprintf "%s serves at most %d"
+               (Baseline.Allocator.name_of w)
+               most)
       | _ -> None
     in
     match List.filter_map over whichs with
@@ -304,7 +301,18 @@ let experiment' ?(fans_out = false) ?(checks = []) ?geometry name ~doc body =
           with_lockcheck lockcheck (fun () ->
               with_flightrec flightrec ~ncpus f))
     in
-    { (body { jobs; checked }) with jobs }
+    match body { jobs; checked } with
+    | l -> { l with jobs }
+    | exception Workload.Rig.Conservation msg ->
+        raise (Check_failed ("conservation violated: " ^ msg))
+    | exception Workload.Rig.Alloc_failed { which; bytes; ncpus } ->
+        raise
+          (Usage_error
+             (Printf.sprintf
+                "%s cannot allocate a %d-byte block with %d CPUs running: \
+                 lower --bytes, the burst depth or the CPU count"
+                (Baseline.Allocator.name_of which)
+                bytes ncpus))
   in
   {
     name;
@@ -825,19 +833,10 @@ let scenario =
                              ~memory_words:cfg.Sim.Config.memory_words)
                         ()
                     in
-                    let a =
-                      {
-                        Baseline.Allocator.name = "newkma";
-                        alloc =
-                          (fun ~bytes ->
-                            match Kma.Kmem.try_alloc kmem ~bytes with
-                            | Some addr -> addr
-                            | None -> 0);
-                        free =
-                          (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
-                      }
+                    let r =
+                      Workload.Trace.replay m t
+                        (Baseline.Allocator.of_kmem kmem)
                     in
-                    let r = Workload.Trace.replay m t a in
                     Heapcheck.checkpoint kmem;
                     print_result r
                 | w ->
@@ -881,21 +880,22 @@ let lockfree =
   let run (whichs, bytes) cpus iters pairs blocks env =
     let module L = Experiments.Lockfree_arms in
     let jobs = env.jobs in
-    try
-      let points = L.run ~jobs ~whichs ~cpus ~iters ~bytes () in
-      L.print_throughput points;
-      L.print_retries points;
-      L.print_crosscpu
-        (L.run_crosscpu ~jobs ~whichs ~pairs ~blocks_per_pair:blocks ~bytes ());
-      L.print_storm
-        (L.run_storm ~jobs
-           ~whichs:
-             (List.filter
-                (fun w -> List.mem w Baseline.Allocator.lockfree)
-                whichs)
-           ~cpus ())
-    with L.Conservation msg ->
-      raise (Check_failed ("lockfree conservation violated: " ^ msg))
+    let points = L.run ~jobs ~whichs ~cpus ~iters ~bytes () in
+    Experiments.Fig7.print_table
+      "E13: lock-based vs lock-free, best-case alloc/free pairs per second"
+      (List.map
+         (fun (p : L.point) ->
+           { Experiments.Fig7.which = p.which; ncpus = p.ncpus;
+             pairs_per_sec = p.pairs_per_sec })
+         points);
+    L.print_retries points;
+    L.print_crosscpu
+      (L.run_crosscpu ~jobs ~whichs ~pairs ~blocks_per_pair:blocks ~bytes ());
+    L.print_storm
+      (L.run_storm ~jobs
+         ~whichs:
+           (List.filter (fun w -> List.mem w Baseline.Allocator.lockfree) whichs)
+         ~cpus ())
   in
   let cpus = cpu_list Experiments.Lockfree_arms.default_cpus in
   let pairs =

@@ -15,8 +15,15 @@
 
 exception Check_failed of string
 (** Raised by a run whose checker found a fault: a heapcheck violation,
-    a lock-free conservation failure, or a fuzz failure.  Both
-    executables exit 3 on it. *)
+    a failed drain oracle ({!Workload.Rig.Conservation}), or a fuzz
+    failure.  Both executables exit 3 on it. *)
+
+exception Usage_error of string
+(** Raised by a run whose flags ask for more than the simulated machine
+    holds: a measured loop could not allocate a block
+    ({!Workload.Rig.Alloc_failed}).  kma_bench exits 124 on it, as for
+    a flag value rejected at parse time.  No bench/main row asks for
+    that much. *)
 
 type check = Lockcheck | Heapcheck | Flightrec
 

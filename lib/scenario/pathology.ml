@@ -276,18 +276,7 @@ let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
     match which with
     | Baseline.Allocator.Newkma ->
         let kmem = Kma.Kmem.create m ~params () in
-        let a =
-          {
-            Baseline.Allocator.name = "newkma";
-            alloc =
-              (fun ~bytes ->
-                match Kma.Kmem.try_alloc kmem ~bytes with
-                | Some a -> a
-                | None -> 0);
-            free = (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
-          }
-        in
-        `Newkma (kmem, a)
+        `Newkma (kmem, Baseline.Allocator.of_kmem kmem)
     | w -> `Probed (Baseline.Allocator.create_probed w m)
   in
   let a = match booted with `Newkma (_, a) -> a | `Probed (a, _) -> a in

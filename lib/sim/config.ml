@@ -3,7 +3,6 @@ type t = {
   memory_words : int;
   geometry : Geometry.t;
   uncached_words : int;
-  bus_model : bool;
 }
 
 (* The only remaining width cap in the simulator: the scheduler heap
@@ -36,14 +35,12 @@ let default =
     memory_words = 4 * 1024 * 1024;
     geometry = Geometry.default;
     uncached_words = 0;
-    bus_model = true;
   }
 
 let make ?(geometry = default.geometry) ?(ncpus = default.ncpus)
     ?(memory_words = default.memory_words)
-    ?(uncached_words = default.uncached_words)
-    ?(bus_model = default.bus_model) () =
-  let t = { ncpus; memory_words; geometry; uncached_words; bus_model } in
+    ?(uncached_words = default.uncached_words) () =
+  let t = { ncpus; memory_words; geometry; uncached_words } in
   validate t;
   t
 

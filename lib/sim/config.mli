@@ -23,12 +23,6 @@ type t = {
   uncached_words : int;
       (** size of the uncacheable region at the top of memory (device
           registers); every access there goes to the bus *)
-  bus_model : bool;
-      (** model the shared system bus as a single queued resource: every
-          off-chip transfer (miss, cache-to-cache, upgrade, uncached
-          access) queues for the bus, so misses from many CPUs serialise
-          — the global saturation that caps lock-based allocators on
-          real shared-bus machines *)
 }
 
 val default : t
@@ -41,7 +35,6 @@ val make :
   ?ncpus:int ->
   ?memory_words:int ->
   ?uncached_words:int ->
-  ?bus_model:bool ->
   unit ->
   t
 (** [make ()] is [default] with the given fields overridden.

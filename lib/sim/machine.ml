@@ -82,9 +82,13 @@ let () = assert (Config.max_cpus <= 1 lsl id_bits)
 let irq_cost = 4 (* disabling or enabling interrupts *)
 let spin_cost = 4 (* one spin-wait pause, before jitter *)
 
-(* A bus transfer holds the bus for [stall / 4] cycles (at least 1): a
-   split-transaction bus is busy for the request/arbitration phases,
-   not the whole memory latency.  The division is a shift. *)
+(* The shared system bus is one queued resource per node: every
+   off-chip transfer (miss, cache-to-cache, upgrade, uncached access)
+   queues for it, so misses from many CPUs serialise — the global
+   saturation that caps lock-based allocators on real shared-bus
+   machines.  A transfer holds the bus for [stall / 4] cycles (at least
+   1): a split-transaction bus is busy for the request/arbitration
+   phases, not the whole memory latency.  The division is a shift. *)
 let bus_occupancy_shift = 2
 
 (* The spin-jitter hash (see [exec_spin]): multiplicative stride
@@ -231,7 +235,7 @@ let perform_op o =
 let mem_access t (c : cpu) a kind =
   let stall = Cache.access t.cache ~cpu:c.id a kind in
   let stall =
-    if stall > 0 && t.cfg.bus_model then begin
+    if stall > 0 then begin
       (* The transfer waits for the requester's node bus, then holds it
          for its request/arbitration phases while the CPU stalls for
          the full transfer latency.  (One bus total on the flat

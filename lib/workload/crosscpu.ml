@@ -31,8 +31,7 @@ let run ~which ~pairs ~blocks_per_pair ?(bytes = 256) ?config () =
       if cpu land 1 = 0 then
         (* Producer. *)
         for i = 0 to blocks_per_pair - 1 do
-          let addr = a.Baseline.Allocator.alloc ~bytes in
-          assert (addr <> 0);
+          let addr = Rig.alloc which ~ncpus a ~bytes in
           (* Wait for a free slot. *)
           while Machine.read (ring_head ~pair) - Machine.read (ring_tail ~pair)
                 >= ring_slots do
@@ -51,6 +50,7 @@ let run ~which ~pairs ~blocks_per_pair ?(bytes = 256) ?config () =
           a.Baseline.Allocator.free ~addr ~bytes;
           Machine.write (ring_tail ~pair) (i + 1)
         done);
+  Rig.check_drained which ~ncpus probe;
   let cycles = Machine.elapsed m in
   let transfers = pairs * blocks_per_pair in
   {

@@ -31,5 +31,8 @@ val run :
   unit ->
   result
 (** [run ~which ~pairs ~blocks_per_pair ()] uses [2 * pairs] CPUs: even
-    CPUs produce, odd CPUs consume via a per-pair ring.
-    @raise Invalid_argument unless [1 <= pairs <= max_pairs]. *)
+    CPUs produce, odd CPUs consume via a per-pair ring.  Once every
+    block is freed, the probe's drain oracle checks the arm.
+    @raise Invalid_argument unless [1 <= pairs <= max_pairs].
+    @raise Rig.Alloc_failed if a producer cannot allocate a block.
+    @raise Rig.Conservation if the drain oracle finds a fault. *)

@@ -82,17 +82,7 @@ let run_kmem ?config ?(days = 3) ?(day_ops = 2000) ?(night_blocks = 40)
     | None -> Kma.Params.auto ~memory_words:cfg.Sim.Config.memory_words
   in
   let kmem = Kma.Kmem.create m ~params () in
-  let a =
-    {
-      Baseline.Allocator.name = "newkma";
-      alloc =
-        (fun ~bytes ->
-          match Kma.Kmem.try_alloc kmem ~bytes with
-          | Some x -> x
-          | None -> 0);
-      free = (fun ~addr ~bytes -> Kma.Kmem.free kmem ~addr ~bytes);
-    }
-  in
+  let a = Baseline.Allocator.of_kmem kmem in
   let out = ref None in
   Sim.Machine.run m
     [|
@@ -114,14 +104,3 @@ let run_kmem ?config ?(days = 3) ?(day_ops = 2000) ?(night_blocks = 40)
     night_pages;
     cycles = Sim.Machine.elapsed m;
   }
-
-let run ~which ?config ?(days = 3) ?(day_ops = 2000) ?(night_blocks = 40)
-    ?(seed = 42) () =
-  match which with
-  | Baseline.Allocator.Newkma ->
-      Some (run_kmem ?config ~days ~day_ops ~night_blocks ~seed ())
-  | Baseline.Allocator.Cookie | Baseline.Allocator.Numakma
-  | Baseline.Allocator.Mk | Baseline.Allocator.Oldkma
-  | Baseline.Allocator.Lazybuddy | Baseline.Allocator.Nbbuddy
-  | Baseline.Allocator.Bwfixed ->
-      None

@@ -17,20 +17,6 @@ type result = {
   cycles : int;
 }
 
-val run :
-  which:Baseline.Allocator.which ->
-  ?config:Sim.Config.t ->
-  ?days:int ->
-  ?day_ops:int ->
-  ?night_blocks:int ->
-  ?seed:int ->
-  unit ->
-  result option
-(** [run ~which ()] simulates [days] day/night cycles on one CPU.
-    Returns [None] for allocators without a physical-page oracle (the
-    baselines), whose page accounting cannot be read — callers compare
-    allocator completion instead. *)
-
 val run_kmem :
   ?config:Sim.Config.t ->
   ?days:int ->

@@ -5,11 +5,12 @@ type event =
 type t = event list
 
 let cpu_of = function Alloc { cpu; _ } | Free { cpu; _ } -> cpu
-let gap_of = function Alloc { gap; _ } | Free { gap; _ } -> gap
 let id_of = function Alloc { id; _ } | Free { id; _ } -> id
 
 let ncpus t = 1 + List.fold_left (fun m e -> max m (cpu_of e)) 0 t
 
+(* (weight, bytes): mostly small tracking structures, occasional
+   page-sized buffers. *)
 let size_mix =
   [|
     (30, 16); (25, 32); (15, 64); (10, 128); (8, 256); (6, 512); (4, 1024);

@@ -20,24 +20,20 @@ type event =
 type t = event list
 
 val cpu_of : event -> int
-val gap_of : event -> int
 val id_of : event -> int
 
 val ncpus : t -> int
 (** [ncpus t] is [1 + ] the largest CPU id in [t] (1 for the empty
     trace): the machine width a replay needs. *)
 
-val size_mix : (int * int) array
-(** [(weight, bytes)] pairs: mostly small tracking structures,
-    occasional page-sized buffers.  {!Mixed} draws from it too. *)
-
 val synthesize :
   ?seed:int -> ?ncpus:int -> ?mean_gap:int -> ops:int -> unit -> t
 (** [synthesize ~ops ()] builds a well-formed trace: every [Free] names
     a live id, at most 64 ids are live at once, and everything left
     live is freed at the end (so replaying leaves the allocator empty).
-    Request sizes follow {!size_mix}; [ncpus] (default 1) spreads
-    events over CPUs with naturally-occurring cross-CPU frees;
+    Request sizes are weighted toward small tracking structures (16 to
+    64 bytes), with occasional page-sized buffers; [ncpus] (default 1)
+    spreads events over CPUs with naturally-occurring cross-CPU frees;
     [mean_gap] (default 0) draws each event's inter-arrival gap
     uniformly from [[0, 2*mean_gap]]. *)
 

@@ -112,6 +112,193 @@ let test_e13_pins_slow_path () =
             cycles (cell which ncpus))
         e13_pins)
 
+(* Slice pins for the sweeps that run the Figure 7 cell at other
+   shapes: E12 (bursts written word by word, under two geometries), E14
+   (touched bursts at 8 CPUs, flat and 2-node) and E13 as kma_bench
+   runs it (the best-case sweep with its retry counters, and the
+   remote-free sweep).  Every float is a pure function of integer
+   cycle and access counts, so exact equality is a cycle pin; each
+   slice must hit its pins on the fast path and on the scheduled path. *)
+let fast_and_scheduled check =
+  check ();
+  Sim.Machine.set_fast_path false;
+  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check
+
+let exact = Alcotest.(check (float 0.))
+let counters = Option.fold ~none:"-" ~some:Lockfree.Stats.to_string
+
+(* (arm, line words, ways): cycles/pair, miss %, c2c %, pairs/s. *)
+let e12_pins =
+  Baseline.Allocator.
+    [
+      ( (Newkma, 4, 0),
+        (427.21875, 10.635753670364711, 0.25244137381252907,
+         234072.12347304515) );
+      ( (Newkma, 8, 1),
+        (266.05208333333331, 3.0822372791284707, 1.1691244851866613,
+         375866.2542578599) );
+      ( (Cookie, 4, 0),
+        (385.26041666666669, 10.873270161565205, 0.25904969663917105,
+         259564.68838718397) );
+      ( (Cookie, 8, 1),
+        (222.64583333333334, 3.0538513974096797, 1.1997273346966599,
+         449143.81959389913) );
+    ]
+
+let test_e12_slice_pins () =
+  fast_and_scheduled (fun () ->
+      let rows =
+        Experiments.Geomsweep.run ~points:[ (4, 0); (8, 1) ] ~ncpus:2
+          ~iters:4 ~depth:24 ()
+      in
+      Alcotest.(check int) "cells" (List.length e12_pins) (List.length rows);
+      List.iter2
+        (fun ((which, line, ways), (cyc, miss, c2c, pps))
+             (r : Experiments.Geomsweep.row) ->
+          let label =
+            Printf.sprintf "%s line=%d ways=%d"
+              (Baseline.Allocator.name_of which)
+              line ways
+          in
+          Alcotest.(check bool)
+            (label ^ " cell") true
+            (r.which = which && r.line_words = line && r.ways = ways);
+          exact (label ^ " cyc/pair") cyc r.cycles_per_pair;
+          exact (label ^ " miss%") miss r.miss_pct;
+          exact (label ^ " c2c%") c2c r.c2c_pct;
+          exact (label ^ " pairs/s") pps r.pairs_per_sec)
+        e12_pins rows)
+
+(* (arm, nodes) at 8 CPUs: cycles/pair, remote %, c2c %, pairs/s. *)
+let e14_pins =
+  Baseline.Allocator.
+    [
+      ( (Newkma, 1),
+        (195.77777777777777, 0., 5.7332463011314188, 2043132.8036322361) );
+      ( (Newkma, 2),
+        (436.19444444444446, 9.5401581356637539, 9.8522679983354138,
+         917022.22505253775) );
+      ( (Numakma, 1),
+        (195.77777777777777, 0., 5.7332463011314188, 2043132.8036322361) );
+      ( (Numakma, 2),
+        (193.30555555555554, 1.7637271214642263, 3.1059345535219078,
+         2069262.8251185515) );
+    ]
+
+let test_e14_slice_pins () =
+  fast_and_scheduled (fun () ->
+      let rows =
+        Experiments.Numa.run ~cpus:[ 8 ] ~nodes:[ 1; 2 ] ~iters:3 ~depth:24 ()
+      in
+      Alcotest.(check int) "cells" (List.length e14_pins) (List.length rows);
+      List.iter2
+        (fun ((which, nodes), (cyc, remote, c2c, pps))
+             (r : Experiments.Numa.row) ->
+          let label =
+            Printf.sprintf "%s nodes=%d" (Baseline.Allocator.name_of which)
+              nodes
+          in
+          Alcotest.(check bool)
+            (label ^ " cell") true
+            (r.which = which && r.ncpus = 8 && r.nodes = nodes);
+          exact (label ^ " cyc/pair") cyc r.cycles_per_pair;
+          exact (label ^ " remote%") remote r.remote_pct;
+          exact (label ^ " c2c%") c2c r.c2c_pct;
+          exact (label ^ " pairs/s") pps r.pairs_per_sec)
+        e14_pins rows)
+
+(* (arm, CPUs): pairs/s and the timed region's retry counters. *)
+let e13_sweep_pins =
+  let bw n =
+    Printf.sprintf
+      "cas=%d fail=0 mark=0 conflict=0 help=0 refill=0 flush=0 steal=0"
+      (200 * n)
+  and nb n =
+    Printf.sprintf
+      "cas=%d fail=0 mark=%d conflict=0 help=0 refill=0 flush=0 steal=0"
+      (100 * n) (900 * n)
+  in
+  Baseline.Allocator.
+    [
+      ((Cookie, 1), (862068.96551724139, "-"));
+      ((Cookie, 2), (1724137.9310344828, "-"));
+      ((Cookie, 4), (3448275.8620689656, "-"));
+      ((Newkma, 1), (505050.5050505051, "-"));
+      ((Newkma, 2), (1010101.0101010102, "-"));
+      ((Newkma, 4), (2020202.0202020204, "-"));
+      ((Nbbuddy, 1), (276243.0939226519, nb 1));
+      ((Nbbuddy, 2), (552486.18784530379, nb 2));
+      ((Nbbuddy, 4), (1104972.3756906076, nb 4));
+      ((Bwfixed, 1), (714285.71428571432, bw 1));
+      ((Bwfixed, 2), (1428571.4285714286, bw 2));
+      ((Bwfixed, 4), (2857142.8571428573, bw 4));
+    ]
+
+(* (arm, pairs): transfers/s and the remote-free retry counters. *)
+let e13_remote_pins =
+  Baseline.Allocator.
+    [
+      ((Cookie, 1), (192552.08533908424, "-"));
+      ((Cookie, 2), (348310.69313827937, "-"));
+      ((Newkma, 1), (177904.28749332859, "-"));
+      ((Newkma, 2), (329261.46653057192, "-"));
+      ( (Nbbuddy, 1),
+        ( 153713.72356123955,
+          "cas=100 fail=0 mark=688 conflict=0 help=0 refill=0 flush=0 steal=0"
+        ) );
+      ( (Nbbuddy, 2),
+        ( 295464.61811198108,
+          "cas=200 fail=0 mark=1376 conflict=0 help=0 refill=0 flush=0 \
+           steal=0" ) );
+      ( (Bwfixed, 1),
+        ( 358166.18911174784,
+          "cas=224 fail=0 mark=0 conflict=0 help=0 refill=13 flush=11 steal=0"
+        ) );
+      ( (Bwfixed, 2),
+        ( 700280.11204481788,
+          "cas=458 fail=10 mark=0 conflict=0 help=0 refill=26 flush=22 \
+           steal=0" ) );
+    ]
+
+let test_e13_sweep_pins () =
+  fast_and_scheduled (fun () ->
+      let module L = Experiments.Lockfree_arms in
+      let points = L.run ~cpus:[ 1; 2; 4 ] ~iters:100 () in
+      Alcotest.(check int)
+        "best-case cells"
+        (List.length e13_sweep_pins)
+        (List.length points);
+      List.iter2
+        (fun ((which, ncpus), (pps, stats)) (p : L.point) ->
+          let label =
+            Printf.sprintf "%s@%d" (Baseline.Allocator.name_of which) ncpus
+          in
+          Alcotest.(check bool)
+            (label ^ " cell") true
+            (p.which = which && p.ncpus = ncpus && p.pairs = 100 * ncpus);
+          exact (label ^ " pairs/s") pps p.pairs_per_sec;
+          Alcotest.(check string) (label ^ " counters") stats
+            (counters p.stats))
+        e13_sweep_pins points;
+      let remote = L.run_crosscpu ~pairs:[ 1; 2 ] ~blocks_per_pair:100 () in
+      Alcotest.(check int)
+        "remote-free cells"
+        (List.length e13_remote_pins)
+        (List.length remote);
+      List.iter2
+        (fun ((which, pairs), (tps, stats)) (p : L.remote_point) ->
+          let label =
+            Printf.sprintf "%s x%d" (Baseline.Allocator.name_of which) pairs
+          in
+          Alcotest.(check bool)
+            (label ^ " cell") true
+            (p.rwhich = which && p.rpairs = pairs
+            && p.transfers = 100 * pairs);
+          exact (label ^ " transfers/s") tps p.transfers_per_sec;
+          Alcotest.(check string) (label ^ " counters") stats
+            (counters p.rstats))
+        e13_remote_pins remote)
+
 (* E8 pin: one pressure cell's throughput at the default geometry.
    [pairs_per_sec] is a pure function of the cell's integer cycle
    count, so exact float equality IS a cycle pin. *)
@@ -298,6 +485,12 @@ let suite =
       test_e13_default_geometry_pins;
     Alcotest.test_case "E13 pins on the scheduled path" `Quick
       test_e13_pins_slow_path;
+    Alcotest.test_case "E12 slice pins, fast and scheduled" `Quick
+      test_e12_slice_pins;
+    Alcotest.test_case "E14 slice pins, fast and scheduled" `Quick
+      test_e14_slice_pins;
+    Alcotest.test_case "E13 sweep pins, fast and scheduled" `Quick
+      test_e13_sweep_pins;
     Alcotest.test_case "E8 default-geometry pin" `Quick
       test_e8_default_geometry_pin;
     Alcotest.test_case "E8 pins under 20% denials, fast and scheduled" `Quick

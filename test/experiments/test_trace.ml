@@ -33,7 +33,11 @@ let test_synthesize_multicpu () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "uses several CPUs" true (Workload.Trace.ncpus t > 1);
   Alcotest.(check bool) "has nonzero gaps" true
-    (List.exists (fun e -> Workload.Trace.gap_of e > 0) t)
+    (List.exists
+       (function
+         | Workload.Trace.Alloc { gap; _ } | Workload.Trace.Free { gap; _ } ->
+             gap > 0)
+       t)
 
 let test_validate_catches () =
   let open Workload.Trace in

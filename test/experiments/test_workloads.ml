@@ -56,28 +56,46 @@ let test_bestcase_scales () =
     true
     (r4 > 3.5 *. r1 && r4 < 4.5 *. r1)
 
-let test_bestcase_timed_methodology () =
-  (* The duration-based variant stops near the deadline and agrees with
-     the iteration-based variant on throughput. *)
-  let timed =
-    Workload.Bestcase.run_timed ~which:Baseline.Allocator.Cookie ~ncpus:2
-      ~duration_cycles:50_000 ~bytes:256 ()
+(* A block the arm cannot serve stops a measured loop with an error
+   naming the arm, the block size and the CPU count: the shared cell
+   (a cookie block larger than one vmblk) and the producer/consumer
+   flow alike. *)
+let test_alloc_failure_names_the_cell () =
+  let expect name f ~which ~bytes ~ncpus =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Alloc_failed" name
+    | exception Workload.Rig.Alloc_failed f ->
+        Alcotest.(check (triple string int int))
+          name
+          (Baseline.Allocator.name_of which, bytes, ncpus)
+          (Baseline.Allocator.name_of f.which, f.bytes, f.ncpus)
   in
-  Alcotest.(check bool) "did work" true (timed.Workload.Bestcase.pairs > 100);
-  Alcotest.(check bool) "stops near the deadline" true
-    (timed.Workload.Bestcase.cycles < 55_000);
-  let iter =
-    Workload.Bestcase.run ~which:Baseline.Allocator.Cookie ~ncpus:2
-      ~iters:500 ~bytes:256 ()
-  in
-  let ratio =
-    timed.Workload.Bestcase.pairs_per_sec
-    /. iter.Workload.Bestcase.pairs_per_sec
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "rates agree (ratio %.2f)" ratio)
-    true
-    (ratio > 0.9 && ratio < 1.1)
+  expect "bestcase"
+    (fun () ->
+      Workload.Bestcase.run ~which:Baseline.Allocator.Cookie ~ncpus:1
+        ~iters:10 ~bytes:3_000_000 ())
+    ~which:Baseline.Allocator.Cookie ~bytes:3_000_000 ~ncpus:1;
+  expect "crosscpu"
+    (fun () ->
+      Workload.Crosscpu.run ~which:Baseline.Allocator.Newkma ~pairs:1
+        ~blocks_per_pair:4 ~bytes:9_000_000 ())
+    ~which:Baseline.Allocator.Newkma ~bytes:9_000_000 ~ncpus:2
+
+(* The one drain check every probed cell runs: a probe whose oracle
+   reports a leak fails it, naming the arm and the CPU count; a clean
+   one passes. *)
+let test_drain_check () =
+  let probe drained = { Baseline.Allocator.stats = None; drained } in
+  Workload.Rig.check_drained Baseline.Allocator.Nbbuddy ~ncpus:2
+    (probe (fun () -> None));
+  match
+    Workload.Rig.check_drained Baseline.Allocator.Nbbuddy ~ncpus:2
+      (probe (fun () -> Some "64 words still allocated"))
+  with
+  | () -> Alcotest.fail "expected Conservation"
+  | exception Workload.Rig.Conservation msg ->
+      Alcotest.(check string)
+        "message" "nbbuddy at 2 CPUs: 64 words still allocated" msg
 
 let test_worstcase_all_layers () =
   let results =
@@ -117,16 +135,6 @@ let test_cyclic_no_night_failures () =
   Alcotest.(check bool) "day work happened" true
     (r.Workload.Cyclic.day_allocs > 300)
 
-let test_cyclic_dispatch () =
-  Alcotest.(check bool) "newkma instrumented" true
-    (Workload.Cyclic.run ~which:Baseline.Allocator.Newkma ~days:1
-       ~day_ops:100 ~night_blocks:4 ()
-    <> None);
-  Alcotest.(check bool) "baselines uninstrumented" true
-    (Workload.Cyclic.run ~which:Baseline.Allocator.Mk ~days:1 ~day_ops:100
-       ~night_blocks:4 ()
-    = None)
-
 let test_crosscpu_completes_all () =
   List.iter
     (fun which ->
@@ -144,14 +152,6 @@ let test_crosscpu_rejects_bad_pairs () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-let test_mixed_balances () =
-  let r =
-    Workload.Mixed.run ~which:Baseline.Allocator.Newkma ~ncpus:2
-      ~ops_per_cpu:800 ()
-  in
-  Alcotest.(check int) "no failures" 0 r.Workload.Mixed.failures;
-  Alcotest.(check bool) "ops counted" true (r.Workload.Mixed.ops > 1600)
-
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -163,19 +163,17 @@ let suite =
       test_bestcase_deterministic;
     Alcotest.test_case "bestcase scales linearly (cookie)" `Quick
       test_bestcase_scales;
-    Alcotest.test_case "bestcase timed methodology" `Quick
-      test_bestcase_timed_methodology;
+    Alcotest.test_case "failed allocation names arm, size and CPUs" `Quick
+      test_alloc_failure_names_the_cell;
+    Alcotest.test_case "drain check fails on a leak" `Quick test_drain_check;
     Alcotest.test_case "worstcase completes every size" `Quick
       test_worstcase_all_layers;
     Alcotest.test_case "worstcase slows with block size" `Quick
       test_worstcase_throughput_falls_with_size;
     Alcotest.test_case "cyclic nights never fail" `Quick
       test_cyclic_no_night_failures;
-    Alcotest.test_case "cyclic dispatch by allocator" `Quick
-      test_cyclic_dispatch;
     Alcotest.test_case "crosscpu completes on all allocators" `Quick
       test_crosscpu_completes_all;
     Alcotest.test_case "crosscpu validates pairs" `Quick
       test_crosscpu_rejects_bad_pairs;
-    Alcotest.test_case "mixed workload balances" `Quick test_mixed_balances;
   ]

@@ -37,7 +37,11 @@ let test_bit_identical_cycles () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("recorded trace invalid: " ^ e));
   Alcotest.(check bool) "trace has think-time gaps" true
-    (List.exists (fun e -> Workload.Trace.gap_of e > 0) trace);
+    (List.exists
+       (function
+         | Workload.Trace.Alloc { gap; _ } | Workload.Trace.Free { gap; _ } ->
+             gap > 0)
+       trace);
   let m2 = mk () in
   let a2 = Baseline.Allocator.create Baseline.Allocator.Newkma m2 in
   let r = Workload.Trace.replay m2 trace a2 in

@@ -227,49 +227,55 @@ let test_watchdog_quiet_on_success () =
   Machine.run ~max_cycles:1_000_000 m [| (fun _ -> Machine.work 100) |];
   Alcotest.(check int) "ran normally" 100 (Machine.cpu_time m ~cpu:0)
 
+(* What the run would take on an infinitely wide bus: each CPU's
+   accesses cost their instruction plus their cache stall and nothing
+   else, so the slowest CPU's sum is the elapsed time. *)
+let free_bus_elapsed m ~ncpus =
+  let g = (Machine.config m).Config.geometry in
+  List.fold_left max 0
+    (List.init ncpus (fun cpu ->
+         (Machine.retired m ~cpu * g.Geometry.insn_cost)
+         + (Cache.stats (Machine.cache m) ~cpu).Cache.stall_cycles))
+
 let test_bus_model_single_cpu_neutral () =
   (* With one CPU nothing ever queues on the bus, so the model must not
      change single-CPU timings (this protects every single-CPU
      calibration, including the 15x headline ratio). *)
-  let run bus_model =
-    let m =
-      Machine.create
-        (Config.make ~ncpus:1 ~memory_words:65536
-           ~geometry:{ Geometry.default with cache_lines = 64 }
-           ~bus_model ())
-    in
-    Machine.run m
-      [|
-        (fun _ ->
-          for i = 0 to 2000 do
-            Machine.write ((i * 7) mod 4096) i;
-            ignore (Machine.read ((i * 13) mod 4096))
-          done);
-      |];
-    Machine.elapsed m
+  let m =
+    Machine.create
+      (Config.make ~ncpus:1 ~memory_words:65536
+         ~geometry:{ Geometry.default with cache_lines = 64 }
+         ())
   in
-  Alcotest.(check int) "identical timing" (run false) (run true)
+  Machine.run m
+    [|
+      (fun _ ->
+        for i = 0 to 2000 do
+          Machine.write ((i * 7) mod 4096) i;
+          ignore (Machine.read ((i * 13) mod 4096))
+        done);
+    |];
+  Alcotest.(check int) "identical timing"
+    (free_bus_elapsed m ~ncpus:1)
+    (Machine.elapsed m)
 
 let test_bus_model_serialises_misses () =
   (* Eight CPUs streaming back-to-back misses oversubscribe the bus
      (8 transfers x 1/4 occupancy > 1), so the run takes visibly longer
      than with an infinitely wide bus. *)
-  let run bus_model =
-    let m =
-      Machine.create
-        (Config.make ~ncpus:8 ~memory_words:131072
-           ~geometry:{ Geometry.default with cache_lines = 8 }
-           ~bus_model ())
-    in
-    Machine.run_symmetric m ~ncpus:8 (fun cpu ->
-        for i = 0 to 2000 do
-          (* Disjoint per-CPU streams: pure capacity misses, no
-             coherence, so the only interaction is the bus itself. *)
-          ignore (Machine.read (8192 + (cpu * 8192) + (i * 8 mod 8192)))
-        done);
-    Machine.elapsed m
+  let m =
+    Machine.create
+      (Config.make ~ncpus:8 ~memory_words:131072
+         ~geometry:{ Geometry.default with cache_lines = 8 }
+         ())
   in
-  let free_bus = run false and queued = run true in
+  Machine.run_symmetric m ~ncpus:8 (fun cpu ->
+      for i = 0 to 2000 do
+        (* Disjoint per-CPU streams: pure capacity misses, no
+           coherence, so the only interaction is the bus itself. *)
+        ignore (Machine.read (8192 + (cpu * 8192) + (i * 8 mod 8192)))
+      done);
+  let free_bus = free_bus_elapsed m ~ncpus:8 and queued = Machine.elapsed m in
   Alcotest.(check bool)
     (Printf.sprintf "queued %d > free %d" queued free_bus)
     true

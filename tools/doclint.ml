@@ -15,7 +15,10 @@
       the prose the lockcheck validator dynamically enforces;
    5. every [val] a lib/*/*.mli exports is used by some other source
       file (libraries, drivers, tools, examples, perfbench and tests
-      all count), so dead surface cannot accumulate.
+      all count), so dead surface cannot accumulate.  For the
+      libraries in [strict] tests do not count: a value there needs a
+      user that runs outside the test suite, unless its name ends in
+      [_oracle] (a check only a test or a checker calls).
 
    Its arguments are every source file of the repo; checks 1-4 read
    the library interfaces among them.  Exits non-zero naming every
@@ -360,6 +363,12 @@ let exported_vals src =
       | _ -> None)
     (String.split_on_char '\n' src)
 
+(* The libraries whose values a test alone does not keep alive. *)
+let strict = [ "workload"; "experiments" ]
+
+let in_tests f =
+  List.mem "test" (String.split_on_char '/' (Filename.dirname f))
+
 let check_unused files srcs =
   let uses =
     List.map (fun f -> (f, uses_of (code_of (List.assoc f srcs)))) files
@@ -378,8 +387,14 @@ let check_unused files srcs =
         let m = module_of f in
         let names = reexports m in
         let others = List.filter (fun (g, _) -> stem g <> stem f) uses in
+        let strict = List.mem (Filename.basename (Filename.dirname f)) strict in
         List.iter
           (fun v ->
+            let others =
+              if strict && not (String.ends_with ~suffix:"_oracle" v) then
+                List.filter (fun (g, _) -> not (in_tests g)) others
+              else others
+            in
             let used (_, u) =
               List.exists (fun n -> List.mem (n, v) u.pairs) names
               || (List.exists (fun n -> List.mem n u.opened) names
