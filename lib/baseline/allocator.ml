@@ -35,17 +35,6 @@ let max_bytes = function
 let roster = List.map name_of (all @ extras)
 let roster_string = String.concat ", " roster
 
-let of_name = function
-  | "cookie" -> Some Cookie
-  | "newkma" -> Some Newkma
-  | "numakma" -> Some Numakma
-  | "mk" -> Some Mk
-  | "oldkma" -> Some Oldkma
-  | "lazybuddy" -> Some Lazybuddy
-  | "nbbuddy" -> Some Nbbuddy
-  | "bwfixed" -> Some Bwfixed
-  | _ -> None
-
 (* A kmem-backed arm.  With [cookie], each size class's cookie is
    resolved once, host-side: the paper's compile-time-size usage. *)
 let of_kmem ?(cookie = false) kmem =
@@ -115,9 +104,13 @@ let create_lazybuddy machine =
 type probe = {
   stats : Lockfree.Stats.t option;
   drained : unit -> string option;
+  kmem : Kma.Kmem.t option;
 }
 
-let unprobed = { stats = None; drained = (fun () -> None) }
+let unprobed = { stats = None; drained = (fun () -> None); kmem = None }
+
+let kmem_arm ~cookie kmem =
+  (of_kmem ~cookie kmem, { unprobed with kmem = Some kmem })
 
 let create_nbbuddy machine =
   let b = Lockfree.Nbbuddy.create machine in
@@ -127,6 +120,7 @@ let create_nbbuddy machine =
       free = (fun ~addr ~bytes -> Lockfree.Nbbuddy.free b ~addr ~bytes);
     },
     {
+      unprobed with
       stats = Some (Lockfree.Nbbuddy.stats b);
       drained =
         (fun () ->
@@ -147,6 +141,7 @@ let create_bwfixed machine =
       free = (fun ~addr ~bytes -> Lockfree.Bwfixed.free b ~addr ~bytes);
     },
     {
+      unprobed with
       stats = Some (Lockfree.Bwfixed.stats b);
       drained =
         (fun () ->
@@ -166,9 +161,9 @@ let create_bwfixed machine =
 
 let create_probed which machine =
   match which with
-  | Cookie -> (of_kmem ~cookie:true (boot machine), unprobed)
-  | Newkma -> (of_kmem (boot machine), unprobed)
-  | Numakma -> (of_kmem (boot ~numa_global:true machine), unprobed)
+  | Cookie -> kmem_arm ~cookie:true (boot machine)
+  | Newkma -> kmem_arm ~cookie:false (boot machine)
+  | Numakma -> kmem_arm ~cookie:false (boot ~numa_global:true machine)
   | Mk -> (create_mk machine, unprobed)
   | Oldkma -> (create_oldkma machine, unprobed)
   | Lazybuddy -> (create_lazybuddy machine, unprobed)

@@ -54,7 +54,6 @@ val roster_string : string
 (** [roster] joined with [", "]. *)
 
 val name_of : which -> string
-val of_name : string -> which option
 
 val max_bytes : which -> int option
 (** The largest request the arm can serve: [Some 4096] for mk,
@@ -70,11 +69,11 @@ val create : which -> Sim.Machine.t -> t
 
 val of_kmem : ?cookie:bool -> Kma.Kmem.t -> t
 (** [of_kmem kmem] is the arm over an already booted new allocator,
-    for a caller that keeps the [kmem] handle (for heapcheck, the page
-    oracle or the pressure subsystem): the newkma arm, or numakma when
-    [kmem] has the per-node global layer.  With [~cookie:true] it is
-    the cookie arm: every size class's cookie is resolved once, and a
-    request above the largest class goes to [kmem_alloc]. *)
+    for a caller that boots it with its own {!Kma.Params.t}: the
+    newkma arm, or numakma when [kmem] has the per-node global layer.
+    With [~cookie:true] it is the cookie arm: every size class's cookie
+    is resolved once, and a request above the largest class goes to
+    [kmem_alloc]. *)
 
 type probe = {
   stats : Lockfree.Stats.t option;
@@ -87,6 +86,10 @@ type probe = {
           machine quiescent, [Some msg] describes a conservation or
           structural-invariant violation.  Trivially [None] for arms
           without a registered oracle. *)
+  kmem : Kma.Kmem.t option;
+      (** the booted new allocator behind the cookie, newkma and
+          numakma arms ([None] for the others): the handle heapcheck,
+          the page oracle and the pressure subsystem take *)
 }
 
 val create_probed : which -> Sim.Machine.t -> t * probe

@@ -125,7 +125,9 @@ let alloc t ~bytes =
       in
       fit (Machine.read t.flhead))
 
-let free t ~addr =
+(* The size comes from the boundary tag; [bytes] is the System V
+   interface's and goes unread. *)
+let free_sized t ~addr ~bytes:_ =
   Spinlock.with_lock t.lock (fun () ->
       Machine.work w_fixed;
       bump_stats t;
@@ -159,8 +161,6 @@ let free t ~addr =
       in
       set_tags h ~size ~used:false;
       fl_insert t h)
-
-let free_sized t ~addr ~bytes:_ = free t ~addr
 
 let free_words_oracle t =
   let mem = Machine.memory t.machine in

@@ -32,10 +32,9 @@ val create : Sim.Machine.t -> t
 val alloc : t -> bytes:int -> int
 (** Simulated; 0 on exhaustion. *)
 
-val free : t -> addr:int -> unit
-(** Simulated; the size is recovered from the boundary tag. *)
-
 val free_sized : t -> addr:int -> bytes:int -> unit
+(** Simulated; the size is recovered from the boundary tag, so [bytes]
+    is ignored. *)
 
 val free_words_oracle : t -> int
 (** Total words in free blocks (host-side; test oracle). *)

@@ -86,9 +86,7 @@ let profile_of name c =
 let w_done = 17
 
 let run ?(samples = 200) ?(bytes = 512) () =
-  let cfg = Workload.Rig.paper_config ~ncpus:2 () in
-  let m = Sim.Machine.create cfg in
-  let handle = Baseline.Allocator.create Baseline.Allocator.Oldkma m in
+  let m, handle = Workload.Rig.fresh Baseline.Allocator.Oldkma ~ncpus:2 () in
   let buf = Streams.Buf.create handle in
   let alloc_c = fresh_collector () in
   let free_c = fresh_collector () in

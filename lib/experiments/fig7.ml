@@ -1,23 +1,31 @@
 type point = {
   which : Baseline.Allocator.which;
   ncpus : int;
-  pairs_per_sec : float;
+  ops : int;
+  ops_per_sec : float;
+  stats : Lockfree.Stats.t option;
 }
 
 let default_cpus = [ 1; 2; 4; 8; 12; 16; 20; 25 ]
 
+(* Input order is preserved by Parallel.map, keeping the point list
+   bit-identical to a sequential run. *)
+let sweep ~jobs whichs ns cell =
+  Parallel.map ~jobs
+    (fun (which, n) -> cell which n)
+    (List.concat_map (fun which -> List.map (fun n -> (which, n)) ns) whichs)
+
 let run ?(jobs = 1) ?(whichs = Baseline.Allocator.all) ?(cpus = default_cpus)
     ?(iters = 2000) ?(bytes = 256) () =
-  (* Each cell builds its own machine, so the sweep fans out across
-     domains; input order is preserved by Parallel.map, keeping the
-     point list bit-identical to a sequential run. *)
-  Parallel.map ~jobs
-    (fun (which, ncpus) ->
+  sweep ~jobs whichs cpus (fun which ncpus ->
       let r = Workload.Bestcase.run ~which ~ncpus ~iters ~bytes () in
-      { which; ncpus; pairs_per_sec = r.Workload.Bestcase.pairs_per_sec })
-    (List.concat_map
-       (fun which -> List.map (fun ncpus -> (which, ncpus)) cpus)
-       whichs)
+      {
+        which;
+        ncpus;
+        ops = r.Workload.Bestcase.pairs;
+        ops_per_sec = r.pairs_per_sec;
+        stats = r.stats;
+      })
 
 let columns points =
   List.sort_uniq compare (List.map (fun p -> p.which) points)
@@ -33,7 +41,7 @@ let rows points fmt =
              match
                List.find_opt (fun p -> p.which = w && p.ncpus = n) points
              with
-             | Some p -> fmt p.pairs_per_sec
+             | Some p -> fmt p.ops_per_sec
              | None -> "-")
            cols)
     cpus
@@ -58,11 +66,11 @@ let speedup points ~which =
     match
       List.find_opt (fun p -> p.which = which && p.ncpus = 1) points
     with
-    | Some p -> p.pairs_per_sec
+    | Some p -> p.ops_per_sec
     | None -> invalid_arg "Fig7.speedup: no 1-CPU point"
   in
   List.filter_map
     (fun p ->
-      if p.which = which then Some (p.ncpus, p.pairs_per_sec /. base)
+      if p.which = which then Some (p.ncpus, p.ops_per_sec /. base)
       else None)
     points

@@ -1,45 +1,28 @@
-type point = {
-  which : Baseline.Allocator.which;
-  ncpus : int;
-  pairs : int;
-  pairs_per_sec : float;
-  stats : Lockfree.Stats.t option;
-}
-
 let default_cpus = [ 1; 2; 4; 8; 12; 16; 20; 26 ]
 let default_whichs =
   Baseline.Allocator.[ Cookie; Newkma; Nbbuddy; Bwfixed ]
+let default_pairs = [ 1; 2; 4; 8; 13 ]
 
-let run ?(jobs = 1) ?(whichs = default_whichs) ?(cpus = default_cpus)
-    ?(iters = 2000) ?(bytes = 256) () =
-  Parallel.map ~jobs
-    (fun (which, ncpus) ->
-      let r = Workload.Bestcase.run ~which ~ncpus ~iters ~bytes () in
+let run_crosscpu ?(jobs = 1) ?(whichs = default_whichs)
+    ?(pairs = default_pairs) ?(blocks_per_pair = 400) ?(bytes = 256) () =
+  Fig7.sweep ~jobs whichs pairs (fun which p ->
+      let r =
+        Workload.Crosscpu.run ~which ~pairs:p ~blocks_per_pair ~bytes ()
+      in
       {
-        which;
-        ncpus;
-        pairs = r.Workload.Bestcase.pairs;
-        pairs_per_sec = r.pairs_per_sec;
+        Fig7.which;
+        ncpus = p;
+        ops = r.Workload.Crosscpu.transfers;
+        ops_per_sec = r.transfers_per_sec;
         stats = r.stats;
       })
-    (List.concat_map
-       (fun which -> List.map (fun ncpus -> (which, ncpus)) cpus)
-       whichs)
 
-type storm_point = {
-  swhich : Baseline.Allocator.which;
-  sncpus : int;
-  sops : int;
-  sops_per_sec : float;
-  sstats : Lockfree.Stats.t option;
-}
-
-let storm_cell ~which ~ncpus ~iters ~seed =
-  let m =
-    Sim.Machine.create
-      (Workload.Rig.paper_config ~memory_words:(256 * 1024) ~ncpus ())
+let storm_cell ~iters ~seed which ncpus =
+  let m, a, probe =
+    Workload.Rig.fresh_probed which
+      ~config:(Workload.Rig.paper_config ~memory_words:(256 * 1024) ~ncpus ())
+      ~ncpus ()
   in
-  let a, probe = Baseline.Allocator.create_probed which m in
   let ops = ref 0 in
   Sim.Machine.run_symmetric m ~ncpus (fun cpu ->
       (* Mixed sizes, random alloc/free order, everything on one shared
@@ -82,34 +65,36 @@ let storm_cell ~which ~ncpus ~iters ~seed =
   Workload.Rig.check_drained which ~ncpus probe;
   let cycles = Sim.Machine.elapsed m in
   {
-    swhich = which;
-    sncpus = ncpus;
-    sops = !ops;
-    sops_per_sec =
+    Fig7.which;
+    ncpus;
+    ops = !ops;
+    ops_per_sec =
       Workload.Rig.pairs_per_sec (Sim.Machine.config m) ~pairs:!ops ~cycles;
-    sstats = Option.map Lockfree.Stats.copy probe.Baseline.Allocator.stats;
+    stats = Option.map Lockfree.Stats.copy probe.Baseline.Allocator.stats;
   }
 
 let run_storm ?(jobs = 1) ?(whichs = Baseline.Allocator.lockfree)
     ?(cpus = default_cpus) ?(iters = 600) ?(seed = 13) () =
-  Parallel.map ~jobs
-    (fun (which, ncpus) -> storm_cell ~which ~ncpus ~iters ~seed)
-    (List.concat_map
-       (fun which -> List.map (fun ncpus -> (which, ncpus)) cpus)
-       whichs)
+  Fig7.sweep ~jobs whichs cpus (storm_cell ~iters ~seed)
 
-(* The lock-free counter columns every E13 counter table ends with, and
-   a table of one row per cell that has counters: the columns [header]
-   names, then the counters. *)
-let counter_table header cells =
-  let row (lead, stats) =
+(* E13's counter tables: one row per cell that has counters, the arm,
+   the cell's count under [lead], its operations under [ops] (and with
+   [rate], their rate), then the lock-free counters. *)
+let print_counters ~rate heading ~lead ~ops points =
+  Series.heading heading;
+  let row (p : Fig7.point) =
     Option.map
       (fun (s : Lockfree.Stats.t) ->
         let fail_rate =
           if s.cas_attempts = 0 then nan
           else float_of_int s.cas_failures /. float_of_int s.cas_attempts
         in
-        lead
+        [
+          Baseline.Allocator.name_of p.which;
+          string_of_int p.ncpus;
+          string_of_int p.ops;
+        ]
+        @ (if rate then [ Series.sci p.ops_per_sec ] else [])
         @ [
             string_of_int s.cas_attempts;
             string_of_int s.cas_failures;
@@ -120,98 +105,31 @@ let counter_table header cells =
             string_of_int s.refills;
             string_of_int s.flushes;
           ])
-      stats
+      p.stats
   in
   Series.table
     ~header:
-      (header
+      ([ "alloc"; lead; ops ]
+      @ (if rate then [ ops ^ "/s" ] else [])
       @ [
           "cas"; "fail"; "fail%"; "marks"; "conflicts"; "helps"; "refills";
           "flushes";
         ])
-    (List.filter_map row cells)
+    (List.filter_map row points)
 
-let print_storm points =
-  Series.heading
-    "E13: mixed-size storm (overlapping claims), CAS-retry counters";
-  counter_table
-    [ "alloc"; "cpus"; "ops"; "ops/s" ]
-    (List.map
-       (fun p ->
-         ( [
-             Baseline.Allocator.name_of p.swhich;
-             string_of_int p.sncpus;
-             string_of_int p.sops;
-             Series.sci p.sops_per_sec;
-           ],
-           p.sstats ))
-       points)
-
-type remote_point = {
-  rwhich : Baseline.Allocator.which;
-  rpairs : int;
-  transfers : int;
-  transfers_per_sec : float;
-  rstats : Lockfree.Stats.t option;
-}
-
-let default_pairs = [ 1; 2; 4; 8; 13 ]
-
-let run_crosscpu ?(jobs = 1) ?(whichs = default_whichs)
-    ?(pairs = default_pairs) ?(blocks_per_pair = 400) ?(bytes = 256) () =
-  Parallel.map ~jobs
-    (fun (rwhich, p) ->
-      let r =
-        Workload.Crosscpu.run ~which:rwhich ~pairs:p ~blocks_per_pair ~bytes
-          ()
-      in
-      {
-        rwhich;
-        rpairs = p;
-        transfers = r.Workload.Crosscpu.transfers;
-        transfers_per_sec = r.Workload.Crosscpu.transfers_per_sec;
-        rstats = r.Workload.Crosscpu.stats;
-      })
-    (List.concat_map
-       (fun w -> List.map (fun p -> (w, p)) pairs)
-       whichs)
-
-let print_crosscpu points =
+let print ~best ~remote ~storm =
+  Fig7.print_table
+    "E13: lock-based vs lock-free, best-case alloc/free pairs per second" best;
+  print_counters ~rate:false
+    "E13: CAS-retry and helping counters (whole timed region)" ~lead:"cpus"
+    ~ops:"pairs" best;
   Fig7.print_table ~lead:"pairs"
     "E13: cross-CPU producer/consumer (remote frees), transfers per second"
-    (List.map
-       (fun p ->
-         {
-           Fig7.which = p.rwhich;
-           ncpus = p.rpairs;
-           pairs_per_sec = p.transfers_per_sec;
-         })
-       points);
-  if List.exists (fun p -> p.rstats <> None) points then begin
-    Series.heading "E13: remote-free CAS-retry and helping counters";
-    counter_table
-      [ "alloc"; "pairs"; "xfers" ]
-      (List.map
-         (fun p ->
-           ( [
-               Baseline.Allocator.name_of p.rwhich;
-               string_of_int p.rpairs;
-               string_of_int p.transfers;
-             ],
-             p.rstats ))
-         points)
-  end
-
-let print_retries points =
-  Series.heading "E13: CAS-retry and helping counters (whole timed region)";
-  counter_table
-    [ "alloc"; "cpus"; "pairs" ]
-    (List.map
-       (fun p ->
-         ( [
-             Baseline.Allocator.name_of p.which;
-             string_of_int p.ncpus;
-             string_of_int p.pairs;
-           ],
-           p.stats ))
-       points)
+    remote;
+  if List.exists (fun (p : Fig7.point) -> p.stats <> None) remote then
+    print_counters ~rate:false
+      "E13: remote-free CAS-retry and helping counters" ~lead:"pairs"
+      ~ops:"xfers" remote;
+  print_counters ~rate:true
+    "E13: mixed-size storm (overlapping claims), CAS-retry counters"
+    ~lead:"cpus" ~ops:"ops" storm

@@ -20,14 +20,10 @@ let measure_pair m f_alloc f_free =
 let kma_rows () =
   let bytes = 256 in
   let rows = ref [] in
-  let m = Sim.Machine.create (Workload.Rig.paper_config ~ncpus:1 ()) in
-  let kmem =
-    Kma.Kmem.create m
-      ~params:
-        (Kma.Params.auto
-           ~memory_words:(Sim.Machine.config m).Sim.Config.memory_words)
-      ()
+  let m, _, probe =
+    Workload.Rig.fresh_probed Baseline.Allocator.Newkma ~ncpus:1 ()
   in
+  let kmem = Option.get probe.Baseline.Allocator.kmem in
   Sim.Machine.run m
     [|
       (fun _ ->
@@ -58,26 +54,18 @@ let kma_rows () =
 (* MK baseline on its own machine. *)
 let mk_rows () =
   let bytes = 256 in
-  let m2 = Sim.Machine.create (Workload.Rig.paper_config ~ncpus:1 ()) in
-  let mk = Baseline.Mk.create m2 in
-  let rows = ref [] in
-  Sim.Machine.run m2
+  let m, a = Workload.Rig.fresh Baseline.Allocator.Mk ~ncpus:1 () in
+  let counts = ref (0, 0) in
+  Sim.Machine.run m
     [|
       (fun _ ->
-        let ma, mf =
-          measure_pair m2
-            (fun () -> Baseline.Mk.alloc mk ~bytes)
-            (fun a -> Baseline.Mk.free mk ~addr:a)
-        in
-        rows :=
-          {
-            interface = "mk (plus global lock)";
-            alloc_insns = ma;
-            free_insns = mf;
-          }
-          :: !rows);
+        counts :=
+          measure_pair m
+            (fun () -> a.Baseline.Allocator.alloc ~bytes)
+            (fun addr -> a.Baseline.Allocator.free ~addr ~bytes));
     |];
-  List.rev !rows
+  let alloc_insns, free_insns = !counts in
+  [ { interface = "mk (plus global lock)"; alloc_insns; free_insns } ]
 
 let run ?(jobs = 1) () =
   (* Two independent machines — a two-cell sweep; order is preserved

@@ -28,7 +28,7 @@ let fig7_data points =
                 (fun p -> p.Fig7.which = w && p.Fig7.ncpus = n)
                 points
             with
-            | Some p -> p.Fig7.pairs_per_sec
+            | Some p -> p.Fig7.ops_per_sec
             | None -> Float.nan
           in
           Buffer.add_string b (Printf.sprintf "\t%.6g" v))

@@ -68,15 +68,12 @@ let run_cell ~ncpus ~rounds ~batch ~alloc ~free ~finish m =
   in
   finish ~pairs_per_sec:pps ~failures:total_failures
 
-let kma_cell ~cookie ~ncpus ~rounds ~batch ~seed rate =
-  let cfg = Workload.Rig.paper_config ~ncpus () in
-  let m = Sim.Machine.create cfg in
-  let params = Kma.Params.auto ~memory_words:cfg.Sim.Config.memory_words in
-  let kmem = Kma.Kmem.create m ~params () in
+let kma_cell which ~ncpus ~rounds ~batch ~seed rate =
+  let m, a, probe = Workload.Rig.fresh_probed which ~ncpus () in
+  let kmem = Option.get probe.Baseline.Allocator.kmem in
   Kma.Pressure.enable kmem;
   let vmsys = Kma.Kmem.vmsys kmem in
   Sim.Vmsys.set_fault_rate vmsys ~seed rate;
-  let a = Baseline.Allocator.of_kmem ~cookie kmem in
   let bytes ~slot = sizes.(slot mod Array.length sizes) in
   let alloc ~slot = a.Baseline.Allocator.alloc ~bytes:(bytes ~slot) in
   let free ~slot addr = a.Baseline.Allocator.free ~addr ~bytes:(bytes ~slot) in
@@ -135,34 +132,33 @@ let run ?(jobs = 1) ?(ncpus = 4) ?(rounds = 30) ?(batch = 120)
      domain-local state — and the harvests are absorbed in input
      order, so the checker report (and of course the rows) are
      bit-identical at any job count. *)
-  let names = [ "cookie"; "newkma"; "mk" ] in
-  let cell name rate =
-    match name with
-    | "cookie" -> kma_cell ~cookie:true ~ncpus ~rounds ~batch ~seed rate
-    | "newkma" -> kma_cell ~cookie:false ~ncpus ~rounds ~batch ~seed rate
-    | _ -> mk_cell ~ncpus ~rounds ~batch rate
+  let arms = Baseline.Allocator.[ Cookie; Newkma; Mk ] in
+  let cell which rate =
+    match which with
+    | Baseline.Allocator.Mk -> mk_cell ~ncpus ~rounds ~batch rate
+    | w -> kma_cell w ~ncpus ~rounds ~batch ~seed rate
   in
   let grid =
-    List.concat_map (fun name -> List.map (fun r -> (name, r)) rates) names
+    List.concat_map (fun w -> List.map (fun r -> (w, r)) rates) arms
   in
   let cells =
     Parallel.map ~jobs
-      (fun (name, rate) -> Heapcheck.shard (fun () -> cell name rate))
+      (fun (which, rate) -> Heapcheck.shard (fun () -> cell which rate))
       grid
   in
   let rows = List.map (fun (row, h) -> Heapcheck.absorb h; row) cells in
   let nrates = List.length rates in
   let series =
     List.mapi
-      (fun i name ->
+      (fun i which ->
         {
-          name;
+          name = Baseline.Allocator.name_of which;
           rows =
             List.filteri
               (fun j _ -> j >= i * nrates && j < (i + 1) * nrates)
               rows;
         })
-      names
+      arms
   in
   { ncpus; rounds; batch; rates; series }
 

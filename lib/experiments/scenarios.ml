@@ -11,20 +11,16 @@ let run_one ~now (sc : Scenario.t) =
   let t0 = now () in
   let t = sc.Scenario.generate ~seed:sc.Scenario.default_seed in
   let ncpus = max 1 (Workload.Trace.ncpus t) in
-  let m = Sim.Machine.create (Workload.Rig.paper_config ~ncpus ()) in
-  let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
+  let m, a = Workload.Rig.fresh Baseline.Allocator.Newkma ~ncpus () in
   let r = Workload.Trace.replay m t a in
-  let cfg = Sim.Machine.config m in
   {
     name = sc.Scenario.name;
     ncpus;
     events = List.length t;
     result = r;
     ops_per_sec =
-      (if r.Workload.Trace.cycles = 0 then 0.
-       else
-         float_of_int r.Workload.Trace.ops
-         /. Sim.Config.seconds_of_cycles cfg r.Workload.Trace.cycles);
+      Workload.Rig.pairs_per_sec (Sim.Machine.config m)
+        ~pairs:r.Workload.Trace.ops ~cycles:r.Workload.Trace.cycles;
     wall_s = now () -. t0;
   }
 

@@ -351,7 +351,7 @@ let fig7_verdicts points =
   let at ncpus which =
     List.find_map
       (fun (p : Experiments.Fig7.point) ->
-        if p.which = which && p.ncpus = ncpus then Some p.pairs_per_sec
+        if p.which = which && p.ncpus = ncpus then Some p.ops_per_sec
         else None)
       points
   in
@@ -412,20 +412,6 @@ let fig7 =
       $ cpus
       $ count "iters" 2000 "Timed alloc/free pairs per CPU."
       $ semilog $ gnuplot)
-
-let fig8 =
-  let run whichs cpus iters env =
-    Experiments.Fig7.print_semilog
-      (Experiments.Fig7.run ~jobs:env.jobs ~whichs ~cpus ~iters ())
-  in
-  let cpus = cpu_list Experiments.Fig7.default_cpus in
-  experiment "fig8" ~fans_out:true ~geometry:cpus
-    ~doc:"Same data as fig7 on a semilog scale (Figure 8)."
-    Term.(
-      const run
-      $ allocs_flag Baseline.Allocator.all
-      $ cpus
-      $ count "iters" 2000 "Pairs/CPU.")
 
 let fig9 =
   (* The memory must also be whole cache lines of the --geometry the
@@ -643,19 +629,15 @@ let cyclic =
 let crosscpu =
   let run whichs pairs blocks env =
     section "Producer/consumer flow through the global layer";
-    let rows =
-      Parallel.map ~jobs:env.jobs
-        (fun which ->
-          let r =
-            Workload.Crosscpu.run ~which ~pairs ~blocks_per_pair:blocks ()
-          in
-          [
-            Baseline.Allocator.name_of which;
-            Experiments.Series.sci r.Workload.Crosscpu.transfers_per_sec;
-          ])
-        whichs
-    in
-    Experiments.Series.table ~header:[ "allocator"; "transfers/s" ] rows
+    Experiments.Series.table ~header:[ "allocator"; "transfers/s" ]
+      (List.map
+         (fun (p : Experiments.Fig7.point) ->
+           [
+             Baseline.Allocator.name_of p.which;
+             Experiments.Series.sci p.ops_per_sec;
+           ])
+         (Experiments.Lockfree_arms.run_crosscpu ~jobs:env.jobs ~whichs
+            ~pairs:[ pairs ] ~blocks_per_pair:blocks ()))
   in
   let pairs =
     Arg.(
@@ -682,17 +664,15 @@ let trace =
     let rows =
       List.map
         (fun which ->
-          let m = Sim.Machine.create (Workload.Rig.paper_config ~ncpus:1 ()) in
-          let a = Baseline.Allocator.create which m in
+          let m, a = Workload.Rig.fresh which ~ncpus:1 () in
           let r = Workload.Trace.replay m t a in
-          let cfg = Sim.Machine.config m in
           [
             Baseline.Allocator.name_of which;
             string_of_int r.Workload.Trace.failures;
             string_of_int r.Workload.Trace.skipped_frees;
             Experiments.Series.sci
-              (float_of_int r.Workload.Trace.ops
-              /. Sim.Config.seconds_of_cycles cfg r.Workload.Trace.cycles);
+              (Workload.Rig.pairs_per_sec (Sim.Machine.config m)
+                 ~pairs:r.Workload.Trace.ops ~cycles:r.Workload.Trace.cycles);
           ])
         Baseline.Allocator.(all @ [ Lazybuddy ])
     in
@@ -806,48 +786,25 @@ let scenario =
                      (Scenario.Pathology.analyze ~windows ~which ~name:label t))
               else begin
                 let ncpus = max 1 (Workload.Trace.ncpus t) in
-                let cfg = Workload.Rig.paper_config ~ncpus () in
-                let m = Sim.Machine.create cfg in
-                let print_result r =
-                  let cfg = Sim.Machine.config m in
-                  Printf.printf
-                    "scenario %s: seed %d, %d CPUs, %d events -> %d ops (%d \
-                     failed, %d skipped frees) in %d cycles (%s ops/s)\n"
-                    label seed ncpus (List.length t) r.Workload.Trace.ops
-                    r.Workload.Trace.failures r.Workload.Trace.skipped_frees
-                    r.Workload.Trace.cycles
-                    (Experiments.Series.sci
-                       (float_of_int r.Workload.Trace.ops
-                       /. Sim.Config.seconds_of_cycles cfg
-                            r.Workload.Trace.cycles))
-                in
-                match which with
-                | Baseline.Allocator.Newkma ->
-                    (* newkma booted by hand so --heapcheck can
-                       checkpoint against the kmem handle after the
-                       replay. *)
-                    let kmem =
-                      Kma.Kmem.create m
-                        ~params:
-                          (Kma.Params.auto
-                             ~memory_words:cfg.Sim.Config.memory_words)
-                        ()
-                    in
-                    let r =
-                      Workload.Trace.replay m t
-                        (Baseline.Allocator.of_kmem kmem)
-                    in
-                    Heapcheck.checkpoint kmem;
-                    print_result r
-                | w ->
-                    let a, probe = Baseline.Allocator.create_probed w m in
-                    let r = Workload.Trace.replay m t a in
-                    print_result r;
-                    Option.iter
-                      (fun st ->
-                        Printf.printf "  probe: %s\n"
-                          (Lockfree.Stats.to_string st))
-                      probe.Baseline.Allocator.stats
+                let m, a, probe = Workload.Rig.fresh_probed which ~ncpus () in
+                let r = Workload.Trace.replay m t a in
+                (* After the replay every CPU is done: a quiescent point
+                   for --heapcheck on a kmem arm. *)
+                Option.iter Heapcheck.checkpoint probe.Baseline.Allocator.kmem;
+                Printf.printf
+                  "scenario %s: seed %d, %d CPUs, %d events -> %d ops (%d \
+                   failed, %d skipped frees) in %d cycles (%s ops/s)\n"
+                  label seed ncpus (List.length t) r.Workload.Trace.ops
+                  r.Workload.Trace.failures r.Workload.Trace.skipped_frees
+                  r.Workload.Trace.cycles
+                  (Experiments.Series.sci
+                     (Workload.Rig.pairs_per_sec (Sim.Machine.config m)
+                        ~pairs:r.Workload.Trace.ops
+                        ~cycles:r.Workload.Trace.cycles));
+                Option.iter
+                  (fun st ->
+                    Printf.printf "  probe: %s\n" (Lockfree.Stats.to_string st))
+                  probe.Baseline.Allocator.stats
               end
             in
             env.checked (fun () -> List.iter one whichs))
@@ -880,22 +837,17 @@ let lockfree =
   let run (whichs, bytes) cpus iters pairs blocks env =
     let module L = Experiments.Lockfree_arms in
     let jobs = env.jobs in
-    let points = L.run ~jobs ~whichs ~cpus ~iters ~bytes () in
-    Experiments.Fig7.print_table
-      "E13: lock-based vs lock-free, best-case alloc/free pairs per second"
-      (List.map
-         (fun (p : L.point) ->
-           { Experiments.Fig7.which = p.which; ncpus = p.ncpus;
-             pairs_per_sec = p.pairs_per_sec })
-         points);
-    L.print_retries points;
-    L.print_crosscpu
-      (L.run_crosscpu ~jobs ~whichs ~pairs ~blocks_per_pair:blocks ~bytes ());
-    L.print_storm
-      (L.run_storm ~jobs
-         ~whichs:
-           (List.filter (fun w -> List.mem w Baseline.Allocator.lockfree) whichs)
-         ~cpus ())
+    let best = Experiments.Fig7.run ~jobs ~whichs ~cpus ~iters ~bytes () in
+    let remote =
+      L.run_crosscpu ~jobs ~whichs ~pairs ~blocks_per_pair:blocks ~bytes ()
+    in
+    let storm =
+      L.run_storm ~jobs
+        ~whichs:
+          (List.filter (fun w -> List.mem w Baseline.Allocator.lockfree) whichs)
+        ~cpus ()
+    in
+    L.print ~best ~remote ~storm
   in
   let cpus = cpu_list Experiments.Lockfree_arms.default_cpus in
   let pairs =
@@ -1129,8 +1081,8 @@ let ablation_target =
             Experiments.Series.pct
               (Kma.Kstats.combined_alloc_miss_rate stats ~si);
             Experiments.Series.sci
-              (float_of_int r.Dlm.Oltp.transactions
-              /. Sim.Config.seconds_of_cycles cfg r.Dlm.Oltp.cycles);
+              (Workload.Rig.pairs_per_sec cfg ~pairs:r.Dlm.Oltp.transactions
+                 ~cycles:r.Dlm.Oltp.cycles);
           ])
         [ 1; 2; 5; 10; 20 ]
     in
@@ -1450,7 +1402,7 @@ let fuzz_matrix =
 
 let commands =
   [
-    fig7; fig8; fig9; opcounts; analysis; missrates; geometry; numa; lockfree;
+    fig7; fig9; opcounts; analysis; missrates; geometry; numa; lockfree;
     pressure; fuzz; cyclic; crosscpu; trace; scenario; service;
   ]
 

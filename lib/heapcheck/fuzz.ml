@@ -1,26 +1,5 @@
 open Sim
 
-(* Splitmix-style PRNG, the repo's workload idiom replicated here so
-   this library depends only on sim + kma (see Workload.Prng for the
-   constant provenance). *)
-module Rng = struct
-  type t = { mutable s : int }
-
-  let gamma = 0x2545F4914F6CDD1D
-  let m1 = 0x2F58476D1CE4E5B9
-  let m2 = 0x14D049BB133111EB
-  let create seed = { s = seed lxor gamma }
-
-  let next t =
-    t.s <- t.s + gamma;
-    let z = t.s in
-    let z = (z lxor (z lsr 30)) * m1 in
-    let z = (z lxor (z lsr 27)) * m2 in
-    (z lxor (z lsr 31)) land max_int
-
-  let int t bound = next t mod bound
-end
-
 (* Ops are abstract and self-relocating: [Free k] frees the (k mod
    nlive)-th live block of the *replaying* model, so removing earlier
    ops during minimization leaves every remaining op meaningful. *)
@@ -93,16 +72,7 @@ let pp_trace ppf ops =
 (* --- generation --- *)
 
 let gen cfg =
-  let rng = Rng.create cfg.seed in
-  let weighted choices =
-    let total = Array.fold_left (fun a (w, _) -> a + w) 0 choices in
-    let r = Rng.int rng total in
-    let rec go i acc =
-      let w, v = choices.(i) in
-      if r < acc + w then v else go (i + 1) (acc + w)
-    in
-    go 0 0
-  in
+  let rng = Prng.create ~seed:cfg.seed in
   let fault_w = if cfg.fault_rate > 0. then 2 else 0 in
   let corrupt_w = if cfg.corrupt then 1 else 0 in
   let choices =
@@ -120,17 +90,17 @@ let gen cfg =
     |]
   in
   List.init cfg.ops (fun _ ->
-      match weighted choices with
-      | `Alloc -> Alloc (Rng.int rng 1024)
-      | `Free -> Free (Rng.int rng 1024)
-      | `Alloc_large -> Alloc_large (Rng.int rng 1024)
-      | `Free_large -> Free_large (Rng.int rng 1024)
+      match Prng.weighted rng choices with
+      | `Alloc -> Alloc (Prng.int rng ~bound:1024)
+      | `Free -> Free (Prng.int rng ~bound:1024)
+      | `Alloc_large -> Alloc_large (Prng.int rng ~bound:1024)
+      | `Free_large -> Free_large (Prng.int rng ~bound:1024)
       | `Reap_light -> Reap false
       | `Reap_full -> Reap true
-      | `Drain -> Drain (Rng.int rng 1024)
-      | `Fault_on -> Fault_on (Rng.int rng 1024)
+      | `Drain -> Drain (Prng.int rng ~bound:1024)
+      | `Fault_on -> Fault_on (Prng.int rng ~bound:1024)
       | `Fault_off -> Fault_off
-      | `Corrupt -> Corrupt (Rng.int rng 4))
+      | `Corrupt -> Corrupt (Prng.int rng ~bound:4))
 
 (* --- execution against the reference model --- *)
 

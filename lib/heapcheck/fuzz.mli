@@ -1,7 +1,7 @@
 (** Deterministic model-based differential fuzzer for the allocator.
 
     Drives [Kma.Kmem] on a simulated machine with a seeded
-    splitmix-style PRNG over a weighted op mix — small allocs/frees,
+    {!Sim.Prng} over a weighted op mix — small allocs/frees,
     large (multi-page) allocs/frees, reap passes, per-CPU drains and
     VM-system fault-injection toggles — against a trivial host-side
     reference model (the live set), cross-checking {!Heapcheck.check}

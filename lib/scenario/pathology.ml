@@ -247,17 +247,13 @@ let tail_findings fr (alloc_lat : percentiles) =
   end
   else []
 
-let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
-    ~name t =
+let analyze ?(windows = 16) ?(which = Baseline.Allocator.Newkma) ~name t =
   if windows < 1 then invalid_arg "Scenario.Pathology.analyze: windows < 1";
   let ncpus = max 1 (Workload.Trace.ncpus t) in
-  let cfg = Workload.Rig.paper_config ?memory_words ~ncpus () in
-  let m = Sim.Machine.create cfg in
-  let params = Kma.Params.auto ~memory_words:cfg.Sim.Config.memory_words in
   let prev = Flightrec.Recorder.installed () in
   let fr = Flightrec.Recorder.create ~ncpus () in
-  (* Install before boot so [Kmem.create]'s lock-name registrations land
-     in this recorder and findings name locks symbolically. *)
+  (* Install before boot so the allocator's lock-name registrations
+     land in this recorder and findings name locks symbolically. *)
   Flightrec.Recorder.install fr;
   Fun.protect
     ~finally:(fun () ->
@@ -265,22 +261,16 @@ let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
       | Some r -> Flightrec.Recorder.install r
       | None -> Flightrec.Recorder.uninstall ())
   @@ fun () ->
-  (* For the new allocator, boot newkma by hand (not
-     [Baseline.Allocator.create]) so we keep the [Kma.Kmem.t] handle
-     the heapcheck fragmentation walk needs.  Any other roster arm
-     boots through [create_probed]; without a kmem handle the
-     fragmentation samples carry no page counts (the curve still
-     tracks live bytes), and lock-free arms report their retry
-     counters instead. *)
-  let booted =
-    match which with
-    | Baseline.Allocator.Newkma ->
-        let kmem = Kma.Kmem.create m ~params () in
-        `Newkma (kmem, Baseline.Allocator.of_kmem kmem)
-    | w -> `Probed (Baseline.Allocator.create_probed w m)
+  (* A kmem arm's probe carries the [Kma.Kmem.t] the heapcheck
+     fragmentation walk needs.  Without one the fragmentation samples
+     carry no page counts (the curve still tracks live bytes), and
+     lock-free arms report their retry counters instead. *)
+  let m, a, p = Workload.Rig.fresh_probed which ~ncpus () in
+  let kmem = p.Baseline.Allocator.kmem in
+  let page_bytes =
+    Option.fold kmem ~none:0 ~some:(fun k ->
+        (Kma.Kmem.params k).Kma.Params.page_bytes)
   in
-  let a = match booted with `Newkma (_, a) -> a | `Probed (a, _) -> a in
-  let page_bytes = params.Kma.Params.page_bytes in
   let alloc_lats = ref [] and free_lats = ref [] in
   let on_op ~cpu:_ ~alloc ~latency =
     if alloc then alloc_lats := latency :: !alloc_lats
@@ -294,8 +284,8 @@ let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
   let sample () =
     let live = Workload.Trace.live_bytes s in
     let point =
-      match booted with
-      | `Newkma (kmem, _) ->
+      match kmem with
+      | Some kmem ->
           (* Between [step] windows every simulated CPU is parked
              between operations: a quiescent point, so the heapcheck
              walk is sound. *)
@@ -311,7 +301,7 @@ let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
                  float_of_int (f.Heapcheck.granted_pages * page_bytes)
                  /. float_of_int live);
           }
-      | `Probed _ ->
+      | None ->
           {
             at_ops = !consumed;
             granted_pages = 0;
@@ -330,9 +320,9 @@ let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
   let final_live = Workload.Trace.live_bytes s in
   let result = Workload.Trace.finish s in
   let probe =
-    match booted with
-    | `Newkma _ -> []
-    | `Probed (_, p) ->
+    match kmem with
+    | Some _ -> []
+    | None ->
         let lines =
           match p.Baseline.Allocator.stats with
           | Some st ->
@@ -357,10 +347,8 @@ let analyze ?(windows = 16) ?memory_words ?(which = Baseline.Allocator.Newkma)
     @ convoy_findings fr
   in
   let ops_per_sec =
-    if result.Workload.Trace.cycles = 0 then 0.
-    else
-      float_of_int result.Workload.Trace.ops
-      /. Sim.Config.seconds_of_cycles cfg result.Workload.Trace.cycles
+    Workload.Rig.pairs_per_sec (Sim.Machine.config m)
+      ~pairs:result.Workload.Trace.ops ~cycles:result.Workload.Trace.cycles
   in
   {
     scenario = name;

@@ -60,30 +60,29 @@ type report = {
   probe : string list;
       (** allocator-arm observations with no flightrec counterpart:
           lock-free retry counters and the drain oracle (empty for the
-          new allocator) *)
+          kmem arms, which heapcheck walks instead) *)
 }
 
 val analyze :
   ?windows:int ->
-  ?memory_words:int ->
   ?which:Baseline.Allocator.which ->
   name:string ->
   Workload.Trace.t ->
   report
 (** [analyze ~name t] boots allocator [which] (default [Newkma], the
-    new allocator) on a fresh machine with [Workload.Trace.ncpus t]
-    CPUs, replays [t] in [windows] (default 16) windows with the
-    flight recorder installed, samples fragmentation between windows
-    (also running a [Heapcheck.checkpoint] there, so a driver's
-    [--heapcheck] composes), and returns the report.  Any previously
-    installed flight recorder is restored on return.
+    new allocator) through {!Workload.Rig.fresh_probed} on a fresh
+    machine with [Workload.Trace.ncpus t] CPUs, replays [t] in
+    [windows] (default 16) windows with the flight recorder installed,
+    samples fragmentation between windows, and returns the report.
+    Any previously installed flight recorder is restored on return.
 
-    Non-[Newkma] arms boot through [Baseline.Allocator.create_probed]:
-    there is no [Kma.Kmem.t] handle, so the fragmentation samples carry
-    no page counts (live bytes still tracked, the [fragmentation]
-    finding cannot fire), while lock-free arms contribute retry-counter
-    [probe] lines and — when the trace ends with nothing live — the
-    drain-oracle verdict. *)
+    For the kmem arms (cookie, newkma, numakma) each sample walks the
+    probe's [Kma.Kmem.t] for its granted pages and runs a
+    [Heapcheck.checkpoint], so a driver's [--heapcheck] composes.  The
+    other arms have no kmem: their samples carry no page counts (live
+    bytes still tracked, the [fragmentation] finding cannot fire),
+    while they contribute [probe] lines: lock-free retry counters and,
+    when the trace ends with nothing live, the drain-oracle verdict. *)
 
 val to_string : report -> string
 (** Deterministic text rendering (suitable for golden tests). *)

@@ -131,9 +131,7 @@ let gen_frag_adversary ~seed:_ =
    [Workload.Trace.record]; then skew a quarter of the frees to a
    different CPU, the DLM's remote-release pattern. *)
 let gen_recorded_dlm ~seed =
-  let cfg = Workload.Rig.paper_config ~ncpus:4 () in
-  let m = Sim.Machine.create cfg in
-  let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
+  let m, a = Workload.Rig.fresh Baseline.Allocator.Newkma ~ncpus:4 () in
   let trace =
     Workload.Trace.record a (fun wrapped ->
         Sim.Machine.run_symmetric m ~ncpus:4 (fun cpu ->

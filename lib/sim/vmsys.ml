@@ -8,10 +8,11 @@ type t = {
   mutable reclaims : int;
   mutable denials : int;
   mutable injected_denials : int;
-  (* Fault injection: deny a grant when the next PRNG draw, reduced to
-     16 bits, falls below [fault_threshold] (0 = off). *)
+  (* Fault injection: deny a grant when the next draw below 2^16 falls
+     below [fault_threshold] (0 = off).  Host-side state, so fault
+     draws charge no simulated cycles and runs stay deterministic. *)
   mutable fault_threshold : int;
-  mutable fault_state : int;
+  mutable fault_rng : Prng.t;
 }
 
 let create ~total_pages ~grant_cost ~reclaim_cost =
@@ -29,28 +30,14 @@ let create ~total_pages ~grant_cost ~reclaim_cost =
     denials = 0;
     injected_denials = 0;
     fault_threshold = 0;
-    fault_state = 0;
+    fault_rng = Prng.create ~seed:1;
   }
-
-(* Same splitmix-style mixer as Workload.Prng, inlined so the simulator
-   stays dependency-free; host-side state, so fault draws charge no
-   simulated cycles and runs stay deterministic. *)
-let fault_gamma = 0x2545F4914F6CDD1D
-let fault_m1 = 0x2F58476D1CE4E5B9
-let fault_m2 = 0x14D049BB133111EB
-
-let fault_next t =
-  t.fault_state <- t.fault_state + fault_gamma;
-  let z = t.fault_state in
-  let z = (z lxor (z lsr 30)) * fault_m1 in
-  let z = (z lxor (z lsr 27)) * fault_m2 in
-  (z lxor (z lsr 31)) land max_int
 
 let set_fault_rate t ?(seed = 1) rate =
   if not (Float.is_finite rate) || rate < 0. || rate > 1. then
     invalid_arg "Sim.Vmsys.set_fault_rate: rate outside [0,1]";
   t.fault_threshold <- int_of_float (rate *. 65536.);
-  t.fault_state <- seed lxor fault_gamma
+  t.fault_rng <- Prng.create ~seed
 
 let fault_rate t = float_of_int t.fault_threshold /. 65536.
 
@@ -82,7 +69,8 @@ let grant t =
   Machine.work t.grant_cost;
   Machine.sync ();
   let injected =
-    t.fault_threshold > 0 && fault_next t land 0xFFFF < t.fault_threshold
+    t.fault_threshold > 0
+    && Prng.int t.fault_rng ~bound:65536 < t.fault_threshold
   in
   if injected || t.ngranted >= t.total then begin
     t.denials <- t.denials + 1;

@@ -33,7 +33,7 @@ val reclaim : t -> unit
 (** {1 Fault injection (host-side)}
 
     Models a VM system under memory pressure refusing page grants.
-    Denials are driven by a deterministic splitmix PRNG private to this
+    Denials are driven by a deterministic {!Prng} stream private to this
     instance, so simulations with fault injection remain reproducible;
     the draw is host-side and charges no simulated cycles. *)
 

@@ -14,8 +14,8 @@ let night_bytes = 4096
    everything freed.  One night: allocate big blocks, touch them, free
    them. *)
 let simulate (a : Baseline.Allocator.t) ~granted_pages ~days ~day_ops
-    ~night_blocks ~seed =
-  let rng = Prng.create ~seed in
+    ~night_blocks =
+  let rng = Prng.create ~seed:42 in
   let day_allocs = ref 0 in
   let night_allocs = ref 0 in
   let night_failures = ref 0 in
@@ -70,19 +70,11 @@ let simulate (a : Baseline.Allocator.t) ~granted_pages ~days ~day_ops
   done;
   (!day_allocs, !night_allocs, !night_failures, !day_peak, !night_peak)
 
-let run_kmem ?config ?(days = 3) ?(day_ops = 2000) ?(night_blocks = 40)
-    ?(seed = 42) ?params () =
-  let cfg =
-    match config with Some c -> c | None -> Rig.paper_config ~ncpus:1 ()
+let run_kmem ?config ?(days = 3) ?(day_ops = 2000) ?(night_blocks = 40) () =
+  let m, a, probe =
+    Rig.fresh_probed Baseline.Allocator.Newkma ?config ~ncpus:1 ()
   in
-  let m = Sim.Machine.create cfg in
-  let params =
-    match params with
-    | Some p -> p
-    | None -> Kma.Params.auto ~memory_words:cfg.Sim.Config.memory_words
-  in
-  let kmem = Kma.Kmem.create m ~params () in
-  let a = Baseline.Allocator.of_kmem kmem in
+  let kmem = Option.get probe.Baseline.Allocator.kmem in
   let out = ref None in
   Sim.Machine.run m
     [|
@@ -91,7 +83,7 @@ let run_kmem ?config ?(days = 3) ?(day_ops = 2000) ?(night_blocks = 40)
           Some
             (simulate a
                ~granted_pages:(fun () -> Kma.Kmem.granted_pages_oracle kmem)
-               ~days ~day_ops ~night_blocks ~seed));
+               ~days ~day_ops ~night_blocks));
     |];
   let day_allocs, night_allocs, night_failures, day_peak_pages, night_pages =
     Option.get !out

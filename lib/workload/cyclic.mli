@@ -22,8 +22,8 @@ val run_kmem :
   ?days:int ->
   ?day_ops:int ->
   ?night_blocks:int ->
-  ?seed:int ->
-  ?params:Kma.Params.t ->
   unit ->
   result
-(** The instrumented run on the new allocator, with page accounting. *)
+(** The instrumented run on the new allocator, booted through
+    {!Rig.fresh_probed} on one CPU (a given [config] has its [ncpus]
+    overridden), with page accounting. *)

@@ -1,23 +1,7 @@
-(** Deterministic pseudo-random numbers (splitmix-style) for workload
-    generation.  Host-side state: drawing numbers costs the simulation
-    nothing (a benchmark driver's randomness is not the system under
-    test), but sequences are reproducible from the seed.  Reproduction
+(** {!Sim.Prng} under the workload library's name, for the workload
+    generators and benchmark drivers that draw from it.  Reproduction
     infrastructure with no paper counterpart. *)
 
-type t
-
-val create : seed:int -> t
-val split : t -> t
-(** [split t] derives an independent stream (e.g. one per CPU). *)
-
-val int : t -> bound:int -> int
-(** [int t ~bound] is uniform in [0, bound). @raise Invalid_argument if
-    [bound <= 0]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice. @raise Invalid_argument on an empty array. *)
-
-val weighted : t -> (int * 'a) array -> 'a
-(** [weighted t choices] picks proportionally to the integer weights.
-    @raise Invalid_argument if all weights are zero or any is
-    negative. *)
+include module type of struct
+  include Sim.Prng
+end

@@ -11,7 +11,6 @@ let fresh_probed which ?config ~ncpus () =
     | Some c -> { c with Sim.Config.ncpus }
     | None -> paper_config ~ncpus ()
   in
-  Sim.Config.validate cfg;
   let m = Sim.Machine.create cfg in
   let a, probe = Baseline.Allocator.create_probed which m in
   (m, a, probe)

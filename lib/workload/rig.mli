@@ -28,10 +28,14 @@ val fresh_probed :
   ncpus:int ->
   unit ->
   Sim.Machine.t * Baseline.Allocator.t * Baseline.Allocator.probe
-(** {!fresh} plus the allocator's observation probe (retry counters and
-    drain oracle for the lock-free arms). *)
+(** {!fresh} plus the allocator's observation probe: retry counters and
+    drain oracle for the lock-free arms, the booted [Kma.Kmem.t] for
+    the cookie, newkma and numakma arms. *)
 
 val pairs_per_sec : Sim.Config.t -> pairs:int -> cycles:int -> float
+(** [pairs_per_sec cfg ~pairs ~cycles] is [pairs] operations over
+    [cycles] simulated cycles at [cfg]'s clock, per second; 0 when no
+    cycle elapsed. *)
 
 (** {1 Failures of a measured loop} *)
 

@@ -4,6 +4,10 @@ let machine ?(ncpus = 4) ?(memory_words = 65536) ?(uncached_words = 512) () =
        ~geometry:{ Sim.Geometry.default with cache_lines = 0 }
        ~uncached_words ())
 
+(* oldkma reads a block's size from its boundary tag, so the size
+   [free_sized] takes goes unread. *)
+let free o ~addr = Baseline.Oldkma.free_sized o ~addr ~bytes:0
+
 let on_cpu m f =
   let r = ref None in
   Sim.Machine.run m [| (fun _ -> r := Some (f ())) |];
@@ -18,9 +22,9 @@ let test_roundtrip_and_coalesce () =
       let b = Baseline.Oldkma.alloc o ~bytes:200 in
       let c = Baseline.Oldkma.alloc o ~bytes:300 in
       Alcotest.(check bool) "all allocated" true (a <> 0 && b <> 0 && c <> 0);
-      Baseline.Oldkma.free o ~addr:a;
-      Baseline.Oldkma.free o ~addr:c;
-      Baseline.Oldkma.free o ~addr:b);
+      free o ~addr:a;
+      free o ~addr:c;
+      free o ~addr:b);
   Alcotest.(check int) "fully coalesced back" initial
     (Baseline.Oldkma.free_words_oracle o)
 
@@ -42,7 +46,7 @@ let test_free_middle_then_refit () =
       let b = Baseline.Oldkma.alloc o ~bytes:64 in
       let c = Baseline.Oldkma.alloc o ~bytes:64 in
       ignore c;
-      Baseline.Oldkma.free o ~addr:b;
+      free o ~addr:b;
       (* A same-size request first-fits into the hole. *)
       let b' = Baseline.Oldkma.alloc o ~bytes:64 in
       Alcotest.(check int) "hole reused" b b';
@@ -61,7 +65,7 @@ let test_worst_case_sweep_completes () =
       in
       let small = fill [] in
       Alcotest.(check bool) "arena filled" true (List.length small > 1000);
-      List.iter (fun a -> Baseline.Oldkma.free o ~addr:a) small;
+      List.iter (fun a -> free o ~addr:a) small;
       big := Baseline.Oldkma.alloc o ~bytes:4096);
   Alcotest.(check bool) "large block after coalescing" true (!big <> 0)
 
@@ -73,12 +77,12 @@ let test_is_slow_and_serial () =
   let o = Baseline.Oldkma.create m in
   on_cpu m (fun () ->
       let a = Baseline.Oldkma.alloc o ~bytes:256 in
-      Baseline.Oldkma.free o ~addr:a);
+      free o ~addr:a);
   let t0 = Sim.Machine.elapsed m in
   on_cpu m (fun () ->
       for _ = 1 to 100 do
         let a = Baseline.Oldkma.alloc o ~bytes:256 in
-        Baseline.Oldkma.free o ~addr:a
+        free o ~addr:a
       done);
   let per_pair = (Sim.Machine.elapsed m - t0) / 100 in
   Alcotest.(check bool)
@@ -117,7 +121,7 @@ let prop_conservation =
                 if a = 0 then None else Some a)
               sizes
           in
-          List.iter (fun a -> Baseline.Oldkma.free o ~addr:a) live);
+          List.iter (fun a -> free o ~addr:a) live);
       Baseline.Oldkma.free_words_oracle o = initial)
 
 let suite =

@@ -263,20 +263,23 @@ let e13_remote_pins =
 let test_e13_sweep_pins () =
   fast_and_scheduled (fun () ->
       let module L = Experiments.Lockfree_arms in
-      let points = L.run ~cpus:[ 1; 2; 4 ] ~iters:100 () in
+      let points =
+        Experiments.Fig7.run ~whichs:L.default_whichs ~cpus:[ 1; 2; 4 ]
+          ~iters:100 ()
+      in
       Alcotest.(check int)
         "best-case cells"
         (List.length e13_sweep_pins)
         (List.length points);
       List.iter2
-        (fun ((which, ncpus), (pps, stats)) (p : L.point) ->
+        (fun ((which, ncpus), (pps, stats)) (p : Experiments.Fig7.point) ->
           let label =
             Printf.sprintf "%s@%d" (Baseline.Allocator.name_of which) ncpus
           in
           Alcotest.(check bool)
             (label ^ " cell") true
-            (p.which = which && p.ncpus = ncpus && p.pairs = 100 * ncpus);
-          exact (label ^ " pairs/s") pps p.pairs_per_sec;
+            (p.which = which && p.ncpus = ncpus && p.ops = 100 * ncpus);
+          exact (label ^ " pairs/s") pps p.ops_per_sec;
           Alcotest.(check string) (label ^ " counters") stats
             (counters p.stats))
         e13_sweep_pins points;
@@ -286,17 +289,16 @@ let test_e13_sweep_pins () =
         (List.length e13_remote_pins)
         (List.length remote);
       List.iter2
-        (fun ((which, pairs), (tps, stats)) (p : L.remote_point) ->
+        (fun ((which, pairs), (tps, stats)) (p : Experiments.Fig7.point) ->
           let label =
             Printf.sprintf "%s x%d" (Baseline.Allocator.name_of which) pairs
           in
           Alcotest.(check bool)
             (label ^ " cell") true
-            (p.rwhich = which && p.rpairs = pairs
-            && p.transfers = 100 * pairs);
-          exact (label ^ " transfers/s") tps p.transfers_per_sec;
+            (p.which = which && p.ncpus = pairs && p.ops = 100 * pairs);
+          exact (label ^ " transfers/s") tps p.ops_per_sec;
           Alcotest.(check string) (label ^ " counters") stats
-            (counters p.rstats))
+            (counters p.stats))
         e13_remote_pins remote)
 
 (* E8 pin: one pressure cell's throughput at the default geometry.

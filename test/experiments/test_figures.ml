@@ -14,7 +14,7 @@ let at which ncpus =
         p.Experiments.Fig7.which = which && p.Experiments.Fig7.ncpus = ncpus)
       points
   with
-  | Some p -> p.Experiments.Fig7.pairs_per_sec
+  | Some p -> p.Experiments.Fig7.ops_per_sec
   | None -> Alcotest.fail "missing point"
 
 let test_fig7_new_scales () =

@@ -10,14 +10,14 @@ let contains haystack needle =
 let test_fig7_files () =
   let points =
     [
-      { Experiments.Fig7.which = Baseline.Allocator.Cookie; ncpus = 1;
-        pairs_per_sec = 100. };
-      { Experiments.Fig7.which = Baseline.Allocator.Cookie; ncpus = 2;
-        pairs_per_sec = 200. };
-      { Experiments.Fig7.which = Baseline.Allocator.Mk; ncpus = 1;
-        pairs_per_sec = 50. };
-      { Experiments.Fig7.which = Baseline.Allocator.Mk; ncpus = 2;
-        pairs_per_sec = 25. };
+      { Experiments.Fig7.which = Baseline.Allocator.Cookie; ncpus = 1; ops = 0;
+        ops_per_sec = 100.; stats = None };
+      { Experiments.Fig7.which = Baseline.Allocator.Cookie; ncpus = 2; ops = 0;
+        ops_per_sec = 200.; stats = None };
+      { Experiments.Fig7.which = Baseline.Allocator.Mk; ncpus = 1; ops = 0;
+        ops_per_sec = 50.; stats = None };
+      { Experiments.Fig7.which = Baseline.Allocator.Mk; ncpus = 2; ops = 0;
+        ops_per_sec = 25.; stats = None };
     ]
   in
   let prefix = Filename.temp_file "fig7" "" in

@@ -85,7 +85,9 @@ let test_alloc_failure_names_the_cell () =
    reports a leak fails it, naming the arm and the CPU count; a clean
    one passes. *)
 let test_drain_check () =
-  let probe drained = { Baseline.Allocator.stats = None; drained } in
+  let probe drained =
+    { Baseline.Allocator.stats = None; drained; kmem = None }
+  in
   Workload.Rig.check_drained Baseline.Allocator.Nbbuddy ~ncpus:2
     (probe (fun () -> None));
   match

@@ -2,9 +2,9 @@
    pathology with flight-recorder evidence, best-case traffic stays
    clean, and reports are byte-identical across reruns. *)
 
-let analyze name =
+let analyze ?which name =
   let s = Option.get (Scenario.find name) in
-  Scenario.Pathology.analyze ~name
+  Scenario.Pathology.analyze ?which ~name
     (s.Scenario.generate ~seed:s.Scenario.default_seed)
 
 let has_pathology (r : Scenario.Pathology.report) p =
@@ -54,6 +54,22 @@ let test_frag_adversary_fragmentation () =
          && p.Scenario.Pathology.held_over_live >= 4.)
        r.Scenario.Pathology.frag_curve)
 
+(* Cookie and numakma are kmem arms too: their samples walk the probe's
+   kmem, so the adversary's pinned pages show in their curves. *)
+let test_kmem_arms_sampled () =
+  List.iter
+    (fun which ->
+      let r = analyze ~which "frag_adversary" in
+      let arm = Baseline.Allocator.name_of which in
+      Alcotest.(check bool) (arm ^ " fragmentation detected") true
+        (has_pathology r "fragmentation");
+      Alcotest.(check bool) (arm ^ " granted pages sampled") true
+        (List.exists
+           (fun (p : Scenario.Pathology.frag_point) ->
+             p.Scenario.Pathology.granted_pages > 0)
+           r.Scenario.Pathology.frag_curve))
+    Baseline.Allocator.[ Cookie; Numakma ]
+
 let test_bursty_latency_tail () =
   let r = analyze "bursty" in
   Alcotest.(check bool) "latency-tail detected" true
@@ -77,6 +93,8 @@ let suite =
       test_producer_consumer_convoy;
     Alcotest.test_case "frag_adversary triggers fragmentation" `Quick
       test_frag_adversary_fragmentation;
+    Alcotest.test_case "cookie and numakma sample granted pages" `Quick
+      test_kmem_arms_sampled;
     Alcotest.test_case "bursty triggers latency-tail" `Quick
       test_bursty_latency_tail;
     Alcotest.test_case "reports are byte-identical" `Quick
