@@ -6,26 +6,10 @@
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- fig7 ...  # only the named sections
 
-   Every section is a kma_bench command line (bench/rows.ml); this file
-   adds the section timer, --compare-jobs1 and BENCH_host.json. *)
+   Every section is a list of kma_bench command lines (bench/rows.ml);
+   this file adds the section timer and BENCH_host.json. *)
 
 open Cmdliner
-
-(* Run [f] with stdout sent to /dev/null: --compare-jobs1 re-runs
-   sections purely for their host time, and their (identical) output
-   must not appear twice. *)
-let silenced f =
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Unix.dup2 devnull Unix.stdout;
-  Unix.close devnull;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved)
-    f
 
 (* BENCH_host.json.  Every string in it is an ASCII identifier, which
    OCaml's %S quotes exactly as JSON does. *)
@@ -57,22 +41,17 @@ let service_json (label, (o : Service.outcome)) =
     ]
 
 let write_host_json path ~geometry ~jobs records =
-  let section (name, seconds, (l : Harness.ledger), jobs1) =
+  let section (name, seconds, (l : Harness.ledger)) =
     obj
       [
         ("name", str name); ("seconds", secs seconds);
         ("jobs", string_of_int l.jobs);
-        ("seconds_jobs1", Option.fold ~none:"null" ~some:secs jobs1);
-        ( "speedup_vs_jobs1",
-          match jobs1 with
-          | Some t1 when seconds > 0. -> Printf.sprintf "%.2f" (t1 /. seconds)
-          | _ -> "null" );
       ]
   in
   let scenario (name, seconds) =
     obj [ ("name", str name); ("seconds", secs seconds) ]
   in
-  let each f = arr (List.concat_map (fun (_, _, l, _) -> f l) records) in
+  let each f = arr (List.concat_map (fun (_, _, l) -> f l) records) in
   let fields =
     [
       ("host_cores", string_of_int (Parallel.host_cores ()));
@@ -81,7 +60,7 @@ let write_host_json path ~geometry ~jobs records =
       ("jobs", string_of_int jobs);
       ("geometry", str (Sim.Geometry.to_string geometry));
       ( "total_seconds",
-        secs (List.fold_left (fun a (_, s, _, _) -> a +. s) 0. records) );
+        secs (List.fold_left (fun a (_, s, _) -> a +. s) 0. records) );
       ("sections", arr (List.map section records));
       ( "scenarios",
         each (fun (l : Harness.ledger) -> List.map scenario l.scenarios) );
@@ -94,8 +73,7 @@ let write_host_json path ~geometry ~jobs records =
     ("{\n  " ^ String.concat ",\n  " (List.map field fields) ^ "\n}\n");
   close_out oc
 
-let main geometry jobs checks allocs host_json no_host_json compare_jobs1
-    names () =
+let main geometry jobs checks host_json no_host_json names () =
   let all = List.map fst Rows.rows in
   let names = if names = [] then List.filter (( <> ) "smoke") all else names in
   (match List.filter (fun n -> not (List.mem n all)) names with
@@ -106,33 +84,21 @@ let main geometry jobs checks allocs host_json no_host_json compare_jobs1
       exit 2);
   (* Every row is parsed before any runs, so a bad one is a usage error
      with nothing run. *)
-  let parse o name =
-    match Rows.parse o name with Some run -> run | None -> exit 2
-  in
-  let opts = { Rows.geometry; jobs; checks; allocs } in
+  let opts = { Rows.geometry; jobs; checks } in
   let plan =
     List.map
       (fun name ->
-        ( name,
-          parse opts name,
-          if compare_jobs1 then Some (parse { opts with jobs = 1 } name)
-          else None ))
+        match Rows.parse opts name with
+        | Some run -> (name, run)
+        | None -> exit 2)
       names
   in
-  let timed (name, run, run_jobs1) =
+  let timed (name, run) =
     let t0 = Harness.now_s () in
     let l = run () in
     let seconds = Harness.now_s () -. t0 in
     Printf.printf "(section took %.1fs of host time)\n" seconds;
-    let jobs1 =
-      match run_jobs1 with
-      | Some run1 when l.Harness.jobs > 1 ->
-          let t1 = Harness.now_s () in
-          ignore (silenced run1);
-          Some (Harness.now_s () -. t1)
-      | _ -> None
-    in
-    (name, seconds, l, jobs1)
+    (name, seconds, l)
   in
   match List.map timed plan with
   | records ->
@@ -163,26 +129,16 @@ let () =
                         name) ))
              Harness.[ Lockcheck; Heapcheck; Flightrec ]))
   in
-  let allocs =
-    Arg.(
-      value
-      & opt (list Harness.alloc_conv) Experiments.Lockfree_arms.default_whichs
-      & info [ "allocs" ] ~docv:"NAME,NAME,..."
-          ~doc:"Allocator arms of the lockfree section.")
-  in
   let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let term =
     Term.(
-      const main $ Harness.geometry_flag $ Harness.jobs_flag $ checks $ allocs
+      const main $ Harness.geometry_flag $ Harness.jobs_flag $ checks
       $ Arg.(
           value
           & opt string "BENCH_host.json"
           & info [ "host-json" ] ~docv:"PATH"
               ~doc:"Where to write the host-time ledger.")
       $ flag "no-host-json" "Do not write the host-time ledger."
-      $ flag "compare-jobs1"
-          "Re-run every section that fanned out at jobs=1, silently, and \
-           record the speedup."
       $ Arg.(
           value & pos_all string []
           & info [] ~docv:"SECTION"

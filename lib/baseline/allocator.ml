@@ -103,11 +103,11 @@ let create_lazybuddy machine =
 
 type probe = {
   stats : Lockfree.Stats.t option;
-  drained : unit -> string option;
+  drained : (unit -> string option) option;
   kmem : Kma.Kmem.t option;
 }
 
-let unprobed = { stats = None; drained = (fun () -> None); kmem = None }
+let unprobed = { stats = None; drained = None; kmem = None }
 
 let kmem_arm ~cookie kmem =
   (of_kmem ~cookie kmem, { unprobed with kmem = Some kmem })
@@ -123,14 +123,15 @@ let create_nbbuddy machine =
       unprobed with
       stats = Some (Lockfree.Nbbuddy.stats b);
       drained =
-        (fun () ->
-          match Lockfree.Nbbuddy.invariant_oracle b with
-          | Some _ as err -> err
-          | None ->
-              let words = Lockfree.Nbbuddy.allocated_words_oracle b in
-              if words <> 0 then
-                Some (Printf.sprintf "%d words still allocated" words)
-              else None);
+        Some
+          (fun () ->
+            match Lockfree.Nbbuddy.invariant_oracle b with
+            | Some _ as err -> err
+            | None ->
+                let words = Lockfree.Nbbuddy.allocated_words_oracle b in
+                if words <> 0 then
+                  Some (Printf.sprintf "%d words still allocated" words)
+                else None);
     } )
 
 let create_bwfixed machine =
@@ -144,19 +145,20 @@ let create_bwfixed machine =
       unprobed with
       stats = Some (Lockfree.Bwfixed.stats b);
       drained =
-        (fun () ->
-          let rec go c =
-            if c > 8 then None
-            else
-              let total = Lockfree.Bwfixed.blocks_of_class b ~c in
-              let free = Lockfree.Bwfixed.free_blocks_oracle b ~c in
-              if free <> total then
-                Some
-                  (Printf.sprintf "class %d: %d of %d blocks free" c free
-                     total)
-              else go (c + 1)
-          in
-          go 0);
+        Some
+          (fun () ->
+            let rec go c =
+              if c > 8 then None
+              else
+                let total = Lockfree.Bwfixed.blocks_of_class b ~c in
+                let free = Lockfree.Bwfixed.free_blocks_oracle b ~c in
+                if free <> total then
+                  Some
+                    (Printf.sprintf "class %d: %d of %d blocks free" c free
+                       total)
+                else go (c + 1)
+            in
+            go 0);
     } )
 
 let create_probed which machine =

@@ -81,11 +81,12 @@ type probe = {
           ([None] for the lock-based allocators — their contention
           shows up as lock hold and spin time instead; see
           [Lockcheck]) *)
-  drained : unit -> string option;
-      (** host-side full-drain check: with every block returned and the
-          machine quiescent, [Some msg] describes a conservation or
-          structural-invariant violation.  Trivially [None] for arms
-          without a registered oracle. *)
+  drained : (unit -> string option) option;
+      (** host-side full-drain oracle, for the lock-free arms ([None]
+          for the others, which register none): with every block
+          returned and the machine quiescent, it answers [Some msg]
+          describing a conservation or structural-invariant violation,
+          and [None] when the heap is clean. *)
   kmem : Kma.Kmem.t option;
       (** the booted new allocator behind the cookie, newkma and
           numakma arms ([None] for the others): the handle heapcheck,

@@ -47,8 +47,8 @@ let create machine =
   let mem = Machine.memory machine in
   let cfg = Machine.config machine in
   let lock = Spinlock.init mem 1024 in
-  Lockcheck.register_lock ~addr:1024 ~name:"lazybuddy"
-    ~cls:"baseline.lazybuddy" ();
+  Spinlock.register ~addr:1024 ~name:"lazybuddy" ~cls:"baseline.lazybuddy"
+    ~vm_safe:false;
   let cls_base = 1032 in
   let cursor = ref (cls_base + (nclasses * 8)) in
   (* Bitmaps sized for the whole memory span (simpler than resolving

@@ -51,7 +51,7 @@ let create machine =
   if arena_end <= arena_base then
     invalid_arg "Baseline.Mk.create: memory too small";
   let lock = Spinlock.init mem 1024 in
-  Lockcheck.register_lock ~addr:1024 ~name:"mk" ~cls:"baseline.mk" ();
+  Spinlock.register ~addr:1024 ~name:"mk" ~cls:"baseline.mk" ~vm_safe:false;
   for si = 0 to nsizes - 1 do
     Memory.set mem (heads + si) 0
   done;

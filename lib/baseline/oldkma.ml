@@ -37,7 +37,8 @@ let create machine =
   let mem = Machine.memory machine in
   let cfg = Machine.config machine in
   let lock = Spinlock.init mem 1024 in
-  Lockcheck.register_lock ~addr:1024 ~name:"oldkma" ~cls:"baseline.oldkma" ();
+  Spinlock.register ~addr:1024 ~name:"oldkma" ~cls:"baseline.oldkma"
+    ~vm_safe:false;
   let flhead = 1032 in
   let stats_cursor = 1033 in
   let arena_base = 1040 in

@@ -46,28 +46,6 @@ let si_of = function
   | Reap _ | Lockcheck_violation _ | Heapcheck_violation _ ->
       None
 
-let kind_name = function
-  | Alloc _ -> "alloc"
-  | Alloc_fail _ -> "alloc-fail"
-  | Free _ -> "free"
-  | Gbl_get _ -> "gbl-get"
-  | Gbl_put _ -> "gbl-put"
-  | Page_grab _ -> "page-grab"
-  | Page_return _ -> "page-return"
-  | Vmblk_carve _ -> "vmblk-carve"
-  | Vmblk_coalesce _ -> "vmblk-coalesce"
-  | Large_alloc _ -> "large-alloc"
-  | Large_free _ -> "large-free"
-  | Lock_acquire _ -> "lock-acquire"
-  | Lock_release _ -> "lock-release"
-  | Vm_grant -> "vm-grant"
-  | Vm_reclaim -> "vm-reclaim"
-  | Vm_denial _ -> "vm-denial"
-  | Reap _ -> "reap"
-  | Target_adjust _ -> "target-adjust"
-  | Lockcheck_violation _ -> "lockcheck-violation"
-  | Heapcheck_violation _ -> "heapcheck-violation"
-
 let pp_kind ppf = function
   | Alloc { si; layer } ->
       Format.fprintf ppf "alloc si=%d layer=%s" si (layer_name layer)

@@ -79,8 +79,5 @@ type t = {
 val si_of : kind -> int option
 (** [si_of k] is the size class an event concerns, when it has one. *)
 
-val kind_name : kind -> string
-(** Constructor name, for coarse filtering and rendering. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line rendering, ["[time] cpu<n> <kind> ..."]. *)

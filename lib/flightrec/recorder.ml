@@ -2,7 +2,6 @@ type t = {
   rings : Event.t Ring.t array;
   capacity : int;
   lock_names : (int, string) Hashtbl.t;
-  mutable enabled : bool;
   mutable oob : int;
 }
 
@@ -15,41 +14,31 @@ let create ?(capacity = 65536) ~ncpus () =
     rings = Array.init ncpus (fun _ -> Ring.create ~capacity ~dummy:dummy_event);
     capacity;
     lock_names = Hashtbl.create 32;
-    enabled = true;
     oob = 0;
   }
 
 let ncpus t = Array.length t.rings
 
 (* The globally-installed recorder and its hot flag.  [hot] mirrors
-   "installed && enabled" so the disabled path at every instrumentation
-   site is one branch on one mutable bool. *)
+   "a recorder is installed" so the disabled path at every
+   instrumentation site is one branch on one mutable bool. *)
 let current : t option ref = ref None
 let hot = ref false
 
-let refresh_hot () =
-  hot := match !current with Some r -> r.enabled | None -> false
-
 let install t =
   current := Some t;
-  refresh_hot ()
+  hot := true
 
 let uninstall () =
   current := None;
-  refresh_hot ()
+  hot := false
 
 let installed () = !current
-
-let set_enabled t v =
-  t.enabled <- v;
-  refresh_hot ()
-
 let on () = !hot
 
 let emit ~cpu ~time kind =
   match !current with
   | None -> ()
-  | Some r when not r.enabled -> ()
   | Some r ->
       if cpu < 0 || cpu >= Array.length r.rings then r.oob <- r.oob + 1
       else Ring.push r.rings.(cpu) { Event.time; cpu; kind }

@@ -9,7 +9,7 @@
     Exactly one recorder can be *installed* at a time; instrumentation
     sites throughout [sim] and [kma] consult the global {!on} flag —
     a single host-side branch — and emit into the installed recorder.
-    Recording happens entirely host-side: an enabled recorder charges
+    Recording happens entirely host-side: an installed recorder charges
     **zero simulated cycles**, so cycle counts of an instrumented run
     are bit-identical with the recorder on or off (see the
     [test/flightrec] zero-cost test).
@@ -41,13 +41,9 @@ val uninstall : unit -> unit
 
 val installed : unit -> t option
 
-val set_enabled : t -> bool -> unit
-(** Pause/resume recording without losing the installation (only
-    affects [t] when it is the installed recorder). *)
-
 val on : unit -> bool
 (** The single branch every instrumentation site tests.  True iff a
-    recorder is installed and enabled. *)
+    recorder is installed. *)
 
 val emit : cpu:int -> time:int -> Event.kind -> unit
 (** Record one event (no-op when {!on} is false).  [time] is the

@@ -1,13 +1,12 @@
 type 'a t = {
   data : 'a array;
   cap : int;
-  dummy : 'a;
   mutable head : int;  (* total entries ever pushed *)
 }
 
 let create ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Flightrec.Ring.create: capacity < 1";
-  { data = Array.make capacity dummy; cap = capacity; dummy; head = 0 }
+  { data = Array.make capacity dummy; cap = capacity; head = 0 }
 
 let push t x =
   t.data.(t.head mod t.cap) <- x;
@@ -26,9 +25,3 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun x -> acc := f !acc x);
   !acc
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc x -> x :: acc))
-
-let clear t =
-  Array.fill t.data 0 t.cap t.dummy;
-  t.head <- 0

@@ -29,8 +29,3 @@ val dropped : 'a t -> int
 
 val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 (** Oldest retained entry first. *)
-
-val to_list : 'a t -> 'a list
-
-val clear : 'a t -> unit
-(** Forget all entries and zero the counters. *)

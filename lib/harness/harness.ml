@@ -343,7 +343,7 @@ let every_check = [ Lockcheck; Heapcheck; Flightrec ]
    --geometry check. *)
 let one_cpu = Term.const [ 1 ]
 
-(* --- The paper's experiments (kma_bench's subcommands) --- *)
+(* --- The paper's experiments and their extensions --- *)
 
 (* Figure 7's claims, each printed only when the sweep has its points. *)
 let fig7_verdicts points =
@@ -689,13 +689,33 @@ let trace =
       $ count "ops" 3000 "Trace length (events)."
       $ seed 13 "Trace seed.")
 
+(* A command's NAME: $(b,list), or nothing, for the listing, or one of
+   [names], each with its value; any other name is a usage error. *)
+let name_arg names ~doc =
+  let parse = function
+    | "list" -> Ok None
+    | n -> (
+        match List.assoc_opt n names with
+        | Some v -> Ok (Some v)
+        | None ->
+            Error
+              (`Msg
+                (Printf.sprintf "unknown scenario %S (try: %s)" n
+                   (String.concat ", " (List.map fst names)))))
+  in
+  let print ppf v =
+    Format.pp_print_string ppf
+      (match v with
+      | None -> "list"
+      | Some v -> fst (List.find (fun (_, w) -> w == v) names))
+  in
+  Arg.(value & pos 0 (conv (parse, print)) None & info [] ~docv:"NAME" ~doc)
+
 let scenario =
   let name_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:"Scenario to replay ($(b,list) or omit to list the library).")
+    name_arg
+      (List.map (fun (s : Scenario.t) -> (s.Scenario.name, s)) Scenario.all)
+      ~doc:"Scenario to replay ($(b,list) or omit to list the library)."
   in
   let seed =
     Arg.(
@@ -741,82 +761,78 @@ let scenario =
            ])
          Scenario.all)
   in
-  let run name seed scale cpus windows report whichs env =
-    match name with
-    | None | Some "list" -> list_library ()
-    | Some n -> (
-        match Scenario.find n with
-        | None ->
-            Printf.eprintf "unknown scenario %S (try: %s)\n" n
-              (String.concat ", " (Scenario.names ()));
-            exit 2
-        | Some sc ->
-            let seed = Option.value seed ~default:sc.Scenario.default_seed in
-            let t = sc.Scenario.generate ~seed in
-            let t =
-              if scale = 1. then t
-              else Workload.Trace.scale_rate ~factor:scale t
-            in
-            let t =
-              match cpus with
-              | None -> t
-              | Some c ->
-                  let base = max 1 (Workload.Trace.ncpus t) in
-                  if c mod base <> 0 then begin
-                    Printf.eprintf
-                      "--cpus %d is not a multiple of the scenario's %d\n" c
-                      base;
-                    exit 2
-                  end;
-                  Workload.Trace.fan_out ~copies:(c / base) t
-            in
-            (match Workload.Trace.validate t with
-            | Ok () -> ()
-            | Error e -> failwith ("scenario trace invalid: " ^ e));
-            let one which =
-              (* The default arm's label is the bare scenario name. *)
-              let label =
-                if which = Baseline.Allocator.Newkma then n
-                else
-                  Printf.sprintf "%s[%s]" n (Baseline.Allocator.name_of which)
-              in
-              if report then
-                print_string
-                  (Scenario.Pathology.to_string
-                     (Scenario.Pathology.analyze ~windows ~which ~name:label t))
-              else begin
-                let ncpus = max 1 (Workload.Trace.ncpus t) in
-                let m, a, probe = Workload.Rig.fresh_probed which ~ncpus () in
-                let r = Workload.Trace.replay m t a in
-                (* After the replay every CPU is done: a quiescent point
-                   for --heapcheck on a kmem arm. *)
-                Option.iter Heapcheck.checkpoint probe.Baseline.Allocator.kmem;
-                Printf.printf
-                  "scenario %s: seed %d, %d CPUs, %d events -> %d ops (%d \
-                   failed, %d skipped frees) in %d cycles (%s ops/s)\n"
-                  label seed ncpus (List.length t) r.Workload.Trace.ops
-                  r.Workload.Trace.failures r.Workload.Trace.skipped_frees
-                  r.Workload.Trace.cycles
-                  (Experiments.Series.sci
-                     (Workload.Rig.pairs_per_sec (Sim.Machine.config m)
-                        ~pairs:r.Workload.Trace.ops
-                        ~cycles:r.Workload.Trace.cycles));
-                Option.iter
-                  (fun st ->
-                    Printf.printf "  probe: %s\n" (Lockfree.Stats.to_string st))
-                  probe.Baseline.Allocator.stats
-              end
-            in
-            env.checked (fun () -> List.iter one whichs))
+  (* The trace is fanned out by whole copies of the scenario's CPUs,
+     the count its generator declares and its trace uses. *)
+  let fanned =
+    let fit sc cpus =
+      match (sc, cpus) with
+      | Some sc, Some c when c mod sc.Scenario.ncpus <> 0 ->
+          `Error
+            ( true,
+              Printf.sprintf "--cpus %d is not a multiple of the scenario's %d"
+                c sc.Scenario.ncpus )
+      | _ -> `Ok (sc, cpus)
+    in
+    Term.(ret (const fit $ name_arg $ cpus))
+  in
+  let run (sc, cpus) seed scale windows report whichs env =
+    match sc with
+    | None -> list_library ()
+    | Some sc ->
+        let n = sc.Scenario.name in
+        let seed = Option.value seed ~default:sc.Scenario.default_seed in
+        let t = sc.Scenario.generate ~seed in
+        let t =
+          if scale = 1. then t else Workload.Trace.scale_rate ~factor:scale t
+        in
+        let t =
+          match cpus with
+          | None -> t
+          | Some c -> Workload.Trace.fan_out ~copies:(c / sc.Scenario.ncpus) t
+        in
+        (match Workload.Trace.validate t with
+        | Ok () -> ()
+        | Error e -> failwith ("scenario trace invalid: " ^ e));
+        let one which =
+          (* The default arm's label is the bare scenario name. *)
+          let label =
+            if which = Baseline.Allocator.Newkma then n
+            else Printf.sprintf "%s[%s]" n (Baseline.Allocator.name_of which)
+          in
+          if report then
+            print_string
+              (Scenario.Pathology.to_string
+                 (Scenario.Pathology.analyze ~windows ~which ~name:label t))
+          else begin
+            let ncpus = max 1 (Workload.Trace.ncpus t) in
+            let m, a, probe = Workload.Rig.fresh_probed which ~ncpus () in
+            let r = Workload.Trace.replay m t a in
+            (* After the replay every CPU is done: a quiescent point for
+               --heapcheck on a kmem arm. *)
+            Option.iter Heapcheck.checkpoint probe.Baseline.Allocator.kmem;
+            Printf.printf
+              "scenario %s: seed %d, %d CPUs, %d events -> %d ops (%d failed, \
+               %d skipped frees) in %d cycles (%s ops/s)\n"
+              label seed ncpus (List.length t) r.Workload.Trace.ops
+              r.Workload.Trace.failures r.Workload.Trace.skipped_frees
+              r.Workload.Trace.cycles
+              (Experiments.Series.sci
+                 (Workload.Rig.pairs_per_sec (Sim.Machine.config m)
+                    ~pairs:r.Workload.Trace.ops
+                    ~cycles:r.Workload.Trace.cycles));
+            Option.iter
+              (fun st ->
+                Printf.printf "  probe: %s\n" (Lockfree.Stats.to_string st))
+              probe.Baseline.Allocator.stats
+          end
+        in
+        env.checked (fun () -> List.iter one whichs)
   in
   (* The scenario's own CPUs (it may boot a machine of that size to
      generate its trace), and any fan-out count. *)
-  let scenario_cpus name cpus =
+  let scenario_cpus sc cpus =
     Option.to_list cpus
-    @
-    match Option.bind name Scenario.find with
-    | Some sc -> [ sc.Scenario.ncpus ]
-    | None -> []
+    @ Option.to_list (Option.map (fun sc -> sc.Scenario.ncpus) sc)
   in
   experiment "scenario" ~checks:[ Heapcheck ]
     ~geometry:Term.(const scenario_cpus $ name_arg $ cpus)
@@ -827,7 +843,7 @@ let scenario =
        $(b,--allocs) replays the same trace on other roster arms (e.g. the \
        lock-free pair) under the same detectors."
     Term.(
-      const run $ name_arg $ seed $ scale $ cpus
+      const run $ fanned $ seed $ scale
       $ count "windows" 16
           "Analysis windows (fragmentation samples) for --report."
       $ report
@@ -931,12 +947,9 @@ let geometry =
 
 let service =
   let name_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:
-            "Scenario shape to serve ($(b,list) or omit to list the shapes).")
+    name_arg
+      (List.map (fun n -> (n, n)) (Scenario.names ()))
+      ~doc:"Scenario shape to serve ($(b,list) or omit to list the shapes)."
   in
   let mode =
     Arg.(
@@ -984,52 +997,61 @@ let service =
            | Some _ -> Some [ s.Scenario.name; s.Scenario.summary ])
          Scenario.all)
   in
+  (* Each outcome goes to the ledger as <shape>/<mode>. *)
   let run name domains requests seed mode target depot_batches arrival obj_bytes
       _env =
     match name with
-    | None | Some "list" -> list_shapes ()
-    | Some n -> (
-        match Service.shape_of_scenario n with
-        | None ->
-            Printf.eprintf "unknown scenario %S (try: %s)\n" n
-              (String.concat ", " (Scenario.names ()));
-            exit 2
-        | Some _ -> (
-            let cfg =
-              {
-                (Service.default ~scenario:n) with
-                Service.domains;
-                requests;
-                seed;
-                target;
-                depot_batches;
-                arrival;
-                obj_bytes;
-              }
-            in
-            let serve m =
-              let o = Service.run { cfg with Service.mode = m } in
-              print_string (Service.to_string o);
-              o
-            in
-            match mode with
-            | (`Fixed | `Adaptive) as m -> ignore (serve m)
-            | `Both ->
-                let f = serve `Fixed in
-                print_newline ();
-                let a = serve `Adaptive in
-                let rate o =
-                  if Float.is_nan o.Service.o_contention then 0.
-                  else o.Service.o_contention
-                in
-                Printf.printf
-                  "\nfixed vs adaptive: contended acquisitions %d -> %d (rate \
-                   %.4f -> %.4f), p99 %.0f -> %.0f ns\n"
-                  f.Service.o_stats.Objpool.Pstats.s_depot_contended
-                  a.Service.o_stats.Objpool.Pstats.s_depot_contended (rate f)
-                  (rate a) f.Service.o_p99 a.Service.o_p99))
+    | None ->
+        list_shapes ();
+        quiet
+    | Some n ->
+        let cfg =
+          {
+            (Service.default ~scenario:n) with
+            Service.domains;
+            requests;
+            seed;
+            target;
+            depot_batches;
+            arrival;
+            obj_bytes;
+          }
+        in
+        let serve m =
+          let o = Service.run { cfg with Service.mode = m } in
+          print_string (Service.to_string o);
+          ( (n ^ match m with `Fixed -> "/fixed" | `Adaptive -> "/adaptive"),
+            o )
+        in
+        let outcomes =
+          match mode with
+          | (`Fixed | `Adaptive) as m -> [ serve m ]
+          | `Both ->
+              let ((_, f) as fixed) = serve `Fixed in
+              print_newline ();
+              let ((_, a) as adaptive) = serve `Adaptive in
+              let rate o =
+                if Float.is_nan o.Service.o_contention then 0.
+                else o.Service.o_contention
+              in
+              let st o = o.Service.o_stats in
+              Printf.printf
+                "\nfixed vs adaptive: ops/s %.2e -> %.2e, creates %d -> %d, \
+                 depot acquires %d -> %d, contended %d -> %d (rate %.4f -> \
+                 %.4f), drops %d -> %d, p99 %.0f -> %.0f ns\n"
+                f.Service.o_ops_per_sec a.Service.o_ops_per_sec
+                (st f).Service.Pstats.s_creates (st a).Service.Pstats.s_creates
+                (st f).Service.Pstats.s_depot_acquires
+                (st a).Service.Pstats.s_depot_acquires
+                (st f).Service.Pstats.s_depot_contended
+                (st a).Service.Pstats.s_depot_contended (rate f) (rate a)
+                (st f).Service.Pstats.s_drops (st a).Service.Pstats.s_drops
+                f.Service.o_p99 a.Service.o_p99;
+              [ fixed; adaptive ]
+        in
+        { quiet with service = outcomes }
   in
-  experiment "service"
+  experiment' "service"
     ~doc:
       "Serve a production-shaped request load through the native per-domain \
        pool (lib/service): multi-domain workers, cross-domain frees, \
@@ -1047,8 +1069,7 @@ let service =
       $ arrival
       $ count "obj-bytes" 256 "Pooled object size in bytes.")
 
-(* --- Bench-only experiments: the ablations, the native pool and the
-   scenario, service and fuzz matrices bench/main runs at fixed scale --- *)
+(* --- The ablations, the native pool and the scenario library --- *)
 
 let ablation_target =
   let run env =
@@ -1174,28 +1195,6 @@ let ablation_pagepolicy =
   in
   experiment "ablation-pagepolicy" ~fans_out:true ~geometry:one_cpu
     ~doc:"Ablation B: radix page order vs emptiest-first." (Term.const run)
-
-let roads_not_taken =
-  let run env =
-    section
-      "Roads not taken: Lee-Barkley lazy buddy (global lock, per-op \
-       shared-state traffic)";
-    let open Baseline.Allocator in
-    Experiments.Fig7.print_linear
-      (Experiments.Fig7.run ~jobs:env.jobs
-         ~whichs:[ Cookie; Newkma; Lazybuddy ]
-         ~cpus:[ 1; 2; 4; 8 ] ~iters:400 ());
-    print_endline
-      "the lazy buddy is fast on one CPU (lazy frees skip the bitmap) but, \
-       as the paper argues, its global synchronization keeps it from \
-       scaling";
-    (* It does coalesce, though: the worst-case sweep completes. *)
-    Printf.printf "lazy buddy completes the worst-case sweep: %b\n"
-      (Experiments.Fig9.completed
-         (Experiments.Fig9.run ~which:Lazybuddy ~memory_words:(256 * 1024) ()))
-  in
-  experiment "roads-not-taken" ~fans_out:true ~geometry:one_cpu
-    ~doc:"The watermark lazy buddy the paper argues against." (Term.const run)
 
 let bechamel =
   let run _env =
@@ -1328,89 +1327,11 @@ let scenarios =
     ~doc:"Replay every library scenario; host seconds go to the ledger."
     (Term.const run)
 
-let service_matrix =
-  let run _env =
-    section "Serving traffic through the native pool (E15: fixed vs adaptive)";
-    let serve (label, scenario, domains, requests, mode) =
-      let o =
-        Service.run
-          { (Service.default ~scenario) with Service.domains; requests; mode }
-      in
-      print_string (Service.to_string o);
-      print_newline ();
-      (label, o)
-    in
-    let arms =
-      List.map serve
-        [
-          (* A steady closed loop. *)
-          ("steady/fixed", "steady", 2, 125_000, `Fixed);
-          (* The E15 headline: cross-domain producer/consumer flow,
-             where every object is freed on a different domain than its
-             alloc. *)
-          ("producer_consumer/fixed", "producer_consumer", 4, 150_000, `Fixed);
-          ( "producer_consumer/adaptive", "producer_consumer", 4, 150_000,
-            `Adaptive );
-        ]
-    in
-    let fx = List.assoc "producer_consumer/fixed" arms
-    and ad = List.assoc "producer_consumer/adaptive" arms in
-    let st m = m.Service.o_stats in
-    Printf.printf
-      "fixed vs adaptive (producer_consumer): ops/s %.2e -> %.2e, creates %d \
-       -> %d, depot acquires %d -> %d, contended %d -> %d, drops %d -> %d\n"
-      fx.Service.o_ops_per_sec ad.Service.o_ops_per_sec
-      (st fx).Service.Pstats.s_creates (st ad).Service.Pstats.s_creates
-      (st fx).Service.Pstats.s_depot_acquires
-      (st ad).Service.Pstats.s_depot_acquires
-      (st fx).Service.Pstats.s_depot_contended
-      (st ad).Service.Pstats.s_depot_contended (st fx).Service.Pstats.s_drops
-      (st ad).Service.Pstats.s_drops;
-    { quiet with service = arms }
-  in
-  experiment' "service-matrix"
-    ~doc:"The E15 service arms; their outcomes go to the ledger."
-    (Term.const run)
-
-let fuzz_matrix =
-  let run env =
-    section "Differential fuzz vs reference model (heap invariants)";
-    let open Heapcheck.Fuzz in
-    let matrix =
-      [
-        ("paranoid", config ~ops:1500 ~seed:21 ());
-        ( "pressure + faults",
-          config ~ops:1500 ~seed:22 ~pressure:true ~fault_rate:0.3 () );
-        ( "debug kernel, sweep",
-          config ~ops:1500 ~seed:23 ~debug:true ~check_every:32 () );
-      ]
-    in
-    let outcomes = run_matrix ~jobs:env.jobs (List.map snd matrix) in
-    List.iter2
-      (fun (name, _) o ->
-        Printf.printf "%-28s %5d checks  %5d allocs  %5d frees  %s\n" name
-          o.checks o.allocs o.frees
-          (match o.failure with
-          | None -> "ok"
-          | Some f -> Printf.sprintf "FAILED at op %d" f.index))
-      matrix outcomes;
-    if List.exists (fun o -> o.failure <> None) outcomes then
-      raise (Check_failed "fuzz: a consistency check failed")
-  in
-  experiment "fuzz-matrix" ~fans_out:true
-    ~doc:"Three fuzz configurations under the heap checker." (Term.const run)
-
 let commands =
   [
     fig7; fig9; opcounts; analysis; missrates; geometry; numa; lockfree;
     pressure; fuzz; cyclic; crosscpu; trace; scenario; service;
+    ablation_target; ablation_pagepolicy; bechamel; pool_domains; scenarios;
   ]
-
-let table =
-  commands
-  @ [
-      ablation_target; ablation_pagepolicy; roads_not_taken; bechamel;
-      pool_domains; scenarios; service_matrix; fuzz_matrix;
-    ]
 
 let cmd f t = Cmd.v t.info (Term.map f t.term)

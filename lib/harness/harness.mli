@@ -5,9 +5,9 @@
     here, as a cmdliner command.
 
     [bin/kma_bench] exposes {!commands} as its subcommands.
-    [bench/main] runs rows of the same command lines at bench scale
-    over the whole {!table}, so a bench section and the subcommand it
-    stands for cannot drift apart.
+    [bench/main]'s sections are lists of the same command lines at
+    bench scale, parsed against the same {!commands}, so a bench section
+    prints what its [kma_bench] lines print and cannot drift from them.
 
     A command's term evaluates to a closure and runs nothing, so a
     caller can parse every command line it will run before running
@@ -33,7 +33,8 @@ val check_name : check -> string
 type ledger = {
   jobs : int;  (** the job count the run used *)
   scenarios : (string * float) list;  (** host seconds per scenario replay *)
-  service : (string * Service.outcome) list;  (** natively timed arms *)
+  service : (string * Service.outcome) list;
+      (** natively timed arms, each labelled [<shape>/<mode>] *)
 }
 (** What a run hands back for [BENCH_host.json]. *)
 
@@ -54,12 +55,8 @@ type t = {
     lockcheck is armed (both keep host-global state; heapcheck shards). *)
 
 val commands : t list
-(** kma_bench's subcommands, one per experiment. *)
-
-val table : t list
-(** {!commands} plus the bench-only experiments: the two ablations, the
-    roads not taken, the native pool's Bechamel and domain runs, and
-    the scenario, service and fuzz matrices. *)
+(** kma_bench's subcommands, one per experiment: every bench section
+    runs some of them. *)
 
 val cmd : ((unit -> ledger) -> 'a) -> t -> 'a Cmdliner.Cmd.t
 (** [cmd f e] is [e] as a command whose closure is mapped through [f]
@@ -69,7 +66,6 @@ val cmd : ((unit -> ledger) -> 'a) -> t -> 'a Cmdliner.Cmd.t
 
 val jobs_flag : int Cmdliner.Term.t
 val geometry_flag : Sim.Geometry.t option Cmdliner.Term.t
-val alloc_conv : Baseline.Allocator.which Cmdliner.Arg.conv
 
 val with_heapcheck : Heapcheck.mode option -> (unit -> 'a) -> 'a
 (** Arm the heap checker around a run and print its report.

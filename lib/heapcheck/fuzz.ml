@@ -328,15 +328,3 @@ let minimize cfg trace =
         end
       in
       shrink (max 1 ((List.length trace + 1) / 2)) trace
-
-(* --- sharded seed matrices --- *)
-
-let run_matrix ?(jobs = 1) cfgs =
-  let cells =
-    Parallel.map ~jobs (fun cfg -> Check.shard (fun () -> run cfg)) cfgs
-  in
-  List.map
-    (fun (outcome, harvest) ->
-      Check.absorb harvest;
-      outcome)
-    cells

@@ -98,11 +98,3 @@ val minimize : config -> op list -> op list
 val pp_op : Format.formatter -> op -> unit
 val pp_trace : Format.formatter -> op list -> unit
 (** Numbered one-op-per-line rendering of a (minimized) trace. *)
-
-val run_matrix : ?jobs:int -> config list -> outcome list
-(** [run_matrix ~jobs cfgs] is [List.map run cfgs] fanned out over
-    [jobs] domains with [Parallel.map], each cell wrapped in
-    {!Check.shard} and its harvest absorbed in input order — so the
-    outcomes AND the checker report are bit-identical to a sequential
-    run (the paper-reproduction fuzz matrices are embarrassingly
-    parallel).  Default [jobs:1]. *)

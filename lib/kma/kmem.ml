@@ -79,19 +79,15 @@ let create machine ?(params = Params.default) ?(numa_global = false) () =
         if node = 0 then Printf.sprintf "gbl[%dB]" bytes
         else Printf.sprintf "gbl[n%d][%dB]" node bytes
       in
-      Flightrec.Recorder.note_lock ~addr:gbl name;
-      Lockcheck.register_lock ~addr:gbl ~name ~cls:"kma.gbl" ~vm_safe:true ()
+      Spinlock.register ~addr:gbl ~name ~cls:"kma.gbl" ~vm_safe:true
     done;
     let pp = Layout.pagepool_addr layout ~si in
-    Flightrec.Recorder.note_lock ~addr:pp
-      (Printf.sprintf "pagepool[%dB]" bytes);
-    Lockcheck.register_lock ~addr:pp
+    Spinlock.register ~addr:pp
       ~name:(Printf.sprintf "pagepool[%dB]" bytes)
-      ~cls:"kma.pagepool" ~vm_safe:true ()
+      ~cls:"kma.pagepool" ~vm_safe:true
   done;
-  Flightrec.Recorder.note_lock ~addr:layout.Layout.vmctl_base "vmblk";
-  Lockcheck.register_lock ~addr:layout.Layout.vmctl_base ~name:"vmblk"
-    ~cls:"kma.vmblk" ~vm_safe:true ();
+  Spinlock.register ~addr:layout.Layout.vmctl_base ~name:"vmblk"
+    ~cls:"kma.vmblk" ~vm_safe:true;
   ctx
 
 let max_small_bytes (t : t) =

@@ -237,7 +237,7 @@ let stats t = t.stats
 
 (* --- host-side oracles (uncharged) --- *)
 
-let arena_words t = t.arena_end - t.arena
+let arena_words_oracle t = t.arena_end - t.arena
 
 let allocated_words_oracle t =
   let mem = Machine.memory t.machine in

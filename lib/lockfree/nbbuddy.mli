@@ -29,7 +29,7 @@
 
     Invariants: at quiescence, no FULL node has a FULL ancestor or
     descendant (overlap freedom); occupancy bits equal subtree contents;
-    allocated plus free words equal {!arena_words} (conservation —
+    allocated plus free words equal {!arena_words_oracle} (conservation —
     checked by the [test/lockfree] hammer). *)
 
 type t
@@ -58,7 +58,7 @@ val stats : t -> Stats.t
 
 (** {1 Host-side oracles (uncharged, for tests and experiment checks)} *)
 
-val arena_words : t -> int
+val arena_words_oracle : t -> int
 (** Total words under management. *)
 
 val allocated_words_oracle : t -> int

@@ -319,24 +319,21 @@ let analyze ?(windows = 16) ?(which = Baseline.Allocator.Newkma) ~name t =
   done;
   let final_live = Workload.Trace.live_bytes s in
   let result = Workload.Trace.finish s in
-  let probe =
-    match kmem with
-    | Some _ -> []
-    | None ->
-        let lines =
-          match p.Baseline.Allocator.stats with
-          | Some st ->
-              [ Printf.sprintf "probe: %s" (Lockfree.Stats.to_string st) ]
-          | None -> []
-        in
-        (* The drain oracle is only meaningful with every block
-           returned; skip it when the trace leaves memory live. *)
-        if final_live = 0 then
-          match p.Baseline.Allocator.drained () with
-          | Some msg -> lines @ [ "probe: drain-oracle: " ^ msg ]
-          | None -> lines @ [ "probe: drain-oracle: clean" ]
-        else lines
+  let stats =
+    Option.map
+      (fun st -> "probe: " ^ Lockfree.Stats.to_string st)
+      p.Baseline.Allocator.stats
   in
+  (* The drain oracle is only meaningful with every block returned;
+     skip it when the trace leaves memory live. *)
+  let drain =
+    match p.Baseline.Allocator.drained with
+    | Some oracle when final_live = 0 ->
+        Some
+          ("probe: drain-oracle: " ^ Option.value (oracle ()) ~default:"clean")
+    | _ -> None
+  in
+  let probe = List.filter_map Fun.id [ stats; drain ] in
   let frag_curve = List.rev !curve in
   let alloc_lat = percentiles_of !alloc_lats in
   let free_lat = percentiles_of !free_lats in

@@ -59,8 +59,8 @@ type report = {
   findings : finding list;  (** empty = no pathology detected *)
   probe : string list;
       (** allocator-arm observations with no flightrec counterpart:
-          lock-free retry counters and the drain oracle (empty for the
-          kmem arms, which heapcheck walks instead) *)
+          the lock-free arms' retry counters and drain-oracle verdict
+          (empty for the arms that have neither) *)
 }
 
 val analyze :
@@ -80,8 +80,8 @@ val analyze :
     probe's [Kma.Kmem.t] for its granted pages and runs a
     [Heapcheck.checkpoint], so a driver's [--heapcheck] composes.  The
     other arms have no kmem: their samples carry no page counts (live
-    bytes still tracked, the [fragmentation] finding cannot fire),
-    while they contribute [probe] lines: lock-free retry counters and,
+    bytes still tracked, the [fragmentation] finding cannot fire).  The
+    lock-free arms contribute [probe] lines: their retry counters and,
     when the trace ends with nothing live, the drain-oracle verdict. *)
 
 val to_string : report -> string

@@ -9,6 +9,10 @@ let init mem a =
 
 let addr t = t.a
 
+let register ~addr ~name ~cls ~vm_safe =
+  Flightrec.Recorder.note_lock ~addr name;
+  Lockcheck.register_lock ~addr ~name ~cls ~vm_safe ()
+
 (* Lockcheck hooks share the flight recorder's zero-perturbation
    contract: [Machine.running] only, no operations (see [emit]). *)
 let lc_acquire t =

@@ -23,6 +23,16 @@ val init : Memory.t -> Memory.addr -> t
 
 val addr : t -> Memory.addr
 
+val register :
+  addr:Memory.addr -> name:string -> cls:string -> vm_safe:bool -> unit
+(** [register ~addr ~name ~cls ~vm_safe] names the lock at [addr] in
+    both checkers' registries: the installed flight recorder's
+    ({!Flightrec.Recorder.note_lock}) and lockcheck's
+    ({!Lockcheck.register_lock}, with its lock-order class [cls] and
+    whether the class may be held across a VM-system call).  Boot-time
+    and host-side; a checker that is off ignores it, so install the
+    recorder or enable lockcheck before the allocator boots. *)
+
 val acquire : t -> unit
 (** [acquire t] spins until the lock is taken: reads until the word looks
     free, then attempts a compare-and-swap, backing off with

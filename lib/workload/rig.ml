@@ -37,7 +37,7 @@ let alloc which ~ncpus (a : Baseline.Allocator.t) ~bytes =
 exception Conservation of string
 
 let check_drained which ~ncpus (probe : Baseline.Allocator.probe) =
-  match probe.drained () with
+  match Option.bind probe.drained (fun oracle -> oracle ()) with
   | None -> ()
   | Some msg ->
       raise

@@ -86,7 +86,7 @@ let test_alloc_failure_names_the_cell () =
    one passes. *)
 let test_drain_check () =
   let probe drained =
-    { Baseline.Allocator.stats = None; drained; kmem = None }
+    { Baseline.Allocator.stats = None; drained = Some drained; kmem = None }
   in
   Workload.Rig.check_drained Baseline.Allocator.Nbbuddy ~ncpus:2
     (probe (fun () -> None));

@@ -13,15 +13,8 @@ let count = List.length
 
 let test_on_flag () =
   Alcotest.(check bool) "off before install" false (Recorder.on ());
-  with_recorder ~ncpus:1 (fun r ->
-      Alcotest.(check bool) "on after install" true (Recorder.on ());
-      Recorder.set_enabled r false;
-      Alcotest.(check bool) "paused" false (Recorder.on ());
-      ev ~cpu:0 ~time:1 Event.Vm_grant;
-      Alcotest.(check int) "paused emit dropped" 0 (Recorder.total r);
-      Recorder.set_enabled r true;
-      ev ~cpu:0 ~time:2 Event.Vm_grant;
-      Alcotest.(check int) "recording again" 1 (Recorder.total r));
+  with_recorder ~ncpus:1 (fun _ ->
+      Alcotest.(check bool) "on after install" true (Recorder.on ()));
   Alcotest.(check bool) "off after uninstall" false (Recorder.on ())
 
 let test_percpu_isolation () =

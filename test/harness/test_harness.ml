@@ -1,13 +1,9 @@
-(* Every bench row parses against the table it names, with and without
-   bench's global flags, and each global flag reaches exactly the
-   sections it is meant to. *)
+(* Every bench row is a list of kma_bench command lines that parse, with
+   and without bench's global flags, and each global flag reaches
+   exactly the sections it is meant to. *)
 
 let sections = List.map fst Rows.rows
-
-let opts ?geometry ?(checks = [])
-    ?(allocs = Experiments.Lockfree_arms.default_whichs) jobs =
-  { Rows.geometry; jobs; checks; allocs }
-
+let opts ?geometry ?(checks = []) jobs = { Rows.geometry; jobs; checks }
 let every_check = Harness.[ Lockcheck; Heapcheck; Flightrec ]
 
 let test_rows_parse () =
@@ -16,7 +12,8 @@ let test_rows_parse () =
       List.iter
         (fun s ->
           Alcotest.(check bool)
-            (String.concat " " (Rows.argv o s))
+            (String.concat " ; "
+               (List.map (String.concat " ") (Rows.argvs o s)))
             true
             (Rows.parse o s <> None))
         sections)
@@ -24,12 +21,28 @@ let test_rows_parse () =
       opts 1;
       opts 4;
       opts ~checks:every_check 2;
-      opts ~allocs:Baseline.Allocator.[ Nbbuddy; Cookie ] 1;
       opts ~geometry:{ Sim.Geometry.default with line_words = 16 } 2;
     ]
 
+(* No bench-only experiment: every line of every row runs a kma_bench
+   subcommand. *)
+let test_rows_are_commands () =
+  let names = List.map (fun (e : Harness.t) -> e.name) Harness.commands in
+  List.iter
+    (fun (s, lines) ->
+      List.iter
+        (fun line ->
+          let command = List.hd (String.split_on_char ' ' line) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s is a kma_bench command" s command)
+            true (List.mem command names))
+        lines)
+    Rows.rows
+
 let reached o flag =
-  List.filter (fun s -> List.mem flag (Rows.argv o s)) sections
+  List.filter
+    (fun s -> List.exists (List.mem flag) (Rows.argvs o s))
+    sections
 
 let test_forwarding () =
   let armed = opts ~geometry:Sim.Geometry.default ~checks:every_check 3 in
@@ -50,16 +63,22 @@ let test_forwarding () =
     [
       "opcounts"; "fig7"; "fig9"; "geometry"; "ablation-target";
       "ablation-pagepolicy"; "crosscpu"; "lockfree"; "numa"; "scenarios";
-      "roads-not-taken"; "pressure"; "fuzz";
-    ];
-  (* --allocs reaches the lockfree section alone (crosscpu's row names
-     its own roster). *)
-  let nbbuddy = opts ~allocs:[ Baseline.Allocator.Nbbuddy ] 3 in
-  Alcotest.(check (list string))
-    "--allocs" [ "lockfree" ]
-    (List.filter
-       (fun s -> Rows.argv nbbuddy s <> Rows.argv (opts 3) s)
-       sections)
+      "roads-not-taken"; "pressure";
+    ]
+
+(* The service command hands each mode's outcome to the ledger under
+   <shape>/<mode>. *)
+let test_service_ledger () =
+  match
+    Rows.parse_line
+      [ "service"; "steady"; "--domains"; "1"; "--requests"; "200" ]
+  with
+  | None -> Alcotest.fail "service line does not parse"
+  | Some run ->
+      Alcotest.(check (list string))
+        "labels"
+        [ "steady/fixed"; "steady/adaptive" ]
+        (List.map fst (run ()).Harness.service)
 
 let () =
   Alcotest.run "harness"
@@ -67,7 +86,11 @@ let () =
       ( "rows",
         [
           Alcotest.test_case "every bench row parses" `Quick test_rows_parse;
+          Alcotest.test_case "every bench line is a kma_bench command" `Quick
+            test_rows_are_commands;
           Alcotest.test_case "global flags reach their sections" `Quick
             test_forwarding;
+          Alcotest.test_case "service ledger labels each mode" `Quick
+            test_service_ledger;
         ] );
     ]

@@ -100,31 +100,33 @@ let test_minimize_passing_trace_unchanged () =
   Alcotest.(check bool) "passing trace returned unchanged" true
     (Fuzz.minimize cfg trace == trace || Fuzz.minimize cfg trace = trace)
 
-(* Matrix sharding: run_matrix must equal the sequential List.map at
-   any job count — outcomes and, when the lifecycle checker is armed,
-   the absorbed report (the Check.shard/absorb harvest contract). *)
-let test_run_matrix_sharding_deterministic () =
+(* Fuzz runs sharded over domains under the armed checker
+   (non-abort, with a self-corrupting cell among them): real violations
+   flow through the shard harvests, absorbed in input order, and the
+   report must match at any job count byte for byte (the
+   Heapcheck.shard/absorb harvest contract). *)
+let test_sharded_checker_report () =
   let cfgs =
     [
       Fuzz.config ~ops:800 ~seed:31 ();
       Fuzz.config ~ops:800 ~seed:32 ~pressure:true ~fault_rate:0.2 ();
       Fuzz.config ~ops:800 ~seed:33 ~debug:true ~check_every:16 ();
       Fuzz.config ~ops:800 ~seed:34 ~pressure:true ~debug:true ();
+      Fuzz.config ~ops:400 ~seed:35 ~corrupt:true ();
     ]
   in
-  let reference = List.map Fuzz.run cfgs in
-  Alcotest.(check bool) "jobs=1 equals List.map run" true
-    (Fuzz.run_matrix ~jobs:1 cfgs = reference);
-  Alcotest.(check bool) "jobs=3 equals List.map run" true
-    (Fuzz.run_matrix ~jobs:3 cfgs = reference);
-  (* Under the armed checker (non-abort, with a self-corrupting cell in
-     the matrix), real violations flow through the shard harvests; the
-     absorbed report must match the sequential one byte for byte. *)
-  let cfgs = cfgs @ [ Fuzz.config ~ops:400 ~seed:35 ~corrupt:true () ] in
   let with_checker jobs =
     Heapcheck.enable ~abort:false ();
     Fun.protect ~finally:Heapcheck.disable (fun () ->
-        let os = Fuzz.run_matrix ~jobs cfgs in
+        let os =
+          List.map
+            (fun (o, harvest) ->
+              Heapcheck.absorb harvest;
+              o)
+            (Parallel.map ~jobs
+               (fun cfg -> Heapcheck.shard (fun () -> Fuzz.run cfg))
+               cfgs)
+        in
         (os, Heapcheck.report (), Heapcheck.violation_count ()))
   in
   let o1, rep1, n1 = with_checker 1 in
@@ -137,8 +139,8 @@ let test_run_matrix_sharding_deterministic () =
 let suite =
   [
     Alcotest.test_case "pressure x debug matrix passes" `Quick test_matrix;
-    Alcotest.test_case "run_matrix sharding deterministic" `Quick
-      test_run_matrix_sharding_deterministic;
+    Alcotest.test_case "sharded checker report deterministic" `Quick
+      test_sharded_checker_report;
     Alcotest.test_case "10k ops with pressure and faults" `Slow
       test_acceptance_10k;
     Alcotest.test_case "sweep mode passes with sparse checks" `Quick

@@ -69,7 +69,9 @@ let run ~which ~ncpus ~iters ~seed () =
   in
   Sim.Machine.run_symmetric m ~ncpus program;
   Alcotest.(check int) "nothing live after drain" 0 (Hashtbl.length claimed);
-  (match probe.Baseline.Allocator.drained () with
+  (match
+     Option.bind probe.Baseline.Allocator.drained (fun oracle -> oracle ())
+   with
   | None -> ()
   | Some msg -> Alcotest.failf "drain check failed: %s" msg);
   {

@@ -49,7 +49,7 @@ let test_implicit_coalesce () =
      claimable 4096 B blocks with no explicit merge. *)
   let m = machine () in
   let b = Lockfree.Nbbuddy.create m in
-  let chunks = Lockfree.Nbbuddy.arena_words b / 1024 in
+  let chunks = Lockfree.Nbbuddy.arena_words_oracle b / 1024 in
   on_cpu0 m (fun () ->
       let live = ref [] in
       for _ = 1 to 512 do
@@ -73,7 +73,7 @@ let test_implicit_coalesce () =
 let test_exhaustion_and_recovery () =
   let m = machine () in
   let b = Lockfree.Nbbuddy.create m in
-  let words = Lockfree.Nbbuddy.arena_words b in
+  let words = Lockfree.Nbbuddy.arena_words_oracle b in
   on_cpu0 m (fun () ->
       let live = ref [] in
       let n = ref 0 in

@@ -70,6 +70,31 @@ let test_kmem_arms_sampled () =
            r.Scenario.Pathology.frag_curve))
     Baseline.Allocator.[ Cookie; Numakma ]
 
+(* The baseline arms name their one lock for the flight recorder as
+   the kmem arms do theirs, so the convoy finding says whose lock it
+   is. *)
+let test_baseline_convoy_named () =
+  let r = analyze ~which:Baseline.Allocator.Mk "producer_consumer" in
+  Alcotest.(check bool) "mk's convoy names its lock" true
+    (List.exists
+       (fun (f : Scenario.Pathology.finding) ->
+         f.Scenario.Pathology.pathology = "lock-convoy"
+         && String.starts_with ~prefix:"mk:" f.Scenario.Pathology.detail)
+       r.Scenario.Pathology.findings)
+
+(* The drain-oracle line reports a check that ran: bwfixed registers an
+   oracle, mk none. *)
+let test_drain_oracle_line () =
+  let oracle_line which =
+    List.exists
+      (String.starts_with ~prefix:"probe: drain-oracle")
+      (analyze ~which "producer_consumer").Scenario.Pathology.probe
+  in
+  Alcotest.(check bool) "bwfixed's report has it" true
+    (oracle_line Baseline.Allocator.Bwfixed);
+  Alcotest.(check bool) "mk's report has none" false
+    (oracle_line Baseline.Allocator.Mk)
+
 let test_bursty_latency_tail () =
   let r = analyze "bursty" in
   Alcotest.(check bool) "latency-tail detected" true
@@ -95,6 +120,10 @@ let suite =
       test_frag_adversary_fragmentation;
     Alcotest.test_case "cookie and numakma sample granted pages" `Quick
       test_kmem_arms_sampled;
+    Alcotest.test_case "mk's lock-convoy names its lock" `Quick
+      test_baseline_convoy_named;
+    Alcotest.test_case "drain-oracle line only when an oracle ran" `Quick
+      test_drain_oracle_line;
     Alcotest.test_case "bursty triggers latency-tail" `Quick
       test_bursty_latency_tail;
     Alcotest.test_case "reports are byte-identical" `Quick

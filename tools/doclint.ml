@@ -364,7 +364,11 @@ let exported_vals src =
     (String.split_on_char '\n' src)
 
 (* The libraries whose values a test alone does not keep alive. *)
-let strict = [ "workload"; "experiments"; "baseline"; "scenario"; "parallel" ]
+let strict =
+  [
+    "workload"; "experiments"; "baseline"; "scenario"; "parallel"; "flightrec";
+    "lockfree";
+  ]
 
 let in_tests f =
   List.mem "test" (String.split_on_char '/' (Filename.dirname f))
