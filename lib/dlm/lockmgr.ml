@@ -90,7 +90,7 @@ let bucket_of t ~resource =
 
 let with_bucket bucket f =
   let lock_addr = bucket in
-  (* Jittered test-and-set; see Sim.Spinlock.acquire. *)
+  (* Jittered test-and-set; see Sim.Spinlock.with_lock. *)
   let rec acquire () =
     if not (Machine.cas lock_addr ~expected:0 ~desired:1) then begin
       Machine.spin_pause ();

@@ -33,7 +33,7 @@ let ring_tail ring = ring + 2
 let ring_slot ring i = ring + 16 + (i mod ring_slots)
 
 let with_ring ring f =
-  (* Jittered test-and-set; see Sim.Spinlock.acquire. *)
+  (* Jittered test-and-set; see Sim.Spinlock.with_lock. *)
   let rec acquire () =
     if not (Sim.Machine.cas (ring_lock ring) ~expected:0 ~desired:1) then begin
       Sim.Machine.spin_pause ();

@@ -251,6 +251,8 @@ let with_heapcheck mode f =
               (Check_failed (Printf.sprintf "heapcheck: %d violation(s)" n)))
         f
 
+let with_heapcheck_oracle = with_heapcheck
+
 let with_flightrec on ~ncpus f =
   if not on then f ()
   else
@@ -582,7 +584,8 @@ let fuzz =
       match mode with Heapcheck.Paranoid -> 1 | Heapcheck.Sweep n -> n
     in
     let cfg = config ~ops ~check_every ~pressure ~debug ~fault_rate ~seed () in
-    let o = Heapcheck.Fuzz.run cfg in
+    let trace = gen cfg in
+    let o = execute cfg trace in
     Printf.printf
       "fuzz: seed %d, %d ops (%d allocs, %d frees), %d checks, %d cycles\n"
       seed ops o.allocs o.frees o.checks o.cycles;
@@ -592,7 +595,7 @@ let fuzz =
         Printf.printf "FAILED after op %d (%s):\n" f.index
           (Format.asprintf "%a" pp_op f.op);
         List.iter (fun p -> print_endline ("  " ^ p)) f.problems;
-        let minimized = minimize cfg (gen cfg) in
+        let minimized = minimize cfg trace in
         Format.printf "minimized reproducer (%d ops):@.%a@."
           (List.length minimized) pp_trace minimized;
         raise (Check_failed "fuzz: a consistency check failed")
@@ -990,11 +993,8 @@ let service =
     section "Service shapes (lib/scenario request graphs)";
     Experiments.Series.table
       ~header:[ "name"; "served as" ]
-      (List.filter_map
-         (fun (s : Scenario.t) ->
-           match Service.shape_of_scenario s.Scenario.name with
-           | None -> None
-           | Some _ -> Some [ s.Scenario.name; s.Scenario.summary ])
+      (List.map
+         (fun (s : Scenario.t) -> [ s.Scenario.name; s.Scenario.summary ])
          Scenario.all)
   in
   (* Each outcome goes to the ledger as <shape>/<mode>. *)

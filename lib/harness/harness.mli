@@ -67,9 +67,14 @@ val cmd : ((unit -> ledger) -> 'a) -> t -> 'a Cmdliner.Cmd.t
 val jobs_flag : int Cmdliner.Term.t
 val geometry_flag : Sim.Geometry.t option Cmdliner.Term.t
 
-val with_heapcheck : Heapcheck.mode option -> (unit -> 'a) -> 'a
-(** Arm the heap checker around a run and print its report.
-    @raise Check_failed if any violation was recorded. *)
-
 val now_s : unit -> float
 (** Monotonic host seconds. *)
+
+(** {1 Test oracles} *)
+
+val with_heapcheck_oracle : Heapcheck.mode option -> (unit -> 'a) -> 'a
+(** The wrapper every [--heapcheck] run goes through: arm the heap
+    checker around a run and print its report.  No command can plant a
+    violation, so this is how a test checks that one fails the run
+    (exit 3).
+    @raise Check_failed if any violation was recorded. *)

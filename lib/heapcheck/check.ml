@@ -558,7 +558,7 @@ let absorb = function
             h.hviols)
 
 let violation_count () = match state () with None -> 0 | Some st -> st.nviol
-let check_count () = match state () with None -> 0 | Some st -> st.checks
+let check_count_oracle () = match state () with None -> 0 | Some st -> st.checks
 
 let report () =
   match state () with

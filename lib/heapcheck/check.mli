@@ -170,10 +170,10 @@ val absorb : harvest option -> unit
 
 (** {1 Results (host-side)} *)
 
-
 val violation_count : unit -> int
-val check_count : unit -> int
-(** Checkpoints run since {!enable}. *)
+
+val check_count_oracle : unit -> int
+(** Checkpoints run since {!enable} (test oracle). *)
 
 val report : unit -> string
 (** Text report: checkpoints run, per-rule violation counts, and every

@@ -297,8 +297,6 @@ let execute cfg trace =
     failure = !failure;
   }
 
-let run cfg = execute cfg (gen cfg)
-
 (* --- greedy trace minimization --- *)
 
 let fails cfg trace = (execute cfg trace).failure <> None

@@ -86,9 +86,6 @@ val execute : config -> op list -> outcome
     violation is also {!Heapcheck.note}d (flight-recorder events,
     report, abort mode). *)
 
-val run : config -> outcome
-(** [run cfg] is [execute cfg (gen cfg)]. *)
-
 val minimize : config -> op list -> op list
 (** [minimize cfg trace] greedily shrinks a failing trace: truncate at
     the failure, then delete chunks (halving down to single ops) while

@@ -25,9 +25,6 @@ val push : head:int -> int -> unit
 (** [push ~head a] pushes block [a] onto the list whose head pointer
     lives at address [head]. *)
 
-val pop : head:int -> int
-(** [pop ~head] pops a block, or returns 0 when the list is empty. *)
-
 val take_n : head:int -> n:int -> int * int
 (** [take_n ~head ~n] pops up to [n] blocks and chains them into a fresh
     list, returning its head (0 if none) and actual length. *)

@@ -115,8 +115,6 @@ let drain_node ctx ~node ~si =
   in
   go (gbltarget ctx si)
 
-let drain ctx ~si = drain_node ctx ~node:(cur_node ctx) ~si
-
 (* Refill up to [gbltarget] lists from the coalesce-to-page layer
    (underflow hysteresis).  Short lists go via the bucket so gblfree
    only ever carries full lists from this path. *)

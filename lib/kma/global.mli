@@ -50,14 +50,6 @@ val put_partial : Ctx.t -> si:int -> head:int -> count:int -> unit
 (** [put_partial ctx ~si ~head ~count] accepts an odd-sized chain onto
     the bucket list and regroups full lists out of it. *)
 
-val drain : Ctx.t -> si:int -> unit
-(** [drain ctx ~si] pushes up to [gbltarget] lists from the calling
-    CPU's node down to the coalesce-to-page layer, stopping at the
-    first empty pop (overflow hysteresis).  Exposed for the
-    critical-section regression test; normal callers reach it through
-    {!put_list} / {!put_partial} overflow.  Caller must hold that
-    node's [gbl] lock for the class. *)
-
 val trim : Ctx.t -> si:int -> keep:int -> unit
 (** [trim ctx ~si ~keep] pushes lists down to the coalesce-to-page
     layer until at most [keep] remain per node (the buckets are emptied

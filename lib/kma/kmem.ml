@@ -159,18 +159,12 @@ let free (t : t) ~addr ~bytes =
     Percpu.free t ~si:(lookup_si t ~bytes) addr
   end
 
-let reap_local (t : t) =
-  for si = 0 to t.Ctx.layout.Layout.nsizes - 1 do
-    Percpu.drain t ~si
-  done
-
 let reap_global (t : t) =
   for si = 0 to t.Ctx.layout.Layout.nsizes - 1 do
     Global.drain_all t ~si
   done
 
 let machine (t : t) = t.Ctx.machine
-let layout (t : t) = t.Ctx.layout
 let params (t : t) = Ctx.params t
 let stats (t : t) = t.Ctx.stats
 let vmsys (t : t) = t.Ctx.vmsys

@@ -68,19 +68,16 @@ val size_index : t -> bytes:int -> int option
 
 (** {1 Administrative operations (simulated)} *)
 
-val reap_local : t -> unit
-(** [reap_local t] drains every per-CPU cache of the current CPU into
-    the global layer. *)
-
 val reap_global : t -> unit
 (** [reap_global t] pushes everything in the global layer down through
     the coalescing layers, returning fully-free pages to the VM system.
-    Run {!reap_local} on every CPU first for a full shakeout. *)
+    For a full shakeout, first drain every CPU's caches into the global
+    layer with {!Percpu.drain} on each CPU; {!Pressure.reap} with
+    [~full:true] on each CPU drains both layers in one pass. *)
 
 (** {1 Accessors and oracles (host-side)} *)
 
 val machine : t -> Sim.Machine.t
-val layout : t -> Layout.t
 val params : t -> Params.t
 val stats : t -> Kstats.t
 val vmsys : t -> Sim.Vmsys.t

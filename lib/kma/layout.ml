@@ -153,7 +153,4 @@ let page_of_pd t ~pd =
   let d = (pd - vb) / t.pd_words in
   vb + ((t.hdr_pages + d) lsl t.page_shift)
 
-let data_page_addr t ~vmblk ~data_page =
-  vmblk + ((t.hdr_pages + data_page) lsl t.page_shift)
-
 let total_data_pages t = t.arena_vmblks * t.data_pages

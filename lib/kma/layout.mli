@@ -93,6 +93,5 @@ val pd_of_page : t -> page_addr:int -> int
 val page_of_pd : t -> pd:int -> int
 (** Word address of the data page described by [pd]. *)
 
-val data_page_addr : t -> vmblk:int -> data_page:int -> int
 val total_data_pages : t -> int
 (** Capacity of the whole arena in data pages. *)

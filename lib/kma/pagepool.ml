@@ -186,10 +186,6 @@ let put_blocks (ctx : Ctx.t) ~si ~head ~count =
     Sim.Spinlock.with_lock ctx.Ctx.plocks.(si) (fun () ->
         put_chain ctx ~si head)
 
-let put_block (ctx : Ctx.t) ~si blk =
-  Machine.write (blk + Freelist.link) 0;
-  put_blocks ctx ~si ~head:blk ~count:1
-
 (* --- host-side oracles --- *)
 
 let bucket_pages_oracle (ctx : Ctx.t) ~si =

@@ -35,9 +35,6 @@ val put_blocks : Ctx.t -> si:int -> head:int -> count:int -> unit
     individually back into its page (the paper's reason the global layer
     keeps whole lists: this walk is the expensive part). *)
 
-val put_block : Ctx.t -> si:int -> int -> unit
-(** Single-block convenience over {!put_blocks}. *)
-
 (** {1 Host-side oracles} *)
 
 val bucket_pages_oracle : Ctx.t -> si:int -> (int * int list) list

@@ -60,9 +60,6 @@ val auto : memory_words:int -> t
     below 8) until at least four vmblks fit in a machine of the given
     size — the paper's 1024-page vmblks when memory is plentiful. *)
 
-val default_target : bytes:int -> int
-(** The paper's heuristic limiting memory tied up in per-CPU caches. *)
-
 val default_gbltarget : target:int -> int
 
 val make :

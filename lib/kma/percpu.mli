@@ -32,11 +32,8 @@ exception Corruption of string
     use-after-free write or double free. *)
 
 
-val o_main_head : int
 val o_main_cnt : int
-val o_aux_head : int
-val o_aux_cnt : int
-val o_target : int
+(** Offset of the [main] list's block count in a cache record. *)
 
 val boot_init : Ctx.t -> unit
 
@@ -57,12 +54,6 @@ val drain_aux : Ctx.t -> si:int -> unit
 (** [drain_aux ctx ~si] flushes only the reserve ([aux]) list, keeping
     the hot [main] list — the light half of a [kmem_reap] pass (see
     {!Pressure}). *)
-
-val lockcheck_probe : owner:int -> unit
-(** [lockcheck_probe ~owner] runs the {!Lockcheck} interrupt-discipline
-    check for an access to CPU [owner]'s cache state (no-op while the
-    checker is off).  Called internally on every entry; exported so
-    seeded-violation tests can drive the probe directly. *)
 
 (** {1 Host-side oracles} *)
 

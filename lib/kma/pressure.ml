@@ -13,7 +13,6 @@ let grow_allocs = 64
 let max_retries = 8
 
 let state (ctx : Ctx.t) = ctx.Ctx.pressure
-let enabled (ctx : Ctx.t) = (state ctx).Ctx.enabled
 
 (* Classes whose adaptive bounds sit below the boot-time defaults.
    Recomputed after every adjustment (host-side, O(nsizes)); the count
@@ -50,24 +49,6 @@ let enable (ctx : Ctx.t) =
   reset_desired ctx;
   snapshot_vm ctx;
   (state ctx).Ctx.enabled <- true
-
-(* Host-side administrative reset, boot idiom: put the defaults back
-   into every per-CPU target word directly (uncharged, like
-   [Percpu.boot_init]), since with the subsystem off the safe-point
-   sync that would otherwise repair them never runs. *)
-let disable (ctx : Ctx.t) =
-  let pr = state ctx in
-  pr.Ctx.enabled <- false;
-  reset_desired ctx;
-  let mem = Ctx.memory ctx in
-  let ly = ctx.Ctx.layout in
-  for cpu = 0 to ly.Layout.ncpus - 1 do
-    for si = 0 to ly.Layout.nsizes - 1 do
-      let tgt = ly.Layout.params.Params.targets.(si) in
-      pr.Ctx.pcc_targets.((cpu * ly.Layout.nsizes) + si) <- tgt;
-      Memory.set mem (Layout.pcc_addr ly ~cpu ~si + Percpu.o_target) tgt
-    done
-  done
 
 (* Multiplicative decrease of every class's bounds (memory pressure is
    a machine-wide condition, so all classes give ground together). *)
@@ -202,7 +183,7 @@ let reap (ctx : Ctx.t) ~full =
    [max_retries] attempts or as soon as the situation is provably
    hopeless (nothing reclaimed and the VM system empty). *)
 let with_retries (ctx : Ctx.t) (attempt : unit -> int) =
-  if not (enabled ctx) then attempt ()
+  if not (state ctx).Ctx.enabled then attempt ()
   else begin
     let st = ctx.Ctx.stats in
     let rec go n =
@@ -235,6 +216,6 @@ let with_retries (ctx : Ctx.t) (attempt : unit -> int) =
 
 (* --- host-side oracles --- *)
 
-let at_defaults (ctx : Ctx.t) =
+let at_defaults_oracle (ctx : Ctx.t) =
   recount ctx;
   (state ctx).Ctx.below_default = 0

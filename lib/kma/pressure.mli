@@ -29,13 +29,6 @@ val enable : Ctx.t -> unit
     bounds start at the {!Params} defaults, and {!Kmem} / {!Cookie}
     allocation paths gain the reap-and-retry loop. *)
 
-val disable : Ctx.t -> unit
-(** [disable ctx] disarms the subsystem and restores every bound —
-    including the per-CPU target words, rewritten host-side in the
-    boot idiom — to the {!Params} defaults. *)
-
-val enabled : Ctx.t -> bool
-
 (** {1 Simulated operations} *)
 
 val reap : Ctx.t -> full:bool -> int
@@ -59,5 +52,5 @@ val with_retries : Ctx.t -> (unit -> int) -> int
 
 (** {1 Host-side oracles} *)
 
-val at_defaults : Ctx.t -> bool
+val at_defaults_oracle : Ctx.t -> bool
 (** Every adaptive bound is back at its {!Params} default. *)

@@ -267,13 +267,13 @@ let vm_call ~cpu ~time ~what =
 
 let viols_oldest_first t = List.rev t.viols
 
-let violations () =
+let violations_oracle () =
   match !state with None -> [] | Some t -> viols_oldest_first t
 
-let violation_count () =
+let violation_count_oracle () =
   match !state with None -> 0 | Some t -> List.length t.viols
 
-let check_count rule =
+let check_count_oracle rule =
   match !state with
   | None -> 0
   | Some t -> (
@@ -282,14 +282,14 @@ let check_count rule =
       | Irq_discipline -> t.n_irq_checks
       | Vm_hold -> t.n_vm_checks)
 
-let order_edges () =
+let order_edges_oracle () =
   match !state with
   | None -> []
   | Some t ->
       Hashtbl.fold (fun k _ acc -> k :: acc) t.edges []
       |> List.sort compare
 
-let max_hold_depth () =
+let max_hold_depth_oracle () =
   match !state with None -> 0 | Some t -> t.max_depth
 
 let report () =

@@ -100,21 +100,23 @@ val vm_call : cpu:int -> time:int -> what:string -> unit
     VM system ([what] is ["grant"] or ["reclaim"]).  Violation: any
     held lock whose class is not [vm_safe]. *)
 
-(** {1 Results (host-side)} *)
+(** {1 Results (host-side)}
 
-val violations : unit -> (rule * string) list
+    The tallies below are test oracles; drivers read {!report}. *)
+
+val violations_oracle : unit -> (rule * string) list
 (** All recorded violations, oldest first (empty list when disabled). *)
 
-val violation_count : unit -> int
+val violation_count_oracle : unit -> int
 
-val check_count : rule -> int
+val check_count_oracle : rule -> int
 (** How many times the given invariant was checked (acquisitions
     processed / per-CPU probes / VM-entry probes). *)
 
-val order_edges : unit -> (string * string) list
+val order_edges_oracle : unit -> (string * string) list
 (** The recorded class-order edges, sorted. *)
 
-val max_hold_depth : unit -> int
+val max_hold_depth_oracle : unit -> int
 (** The deepest simultaneous lock nesting seen on any CPU. *)
 
 val report : unit -> string

@@ -95,13 +95,3 @@ let set_geometry t ~target ~max_batches =
          t.max_batches <- max t.max_batches max_batches))
 
 let batches t = fst (with_lock t (fun () -> t.nbatches))
-
-let drain t =
-  fst
-    (with_lock t (fun () ->
-         let all = List.concat t.stock @ t.loose in
-         t.stock <- [];
-         t.nbatches <- 0;
-         t.loose <- [];
-         t.nloose <- 0;
-         all))

@@ -50,6 +50,3 @@ val set_geometry : 'a t -> target:int -> max_batches:int -> unit
 
 val batches : 'a t -> int
 (** Current stock (for monitoring; momentarily stale by nature). *)
-
-val drain : 'a t -> 'a list
-(** [drain t] empties the depot (tests, shutdown). *)

@@ -15,7 +15,7 @@ let create ~target =
   { tgt = target; main = [||]; main_n = 0; aux = [||]; aux_n = 0 }
 
 let target t = t.tgt
-let size t = t.main_n + t.aux_n
+let size_oracle t = t.main_n + t.aux_n
 
 let get t =
   if t.main_n = 0 then begin
@@ -86,7 +86,7 @@ let drain t =
   t.aux_n <- 0;
   all
 
-let check t =
+let check_oracle t =
   let sized a = Array.length a = 0 || Array.length a = t.tgt in
   sized t.main && sized t.aux
   && t.main_n <= Array.length t.main

@@ -13,7 +13,7 @@
     - [main] holds at most [target] objects and [aux] [0] or [target];
     - a put onto a full [main] first hands off [aux] (if full) and
       slides [main] into [aux], so occupancy never exceeds [2 * target].
-    {!check} tests the last two. *)
+    {!check_oracle} tests the last two. *)
 
 type 'a t
 
@@ -23,7 +23,9 @@ val create : target:int -> 'a t
 (** @raise Invalid_argument if [target < 1]. *)
 
 val target : 'a t -> int
-val size : 'a t -> int
+
+val size_oracle : 'a t -> int
+(** Objects held, [main] and [aux] together (test oracle). *)
 
 val get : 'a t -> 'a
 (** [get t] pops from [main], sliding [aux] into [main] first if [main]
@@ -47,5 +49,5 @@ val drain : 'a t -> 'a list
 (** [drain t] empties the magazine, returning everything it held; the
     magazine keeps no reference to any object afterwards. *)
 
-val check : 'a t -> bool
+val check_oracle : 'a t -> bool
 (** Invariant oracle for tests. *)

@@ -160,16 +160,6 @@ let release t x =
   | `Ok -> ()
   | `Flush batch -> flush t sl batch
 
-let with_obj t f =
-  let x = alloc t in
-  match f x with
-  | v ->
-      release t x;
-      v
-  | exception e ->
-      release t x;
-      raise e
-
 let flush_local t =
   let sl = slot t in
   match Magazine.drain sl.mag with
@@ -180,4 +170,4 @@ let stats t = t.stats
 let mode t = t.mode
 let current_target t = target_at t (Atomic.get t.level)
 let depot_bound t = bound_at t (Atomic.get t.level)
-let depot_batches t = Depot.batches t.depot
+let depot_batches_oracle t = Depot.batches t.depot

@@ -75,10 +75,6 @@ val release : 'a t -> 'a -> unit
     it re-enters neither magazine nor depot and is not counted as a
     free. *)
 
-val with_obj : 'a t -> ('a -> 'b) -> 'b
-(** [with_obj t f] allocates, runs [f], and releases (also on
-    exceptions). *)
-
 val flush_local : 'a t -> unit
 (** [flush_local t] drains the calling domain's magazine to the depot
     (call before a domain exits to keep its stock usable by others). *)
@@ -93,5 +89,5 @@ val current_target : 'a t -> int
 val depot_bound : 'a t -> int
 (** The current level's depot bound, in batches. *)
 
-val depot_batches : 'a t -> int
-(** Current depot stock, in batches. *)
+val depot_batches_oracle : 'a t -> int
+(** Current depot stock, in batches (host-side test oracle). *)

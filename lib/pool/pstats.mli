@@ -44,7 +44,6 @@ val register : t -> cell
     [Domain.DLS] initialiser. *)
 
 val allocs : t -> int
-val frees : t -> int
 val creates : t -> int
 val depot_gets : t -> int
 val depot_puts : t -> int

@@ -215,5 +215,4 @@ let all =
     };
   ]
 
-let find name = List.find_opt (fun s -> s.name = name) all
 let names () = List.map (fun s -> s.name) all

@@ -34,5 +34,4 @@ type t = {
 val all : t list
 (** The library, in presentation order; names are unique. *)
 
-val find : string -> t option
 val names : unit -> string list

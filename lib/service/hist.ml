@@ -46,7 +46,7 @@ let add t ns =
   t.sum_ns <- t.sum_ns + ns;
   if ns > t.max_ns then t.max_ns <- ns
 
-let count t = t.n
+let count_oracle t = t.n
 let max_ns t = t.max_ns
 let mean_ns t = if t.n = 0 then Float.nan else float_of_int t.sum_ns /. float_of_int t.n
 

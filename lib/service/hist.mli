@@ -16,7 +16,9 @@ val add : t -> int -> unit
 (** [add t ns] records one latency sample in nanoseconds (negative
     samples clamp to 0). *)
 
-val count : t -> int
+val count_oracle : t -> int
+(** Samples recorded (test oracle). *)
+
 val max_ns : t -> int
 val mean_ns : t -> float
 (** [nan] when empty. *)
@@ -24,12 +26,11 @@ val mean_ns : t -> float
 val merge : into:t -> t -> unit
 (** [merge ~into src] adds [src]'s samples into [into]. *)
 
-val quantile : t -> float -> float
-(** [quantile t q] with [q] in [0, 1] (clamped): an estimate of the
-    [q]-quantile in nanoseconds, within the bucket resolution; [nan]
-    when empty.  A rank landing in the highest occupied bucket reports
-    the exact recorded maximum. *)
-
 val p50 : t -> float
+(** [p50 t] estimates the median in nanoseconds, within the bucket
+    resolution; [nan] when empty.  A rank landing in the highest
+    occupied bucket reports the exact recorded maximum.  {!p99} and
+    {!p999} estimate the 99th and 99.9th percentiles the same way. *)
+
 val p99 : t -> float
 val p999 : t -> float

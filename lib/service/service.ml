@@ -27,11 +27,6 @@ let shape_of_name = function
   | "recorded_dlm" -> Some Recorded_dlm
   | _ -> None
 
-let shape_of_scenario name =
-  match Scenario.find name with
-  | None -> None
-  | Some _ -> shape_of_name name
-
 type arrival = [ `Closed | `Open_ns of int ]
 
 type config = {
@@ -196,7 +191,7 @@ let validate cfg =
   (match cfg.arrival with
   | `Open_ns m when m < 1 -> invalid_arg "Service.run: open arrival mean < 1 ns"
   | _ -> ());
-  match shape_of_scenario cfg.scenario with
+  match shape_of_name cfg.scenario with
   | Some s -> s
   | None ->
       invalid_arg

@@ -590,7 +590,7 @@ let own t ~addr ~words o =
   end;
   Array.fill t.owner first (last - first + 1) code
 
-let holders t a =
+let holders_oracle t a =
   let line = a lsr t.line_shift in
   let rec go c acc =
     if c < 0 then acc
@@ -598,12 +598,12 @@ let holders t a =
   in
   go (t.cfg.ncpus - 1) []
 
-let dirty_owner t a =
+let dirty_owner_oracle t a =
   let line = a lsr t.line_shift in
   let d = t.dirty.(line) in
   if d >= 0 then Some d else None
 
-let resident t ~cpu = t.cpus.(cpu).nresident
+let resident_oracle t ~cpu = t.cpus.(cpu).nresident
 
-let node_of_cpu t cpu = t.node_of.(cpu)
-let home_of_addr t a = home_node t (a lsr t.line_shift)
+let node_of_cpu_oracle t cpu = t.node_of.(cpu)
+let home_of_addr_oracle t a = home_node t (a lsr t.line_shift)

@@ -120,22 +120,23 @@ val private_hit : t -> cpu:int -> Memory.addr -> kind -> bool
     Always false while a {!set_trace} hook is installed, so the hook
     keeps seeing accesses in schedule order. *)
 
-val holders : t -> Memory.addr -> int list
-(** [holders t a] is the sorted list of CPUs holding the line of [a]
-    (test oracle). *)
+val holders_oracle : t -> Memory.addr -> int list
+(** [holders_oracle t a] is the sorted list of CPUs holding the line of
+    [a] (test oracle). *)
 
-val dirty_owner : t -> Memory.addr -> int option
-(** [dirty_owner t a] is the CPU holding the line of [a] modified, if
-    any (test oracle). *)
+val dirty_owner_oracle : t -> Memory.addr -> int option
+(** [dirty_owner_oracle t a] is the CPU holding the line of [a]
+    modified, if any (test oracle). *)
 
-val resident : t -> cpu:int -> int
-(** [resident t ~cpu] is the number of lines currently held by [cpu]. *)
+val resident_oracle : t -> cpu:int -> int
+(** [resident_oracle t ~cpu] is the number of lines currently held by
+    [cpu] (test oracle). *)
 
-val node_of_cpu : t -> int -> int
-(** [node_of_cpu t cpu] is [cpu]'s NUMA node ({!Config.node_of};
+val node_of_cpu_oracle : t -> int -> int
+(** [node_of_cpu_oracle t cpu] is [cpu]'s NUMA node ({!Config.node_of};
     always [0] on the flat machine).  Test oracle. *)
 
-val home_of_addr : t -> Memory.addr -> int
-(** [home_of_addr t a] is the home node of the memory holding [a]
+val home_of_addr_oracle : t -> Memory.addr -> int
+(** [home_of_addr_oracle t a] is the home node of the memory holding [a]
     (address-range partition; always [0] on the flat machine).  Test
     oracle. *)

@@ -25,11 +25,6 @@ type t = {
           registers); every access there goes to the bus *)
 }
 
-val default : t
-(** [default] is a 4-CPU machine with 4 MiW of memory and
-    {!Geometry.default} caches: 8-word (32-byte) lines, 256-line (8 KiB)
-    fully-associative per-CPU caches. *)
-
 val make :
   ?geometry:Geometry.t ->
   ?ncpus:int ->
@@ -37,7 +32,10 @@ val make :
   ?uncached_words:int ->
   unit ->
   t
-(** [make ()] is [default] with the given fields overridden.
+(** [make ()] is a 4-CPU machine with 4 MiW of memory and
+    {!Geometry.default} caches (8-word (32-byte) lines, 256-line (8 KiB)
+    fully-associative per-CPU caches) and no uncacheable region, with
+    the given fields overridden.
 
     @raise Invalid_argument if a field is out of range (e.g. [ncpus < 1],
     a geometry {!Geometry.validate} rejects, or [memory_words] not a

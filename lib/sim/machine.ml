@@ -2,15 +2,15 @@ exception Not_in_simulation
 exception Deadlock of string
 exception Watchdog of int
 
+(* What a read-modify-write [Rmw (f, a, x, y)] stores in word [a]: for
+   [Cas], [y] when the word equals [x]; otherwise the old value combined
+   with [x]. *)
+type rmw = Cas | Add | Or | And
+
 type op =
   | Read of Memory.addr
   | Write of Memory.addr * int
-  | Cas of Memory.addr * int * int
-  | Casv of Memory.addr * int * int
-  | Faa of Memory.addr * int
-  | For of Memory.addr * int
-  | Fand of Memory.addr * int
-  | Swap of Memory.addr * int
+  | Rmw of rmw * Memory.addr * int * int
   | Work of int
   | Spin
   | Cpu_id
@@ -144,7 +144,7 @@ let reset_clocks t =
       c.nretired <- 0)
     t.cpus
 
-let irq_disabled t ~cpu = t.cpus.(cpu).irq_off
+let irq_disabled_oracle t ~cpu = t.cpus.(cpu).irq_off
 
 (* Per-domain execution context.  [cur] is the CPU whose program (host
    code between two operations) is executing right now, if any —
@@ -215,13 +215,13 @@ let executing_key : ctx Domain.DLS.key =
         ahead = -1;
       })
 
-(* Test-only kill switch (see {!set_fast_path}): the equivalence proofs
-   in test/sim and test/experiments run every workload twice, fast path
-   on and off, and require bit-identical cycles and state.  Written
-   only from tests before any domain is spawned. *)
+(* Test-only kill switch (see {!set_fast_path_oracle}): the equivalence
+   proofs in test/sim and test/experiments run every workload twice,
+   fast path on and off, and require bit-identical cycles and state.
+   Written only from tests before any domain is spawned. *)
 let fast_path_on = ref true
-let set_fast_path b = fast_path_on := b
-let fast_path_enabled () = !fast_path_on
+let set_fast_path_oracle b = fast_path_on := b
+let fast_path_enabled_oracle () = !fast_path_on
 
 (* Typed operation fronts.  All operations funnel through a single
    int-valued effect so the scheduler needs no existential plumbing. *)
@@ -267,52 +267,19 @@ let exec_write t (c : cpu) a v =
   Memory.set t.memory a v;
   0
 
-let exec_cas t (c : cpu) a expected desired =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
-  c.nretired <- c.nretired + 1;
-  let cur = Memory.get t.memory a in
-  if cur = expected then begin
-    Memory.set t.memory a desired;
-    1
-  end
-  else 0
-
-(* CAS returning the witnessed value: the lock-free allocators' retry
-   loops re-CAS from the value that defeated them instead of paying a
-   separate reload.  Same charge as [exec_cas] whether it wins or not. *)
-let exec_casv t (c : cpu) a expected desired =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
-  c.nretired <- c.nretired + 1;
-  let cur = Memory.get t.memory a in
-  if cur = expected then Memory.set t.memory a desired;
-  cur
-
-let exec_faa t (c : cpu) a n =
+(* Every read-modify-write charges the same, one Rmw cache access plus
+   [rmw_cost], retiring one instruction, whether or not a CAS wins; only
+   the stored value differs.  Returns the old value: a CAS succeeded iff
+   it equals [x]. *)
+let exec_rmw t (c : cpu) f a x y =
   c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
   c.nretired <- c.nretired + 1;
   let old = Memory.get t.memory a in
-  Memory.set t.memory a (old + n);
-  old
-
-let exec_for t (c : cpu) a n =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
-  c.nretired <- c.nretired + 1;
-  let old = Memory.get t.memory a in
-  Memory.set t.memory a (old lor n);
-  old
-
-let exec_fand t (c : cpu) a n =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
-  c.nretired <- c.nretired + 1;
-  let old = Memory.get t.memory a in
-  Memory.set t.memory a (old land n);
-  old
-
-let exec_swap t (c : cpu) a v =
-  c.time <- c.time + mem_access t c a Cache.Rmw + t.geometry.rmw_cost;
-  c.nretired <- c.nretired + 1;
-  let old = Memory.get t.memory a in
-  Memory.set t.memory a v;
+  (match f with
+  | Cas -> if old = x then Memory.set t.memory a y
+  | Add -> Memory.set t.memory a (old + x)
+  | Or -> Memory.set t.memory a (old lor x)
+  | And -> Memory.set t.memory a (old land x));
   old
 
 let exec_work t (c : cpu) n =
@@ -358,12 +325,7 @@ let exec t (c : cpu) (o : op) : int =
   match o with
   | Read a -> exec_read t c a
   | Write (a, v) -> exec_write t c a v
-  | Cas (a, expected, desired) -> exec_cas t c a expected desired
-  | Casv (a, expected, desired) -> exec_casv t c a expected desired
-  | Faa (a, n) -> exec_faa t c a n
-  | For (a, n) -> exec_for t c a n
-  | Fand (a, n) -> exec_fand t c a n
-  | Swap (a, v) -> exec_swap t c a v
+  | Rmw (f, a, x, y) -> exec_rmw t c f a x y
   | Work n -> exec_work t c n
   | Spin -> exec_spin c
   | Cpu_id -> c.id
@@ -489,47 +451,18 @@ let write a v =
       ignore (exec_write t (Array.unsafe_get t.cpus ctx.cur) a v)
   | _ -> ignore (perform_op (Write (a, v)))
 
-let cas a ~expected ~desired =
+let rmw f a x y =
   let ctx = fast_ctx () in
   match ctx.mach with
   | Some t when may_inline ctx ->
-      exec_cas t (Array.unsafe_get t.cpus ctx.cur) a expected desired = 1
-  | _ -> perform_op (Cas (a, expected, desired)) = 1
+      exec_rmw t (Array.unsafe_get t.cpus ctx.cur) f a x y
+  | _ -> perform_op (Rmw (f, a, x, y))
 
-let cas_val a ~expected ~desired =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      exec_casv t (Array.unsafe_get t.cpus ctx.cur) a expected desired
-  | _ -> perform_op (Casv (a, expected, desired))
-
-let fetch_add a n =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      exec_faa t (Array.unsafe_get t.cpus ctx.cur) a n
-  | _ -> perform_op (Faa (a, n))
-
-let fetch_or a n =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      exec_for t (Array.unsafe_get t.cpus ctx.cur) a n
-  | _ -> perform_op (For (a, n))
-
-let fetch_and a n =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      exec_fand t (Array.unsafe_get t.cpus ctx.cur) a n
-  | _ -> perform_op (Fand (a, n))
-
-let swap a v =
-  let ctx = fast_ctx () in
-  match ctx.mach with
-  | Some t when may_inline ctx ->
-      exec_swap t (Array.unsafe_get t.cpus ctx.cur) a v
-  | _ -> perform_op (Swap (a, v))
+let cas_val a ~expected ~desired = rmw Cas a expected desired
+let cas a ~expected ~desired = cas_val a ~expected ~desired = expected
+let fetch_add a n = rmw Add a n 0
+let fetch_or a n = rmw Or a n 0
+let fetch_and a n = rmw And a n 0
 
 let work n =
   if n > 0 then begin

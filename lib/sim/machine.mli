@@ -133,8 +133,9 @@ val reset_clocks : t -> unit
     Each operation runs inline when its CPU is the scheduler's next pick
     and is scheduled otherwise, unless its doc says it runs ahead of the
     schedule.  The atomics ({!cas}, {!cas_val}, {!fetch_add},
-    {!fetch_or}, {!fetch_and}, {!swap}), {!now} and {!sync} never run
-    ahead. *)
+    {!fetch_or}, {!fetch_and}), {!now} and {!sync} never run ahead.
+    All five atomics charge the same: one read-modify-write cache access
+    plus the [rmw] geometry cost, retiring one instruction. *)
 
 val read : Memory.addr -> int
 (** [read a] is a load.  A hit on a line the caller {!Cache.own}s, or on a
@@ -146,14 +147,13 @@ val write : Memory.addr -> int -> unit
 
 val cas : Memory.addr -> expected:int -> desired:int -> bool
 (** [cas a ~expected ~desired] is an atomic compare-and-swap; true on
-    success.  Charged as an atomic RMW whether or not it succeeds. *)
+    success, i.e. [cas_val a ~expected ~desired = expected]. *)
 
 val cas_val : Memory.addr -> expected:int -> desired:int -> int
 (** [cas_val a ~expected ~desired] is {!cas} returning the {e witnessed}
     value instead of a boolean (the swap happened iff the result equals
     [expected]) — the compare-exchange shape lock-free retry loops want,
-    so a failed attempt does not pay a separate reload.  Identical
-    charge to {!cas}. *)
+    so a failed attempt does not pay a separate reload. *)
 
 val fetch_add : Memory.addr -> int -> int
 (** [fetch_add a n] atomically adds [n] to word [a], returning the old
@@ -161,15 +161,10 @@ val fetch_add : Memory.addr -> int -> int
 
 val fetch_or : Memory.addr -> int -> int
 (** [fetch_or a n] atomically ORs [n] into word [a], returning the old
-    value.  Costed exactly like {!fetch_add} (the [rmw] geometry knob);
-    added for the non-blocking allocators' status-word marking. *)
+    value (the non-blocking allocators' status-word marking). *)
 
 val fetch_and : Memory.addr -> int -> int
 (** [fetch_and a n] atomically ANDs [n] into word [a], returning the old
-    value.  Costed exactly like {!fetch_add}. *)
-
-val swap : Memory.addr -> int -> int
-(** [swap a v] atomically exchanges word [a] with [v], returning the old
     value. *)
 
 val work : int -> unit
@@ -271,8 +266,9 @@ val irq_disable : unit -> unit
 val irq_enable : unit -> unit
 (** [irq_enable ()] re-enables them.  Runs ahead of the schedule. *)
 
-val irq_disabled : t -> cpu:int -> bool
-(** [irq_disabled t ~cpu] is a test oracle for the interrupt flag. *)
+val irq_disabled_oracle : t -> cpu:int -> bool
+(** [irq_disabled_oracle t ~cpu] is CPU [cpu]'s interrupt flag (host-side
+    test oracle). *)
 
 (** {1 Host-side observation} *)
 
@@ -295,12 +291,13 @@ val running_irq_off : unit -> bool
 
 (** {1 Fast-path control (test oracles)} *)
 
-val set_fast_path : bool -> unit
-(** [set_fast_path false] forces every operation through the effect
-    handler and the scheduler loop — the pre-fast-path execution
-    mode.  Process-wide, intended for the equivalence proofs only
-    (run a workload both ways, require bit-identical cycles and
-    state); call it before any domain is spawned. *)
+val set_fast_path_oracle : bool -> unit
+(** [set_fast_path_oracle false] forces every operation through the
+    effect handler and the scheduler loop: the scheduled path, the
+    reference every fast = scheduled proof compares against.
+    Process-wide, intended for the equivalence proofs only (run a
+    workload both ways, require bit-identical cycles and state); call
+    it before any domain is spawned. *)
 
-val fast_path_enabled : unit -> bool
+val fast_path_enabled_oracle : unit -> bool
 (** Whether the same-CPU inline fast path is active (the default). *)

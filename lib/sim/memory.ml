@@ -32,7 +32,7 @@ let fill t a ~len v =
   check t (a + len - 1) "fill";
   Array.fill t.words a len v
 
-let blit_to_host t a ~len =
-  check t a "blit_to_host";
-  check t (a + len - 1) "blit_to_host";
+let blit_to_host_oracle t a ~len =
+  check t a "blit_to_host_oracle";
+  check t (a + len - 1) "blit_to_host_oracle";
   Array.sub t.words a len

@@ -36,5 +36,6 @@ val set : t -> addr -> int -> unit
 val fill : t -> addr -> len:int -> int -> unit
 (** [fill t a ~len v] writes [v] to words [a .. a+len-1]. *)
 
-val blit_to_host : t -> addr -> len:int -> int array
-(** [blit_to_host t a ~len] copies a region out for inspection. *)
+val blit_to_host_oracle : t -> addr -> len:int -> int array
+(** [blit_to_host_oracle t a ~len] copies a region out for inspection
+    (test oracle). *)

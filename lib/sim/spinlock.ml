@@ -7,14 +7,12 @@ let init mem a =
   Memory.set mem a unlocked_value;
   { a }
 
-let addr t = t.a
-
 let register ~addr ~name ~cls ~vm_safe =
   Flightrec.Recorder.note_lock ~addr name;
   Lockcheck.register_lock ~addr ~name ~cls ~vm_safe ()
 
 (* Lockcheck hooks share the flight recorder's zero-perturbation
-   contract: [Machine.running] only, no operations (see [emit]). *)
+   contract: [Machine.running] only, no operations (see [Trace]). *)
 let lc_acquire t =
   if Lockcheck.on () then
     match Machine.running () with
@@ -27,11 +25,6 @@ let lc_release t =
     | Some (cpu, time) -> Lockcheck.release ~cpu ~time ~addr:t.a
     | None -> ()
 
-let try_acquire t =
-  let ok = Machine.cas t.a ~expected:unlocked_value ~desired:locked_value in
-  if ok then lc_acquire t;
-  ok
-
 (* Test-and-set with jittered pauses.  A test-and-TEST-and-set spin
    reads first and only then attempts the atomic, but in the simulation
    the read-to-CAS latency is a whole coherence miss, so against a
@@ -40,32 +33,29 @@ let try_acquire t =
    prevents.  The atomic itself samples the lock word at its issue
    instant, so spinning directly on it (with {!Machine.spin_pause}'s
    deterministic jitter de-phasing the loop) guarantees progress and
-   honestly charges the bus traffic that made these locks expensive. *)
-(* Emits use the host-side [Machine.running] accessor, not the
-   [cpu_id]/[now] operations: an operation — even a free one — is a
-   scheduler yield point, and the recorder must not add any. *)
-let emit kind =
-  if Flightrec.Recorder.on () then
-    match Machine.running () with
-    | Some (cpu, time) -> Flightrec.Recorder.emit ~cpu ~time kind
-    | None -> ()
+   honestly charges the bus traffic that made these locks expensive.
+   Top-level rather than a closure in [acquire], so an uncontended
+   acquire allocates nothing. *)
+let rec attempt t spins =
+  if Machine.cas t.a ~expected:unlocked_value ~desired:locked_value then begin
+    lc_acquire t;
+    spins
+  end
+  else begin
+    Machine.spin_pause ();
+    attempt t (spins + 1)
+  end
 
 let acquire t =
-  let rec attempt spins =
-    if not (try_acquire t) then begin
-      Machine.spin_pause ();
-      attempt (spins + 1)
-    end
-    else spins
-  in
-  let spins = attempt 0 in
-  emit (Flightrec.Event.Lock_acquire { lock = t.a; spins })
+  let spins = attempt t 0 in
+  if Trace.on () then
+    Trace.emit (Flightrec.Event.Lock_acquire { lock = t.a; spins })
 
 let release t =
   assert (Machine.read t.a = locked_value);
   lc_release t;
   Machine.write t.a unlocked_value;
-  emit (Flightrec.Event.Lock_release { lock = t.a })
+  if Trace.on () then Trace.emit (Flightrec.Event.Lock_release { lock = t.a })
 
 let with_lock t f =
   acquire t;

@@ -1,4 +1,4 @@
-(** Test-and-test-and-set spinlock over a word of simulated memory.
+(** Test-and-set spinlock over a word of simulated memory.
 
     This is the synchronization primitive whose cost the paper's
     allocator is designed to avoid: acquiring it performs an atomic
@@ -15,13 +15,9 @@
 
 type t
 
-val locked_value : int
-
 val init : Memory.t -> Memory.addr -> t
 (** [init mem a] initialises the word at [a] to unlocked (boot-time,
     uncharged) and returns the lock handle. *)
-
-val addr : t -> Memory.addr
 
 val register :
   addr:Memory.addr -> name:string -> cls:string -> vm_safe:bool -> unit
@@ -33,25 +29,17 @@ val register :
     and host-side; a checker that is off ignores it, so install the
     recorder or enable lockcheck before the allocator boots. *)
 
-val acquire : t -> unit
-(** [acquire t] spins until the lock is taken: reads until the word looks
-    free, then attempts a compare-and-swap, backing off with
-    {!Machine.spin_pause} on failure.  When a {!Flightrec.Recorder} is
-    installed, emits a [Lock_acquire] event carrying the failed-attempt
-    (spin) count — host-side, at zero simulated cost. *)
-
-val release : t -> unit
-(** [release t] stores the unlocked value.  The caller must hold the
-    lock (checked by assertion).  Emits [Lock_release] when a flight
-    recorder is installed. *)
-
-val try_acquire : t -> bool
-(** [try_acquire t] makes a single attempt. *)
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] runs [f ()] with the lock held, releasing on return.
-    [f] must not raise: simulated kernel code does not unwind across a
-    critical section (enforced by re-raising after release). *)
+    It acquires by spinning on a compare-and-swap of the lock word,
+    backing off with {!Machine.spin_pause} after each failed attempt,
+    and releases by storing the unlocked value.  When a
+    {!Flightrec.Recorder} is installed, it emits a [Lock_acquire] event
+    carrying the failed-attempt (spin) count and a [Lock_release] event,
+    host-side at zero simulated cost; with no recorder an uncontended
+    acquire/release pair allocates nothing.  [f] must not raise:
+    simulated kernel code does not unwind across a critical section
+    (enforced by re-raising after release). *)
 
 val holder_oracle : Memory.t -> t -> bool
 (** [holder_oracle mem t] is true when the lock word reads locked

@@ -39,20 +39,10 @@ let set_fault_rate t ?(seed = 1) rate =
   t.fault_threshold <- int_of_float (rate *. 65536.);
   t.fault_rng <- Prng.create ~seed
 
-let fault_rate t = float_of_int t.fault_threshold /. 65536.
-
-(* Host-side [Machine.running], not the [cpu_id]/[now] operations: the
-   recorder must add no yield points (see [Sim.Machine.running]). *)
-let emit kind =
-  if Flightrec.Recorder.on () then
-    match Machine.running () with
-    | Some (cpu, time) -> Flightrec.Recorder.emit ~cpu ~time kind
-    | None -> ()
-
 (* Entering the VM system with a (non-vm_safe) spinlock held is the
    discipline violation the paper warns about; same host-side contract
-   as [emit], anchored because the checker's state is shared by every
-   CPU. *)
+   as [Trace.emit], anchored because the checker's state is shared by
+   every CPU. *)
 let lc_vm what =
   if Lockcheck.on () then begin
     Machine.sync ();
@@ -75,14 +65,14 @@ let grant t =
   if injected || t.ngranted >= t.total then begin
     t.denials <- t.denials + 1;
     if injected then t.injected_denials <- t.injected_denials + 1;
-    emit (Flightrec.Event.Vm_denial { injected });
+    if Trace.on () then Trace.emit (Flightrec.Event.Vm_denial { injected });
     false
   end
   else begin
     t.ngranted <- t.ngranted + 1;
     t.grants <- t.grants + 1;
     if t.ngranted > t.peak then t.peak <- t.ngranted;
-    emit Flightrec.Event.Vm_grant;
+    if Trace.on () then Trace.emit Flightrec.Event.Vm_grant;
     true
   end
 
@@ -94,7 +84,7 @@ let reclaim t =
     invalid_arg "Sim.Vmsys.reclaim: more reclaims than grants";
   t.ngranted <- t.ngranted - 1;
   t.reclaims <- t.reclaims + 1;
-  emit Flightrec.Event.Vm_reclaim
+  if Trace.on () then Trace.emit Flightrec.Event.Vm_reclaim
 
 let granted t = t.ngranted
 let available t = t.total - t.ngranted
@@ -102,7 +92,7 @@ let peak_granted t = t.peak
 let grant_count t = t.grants
 let reclaim_count t = t.reclaims
 let denial_count t = t.denials
-let injected_denial_count t = t.injected_denials
+let injected_denial_count_oracle t = t.injected_denials
 
 let reset_counters t =
   t.grants <- 0;

@@ -43,9 +43,6 @@ val set_fault_rate : t -> ?seed:int -> float -> unit
     the fault PRNG.  [rate = 0.] turns injection off.
     @raise Invalid_argument if [rate] is outside [0, 1]. *)
 
-val fault_rate : t -> float
-(** Currently configured injection rate (quantised to 1/65536). *)
-
 val granted : t -> int
 val available : t -> int
 val peak_granted : t -> int
@@ -55,7 +52,8 @@ val reclaim_count : t -> int
 val denial_count : t -> int
 (** Grants refused, for any reason, since the last counter reset. *)
 
-val injected_denial_count : t -> int
-(** The subset of {!denial_count} caused by fault injection. *)
+val injected_denial_count_oracle : t -> int
+(** The subset of {!denial_count} caused by fault injection (host-side
+    test oracle). *)
 
 val reset_counters : t -> unit

@@ -78,11 +78,6 @@ let rec last_block mblk =
 
 let linkb _t msg tail = Machine.write (last_block msg + Msg.b_cont) tail
 
-let unlinkb _t msg =
-  let cont = Machine.read (msg + Msg.b_cont) in
-  Machine.write (msg + Msg.b_cont) 0;
-  cont
-
 let rec freemsg t msg =
   if msg <> 0 then begin
     let cont = Machine.read (msg + Msg.b_cont) in
@@ -107,78 +102,9 @@ let msgdsize _t msg =
   in
   go msg 0
 
-(* Copy the readable words of [src]'s buffer into a fresh block. *)
-let copyb t src =
-  let rptr = Machine.read (src + Msg.b_rptr) in
-  let wptr = Machine.read (src + Msg.b_wptr) in
-  let dblk = Machine.read (src + Msg.b_datap) in
-  let base = Machine.read (dblk + Msg.db_base) in
-  let lim = Machine.read (dblk + Msg.db_lim) in
-  let dst = allocb t ~bytes:((lim - base) * bpw) in
-  if dst = 0 then 0
-  else begin
-    let dbuf = Machine.read (dst + Msg.b_rptr) in
-    for i = 0 to wptr - rptr - 1 do
-      Machine.write (dbuf + i) (Machine.read (rptr + i))
-    done;
-    Machine.write (dst + Msg.b_wptr) (dbuf + (wptr - rptr));
-    dst
-  end
-
-let copymsg t msg =
-  let rec go src =
-    if src = 0 then 0
-    else
-      let dst = copyb t src in
-      if dst = 0 then 0 (* caller releases what was built *)
-      else begin
-        let rest = go (Machine.read (src + Msg.b_cont)) in
-        if rest = 0 && Machine.read (src + Msg.b_cont) <> 0 then begin
-          freeb t dst;
-          0
-        end
-        else begin
-          Machine.write (dst + Msg.b_cont) rest;
-          dst
-        end
-      end
-  in
-  go msg
-
-let pullupmsg t msg =
-  let total = msgdsize t msg in
-  let dst = allocb t ~bytes:total in
-  if dst = 0 then 0
-  else begin
-    let dbuf = Machine.read (dst + Msg.b_rptr) in
-    let cursor = ref dbuf in
-    let rec copy mblk =
-      if mblk <> 0 then begin
-        let rptr = Machine.read (mblk + Msg.b_rptr) in
-        let wptr = Machine.read (mblk + Msg.b_wptr) in
-        for i = 0 to wptr - rptr - 1 do
-          Machine.write (!cursor + i) (Machine.read (rptr + i))
-        done;
-        cursor := !cursor + (wptr - rptr);
-        copy (Machine.read (mblk + Msg.b_cont))
-      end
-    in
-    copy msg;
-    Machine.write (dst + Msg.b_wptr) !cursor;
-    freemsg t msg;
-    dst
-  end
-
 let put_byte_word _t mblk v =
   let wptr = Machine.read (mblk + Msg.b_wptr) in
   let dblk = Machine.read (mblk + Msg.b_datap) in
   assert (wptr < Machine.read (dblk + Msg.db_lim));
   Machine.write wptr v;
   Machine.write (mblk + Msg.b_wptr) (wptr + 1)
-
-let get_byte_word _t mblk =
-  let rptr = Machine.read (mblk + Msg.b_rptr) in
-  assert (rptr < Machine.read (mblk + Msg.b_wptr));
-  let v = Machine.read rptr in
-  Machine.write (mblk + Msg.b_rptr) (rptr + 1);
-  v

@@ -35,10 +35,6 @@ val dupb : t -> int -> int
 val linkb : t -> int -> int -> unit
 (** [linkb t msg tail] appends [tail] to [msg]'s continuation chain. *)
 
-val unlinkb : t -> int -> int
-(** [unlinkb t msg] detaches and returns the continuation of [msg]
-    (0 if none). *)
-
 val freemsg : t -> int -> unit
 (** [freemsg t msg] frees every block of the message chain. *)
 
@@ -46,21 +42,8 @@ val msgdsize : t -> int -> int
 (** [msgdsize t msg] is the number of data bytes in the message
     (sum of wptr - rptr over the chain). *)
 
-val copymsg : t -> int -> int
-(** [copymsg t msg] deep-copies a message, buffers included; 0 on
-    failure (partial copies released). *)
-
-val pullupmsg : t -> int -> int
-(** [pullupmsg t msg] concatenates the whole chain into one new
-    single-block message and frees the original; returns the new mblk or
-    0 on failure (original preserved). *)
-
 (** {1 Data access (simulated)} *)
 
 val put_byte_word : t -> int -> int -> unit
 (** [put_byte_word t mblk v] appends one data word [v] at the write
     pointer (asserts capacity). *)
-
-val get_byte_word : t -> int -> int
-(** [get_byte_word t mblk] consumes one data word at the read pointer
-    (asserts availability). *)

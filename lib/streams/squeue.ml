@@ -7,7 +7,7 @@ let q_head = 1
 let q_tail = 2
 let q_count = 3
 
-type t = { buf : Buf.t; base : int }
+type t = { base : int }
 
 let create buf =
   let a = Buf.allocator buf in
@@ -18,14 +18,14 @@ let create buf =
     Machine.write (base + q_head) 0;
     Machine.write (base + q_tail) 0;
     Machine.write (base + q_count) 0;
-    Some { buf; base }
+    Some { base }
   end
 
 (* The spinlock word lives inside the allocated record; build a handle
    around it without re-initialising (init is boot-time only). *)
 let with_q_lock t f =
   let lock_addr = t.base + q_lock in
-  (* Jittered test-and-set; see Sim.Spinlock.acquire for why the
+  (* Jittered test-and-set; Sim.Spinlock's [attempt] says why the
      simulation spins on the atomic itself. *)
   let rec acquire () =
     if not (Machine.cas lock_addr ~expected:0 ~desired:1) then begin
@@ -63,17 +63,3 @@ let getq t =
         Machine.write (head + Msg.b_next) 0;
         head
       end)
-
-let length t = Machine.read (t.base + q_count)
-
-let destroy t =
-  let rec drain () =
-    let m = getq t in
-    if m <> 0 then begin
-      Buf.freemsg t.buf m;
-      drain ()
-    end
-  in
-  drain ();
-  let a = Buf.allocator t.buf in
-  a.Baseline.Allocator.free ~addr:t.base ~bytes:q_bytes

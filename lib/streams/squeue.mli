@@ -19,9 +19,3 @@ val putq : t -> int -> unit
 
 val getq : t -> int
 (** [getq q] removes and returns the oldest message, or 0 if empty. *)
-
-val length : t -> int
-(** [length q] reads the queue's count (simulated). *)
-
-val destroy : t -> unit
-(** [destroy q] frees any queued messages and the queue structure. *)

@@ -58,10 +58,8 @@ let test_no_leaks_after_run () =
      (one 4096-byte block, never freed by design). *)
   Sim.Machine.run m
     [|
-      (fun _ ->
-        Kma.Kmem.reap_local kmem;
-        Kma.Kmem.reap_global kmem);
-      (fun _ -> Kma.Kmem.reap_local kmem);
+      (fun _ -> ignore (Kma.Pressure.reap kmem ~full:true));
+      (fun _ -> ignore (Kma.Pressure.reap kmem ~full:true));
     |];
   Sim.Machine.run m
     [| (fun _ -> Kma.Kmem.reap_global kmem) |];

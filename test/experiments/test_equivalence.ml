@@ -13,9 +13,9 @@
    pins (and the recorded results) explicitly. *)
 
 let both f =
-  Sim.Machine.set_fast_path false;
+  Sim.Machine.set_fast_path_oracle false;
   let slow =
-    Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) f
+    Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true) f
   in
   let fast = f () in
   (slow, fast)
@@ -70,9 +70,9 @@ let test_fig7_default_geometry_pins () =
 (* The same cells with the fast path off — the pre-fast-path simulator
    must still hit the very same pins. *)
 let test_fig7_pins_slow_path () =
-  Sim.Machine.set_fast_path false;
+  Sim.Machine.set_fast_path_oracle false;
   Fun.protect
-    ~finally:(fun () -> Sim.Machine.set_fast_path true)
+    ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true)
     (fun () ->
       List.iter
         (fun (which, ncpus, cycles) ->
@@ -99,9 +99,9 @@ let test_e13_default_geometry_pins () =
     e13_pins
 
 let test_e13_pins_slow_path () =
-  Sim.Machine.set_fast_path false;
+  Sim.Machine.set_fast_path_oracle false;
   Fun.protect
-    ~finally:(fun () -> Sim.Machine.set_fast_path true)
+    ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true)
     (fun () ->
       List.iter
         (fun (which, ncpus, cycles) ->
@@ -121,8 +121,8 @@ let test_e13_pins_slow_path () =
    slice must hit its pins on the fast path and on the scheduled path. *)
 let fast_and_scheduled check =
   check ();
-  Sim.Machine.set_fast_path false;
-  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check
+  Sim.Machine.set_fast_path_oracle false;
+  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true) check
 
 let exact = Alcotest.(check (float 0.))
 let counters = Option.fold ~none:"-" ~some:Lockfree.Stats.to_string
@@ -319,8 +319,8 @@ let test_e8_default_geometry_pin () =
     Alcotest.(check (float 0.)) "newkma@rate0 pairs/s" e8_pin (e8_cell ())
   in
   check_exact ();
-  Sim.Machine.set_fast_path false;
-  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check_exact
+  Sim.Machine.set_fast_path_oracle false;
+  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true) check_exact
 
 (* E8 pin under denials: at a 20 % denial rate the pressure policy
    shrinks, regrows, reaps and retries, so these rows pin its constants
@@ -365,8 +365,8 @@ let test_e8_denial_pins () =
       e8_denial_pins
   in
   check_exact ();
-  Sim.Machine.set_fast_path false;
-  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) check_exact
+  Sim.Machine.set_fast_path_oracle false;
+  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true) check_exact
 
 (* Parked handoffs at trace scale: a cross-CPU free parks until the
    allocating CPU publishes, where the scheduled path polls.  Replay
@@ -435,7 +435,11 @@ let check_parked_replay name trace =
     [ None; Some 97 ]
 
 let test_producer_consumer_parked () =
-  let sc = Option.get (Scenario.find "producer_consumer") in
+  let sc =
+    List.find
+      (fun (s : Scenario.t) -> s.name = "producer_consumer")
+      Scenario.all
+  in
   check_parked_replay "producer_consumer"
     (sc.Scenario.generate ~seed:sc.default_seed)
 

@@ -30,7 +30,7 @@ let test_degrade_and_recover () =
     (Sim.Vmsys.denial_count vm > 0);
   Alcotest.(check int) "all denials injected"
     (Sim.Vmsys.denial_count vm)
-    (Sim.Vmsys.injected_denial_count vm);
+    (Sim.Vmsys.injected_denial_count_oracle vm);
   Alcotest.(check int) "no pages leaked by failed backing" 0
     (Sim.Vmsys.granted vm);
   (* ...and the same allocator recovers the moment the fault clears. *)
@@ -106,7 +106,7 @@ let test_denials_surface_as_events () =
       Alcotest.(check bool) "injected denials recorded" true
         (List.length denials > 0);
       Alcotest.(check int) "event count matches the counter"
-        (Sim.Vmsys.injected_denial_count vm)
+        (Sim.Vmsys.injected_denial_count_oracle vm)
         (List.length denials);
       (* The allocation attempt itself is also visible as a failure. *)
       let fails =

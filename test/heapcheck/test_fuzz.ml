@@ -5,6 +5,9 @@
 
 module Fuzz = Heapcheck.Fuzz
 
+(* Replay the config's own seeded trace. *)
+let fuzz cfg = Fuzz.execute cfg (Fuzz.gen cfg)
+
 let no_failure name (o : Fuzz.outcome) =
   (match o.Fuzz.failure with
   | None -> ()
@@ -26,7 +29,7 @@ let test_matrix () =
         Printf.sprintf "pressure:%b debug:%b seed:%d" pressure debug seed
       in
       no_failure name
-        (Fuzz.run (Fuzz.config ~ops:1500 ~pressure ~debug ~seed ())))
+        (fuzz (Fuzz.config ~ops:1500 ~pressure ~debug ~seed ())))
     [ (false, false, 1); (true, false, 2); (false, true, 3); (true, true, 4) ]
 
 (* The acceptance run: 10k ops, pressure subsystem live, VM fault
@@ -34,14 +37,14 @@ let test_matrix () =
    the full per-CPU structure is walked by every check). *)
 let test_acceptance_10k () =
   no_failure "10k pressure+faults"
-    (Fuzz.run
+    (fuzz
        (Fuzz.config ~ops:10_000 ~pressure:true ~fault_rate:0.2 ~ncpus:2
           ~seed:11 ()))
 
 (* Sweep mode covers the same ground with cheaper checking. *)
 let test_sweep_mode () =
   let o =
-    Fuzz.run
+    fuzz
       (Fuzz.config ~ops:4000 ~check_every:64 ~pressure:true ~fault_rate:0.3
          ~seed:12 ())
   in
@@ -53,7 +56,7 @@ let test_gen_deterministic () =
   let cfg = Fuzz.config ~ops:2000 ~pressure:true ~fault_rate:0.1 ~seed:7 () in
   Alcotest.(check bool) "same config, same trace" true
     (Fuzz.gen cfg = Fuzz.gen cfg);
-  let a = Fuzz.run cfg and b = Fuzz.run cfg in
+  let a = fuzz cfg and b = fuzz cfg in
   Alcotest.(check bool) "same config, same outcome" true (a = b)
 
 (* Self-test: each planted corruption kind must be caught by the very
@@ -124,7 +127,7 @@ let test_sharded_checker_report () =
               Heapcheck.absorb harvest;
               o)
             (Parallel.map ~jobs
-               (fun cfg -> Heapcheck.shard (fun () -> Fuzz.run cfg))
+               (fun cfg -> Heapcheck.shard (fun () -> fuzz cfg))
                cfgs)
         in
         (os, Heapcheck.report (), Heapcheck.violation_count ()))

@@ -120,13 +120,13 @@ let test_dup_block () =
   let ctx, _ = warmed () in
   let mem = Ctx.memory ctx in
   let pcc = Layout.pcc_addr ctx.Ctx.layout ~cpu:0 ~si in
-  let h = Sim.Memory.get mem (pcc + Percpu.o_main_head) in
-  let c = Sim.Memory.get mem (pcc + Percpu.o_main_cnt) in
+  let (h, c), _, _ = Percpu.cache_oracle ctx ~cpu:0 ~si in
   Alcotest.(check bool) "warm-up left main nonempty" true (h <> 0 && c > 0);
   (* Alias the whole main chain as this CPU's aux: every block is now
-     on two freelists, with count words that agree with the chains. *)
-  Sim.Memory.set mem (pcc + Percpu.o_aux_head) h;
-  Sim.Memory.set mem (pcc + Percpu.o_aux_cnt) c;
+     on two freelists, with count words that agree with the chains.
+     The aux head and count are words 2 and 3 of the cache record. *)
+  Sim.Memory.set mem (pcc + 2) h;
+  Sim.Memory.set mem (pcc + 3) c;
   check_has Heapcheck.Dup_block "aliased chain" (Heapcheck.check ctx)
 
 let test_conservation_exact () =
@@ -174,7 +174,7 @@ let test_record_mode_accumulates () =
 let test_shared_wrapper_fails () =
   let ctx = skewed_gbl_count () in
   (match
-     Harness.with_heapcheck (Some Heapcheck.Paranoid) (fun () ->
+     Harness.with_heapcheck_oracle (Some Heapcheck.Paranoid) (fun () ->
          Heapcheck.checkpoint ctx)
    with
   | () -> Alcotest.fail "a planted violation passed the wrapper"
@@ -187,7 +187,7 @@ let test_checkpoint_counts () =
       let ctx, _ = warmed () in
       Heapcheck.checkpoint ctx;
       Heapcheck.checkpoint ctx;
-      Alcotest.(check int) "two checkpoints" 2 (Heapcheck.check_count ());
+      Alcotest.(check int) "two checkpoints" 2 (Heapcheck.check_count_oracle ());
       Alcotest.(check int) "no violations on a clean heap" 0
         (Heapcheck.violation_count ()));
   Alcotest.(check bool) "disable drops the state" false (Heapcheck.on ())

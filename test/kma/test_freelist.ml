@@ -6,6 +6,9 @@ open Kma
 let head = 8
 let blk i = 64 + (8 * i)
 
+(* One pop: a block, or 0 on an empty list. *)
+let pop ~head = fst (Freelist.take_n ~head ~n:1)
+
 let test_push_pop () =
   let m = Util.machine () in
   let out =
@@ -13,10 +16,10 @@ let test_push_pop () =
         Freelist.push ~head (blk 0);
         Freelist.push ~head (blk 1);
         Freelist.push ~head (blk 2);
-        let p1 = Freelist.pop ~head in
-        let p2 = Freelist.pop ~head in
-        let p3 = Freelist.pop ~head in
-        let p4 = Freelist.pop ~head in
+        let p1 = pop ~head in
+        let p2 = pop ~head in
+        let p3 = pop ~head in
+        let p4 = pop ~head in
         [ p1; p2; p3; p4 ])
   in
   Alcotest.(check (list int)) "LIFO order" [ blk 2; blk 1; blk 0; 0 ] out
@@ -88,7 +91,7 @@ let prop_push_pop_roundtrip =
           for i = 0 to n - 1 do
             Freelist.push ~head (blk i)
           done;
-          let rec drain k = if Freelist.pop ~head = 0 then k else drain (k + 1) in
+          let rec drain k = if pop ~head = 0 then k else drain (k + 1) in
           drain 0 = n))
 
 let suite =

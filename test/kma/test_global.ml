@@ -157,27 +157,6 @@ let prop_hysteresis_bound =
       let ops_count = st.Kstats.gbl_gets + st.Kstats.gbl_puts in
       interactions <= 1 + (ops_count / gbltarget) + 1)
 
-(* Regression: [drain] on an empty gblfree used to attempt all
-   [gbltarget] pops, re-reading the empty head word each time while
-   holding the per-size spinlock.  The fix stops at the first empty
-   pop, so an empty drain now retires one failed pop's worth of
-   instructions instead of [gbltarget] of them. *)
-let test_drain_empty_stops_at_first_pop () =
-  let m, k = fixture () in
-  let ctx = Util.ctx_of k in
-  let ops =
-    Util.on_cpu m (fun () ->
-        Sim.Spinlock.with_lock ctx.Ctx.glocks.(si) (fun () ->
-            let r0 = Sim.Machine.retired m ~cpu:0 in
-            Global.drain ctx ~si;
-            Sim.Machine.retired m ~cpu:0 - r0))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "empty drain retired %d ops: one failed pop, not %d of them" ops
-       gbltarget)
-    true (ops <= 2)
-
 let suite =
   [
     Alcotest.test_case "get refills from page layer" `Quick
@@ -192,8 +171,6 @@ let suite =
       test_put_partial_regroups;
     Alcotest.test_case "bucket feeds gets" `Quick test_bucket_feeds_get;
     Alcotest.test_case "drain_all empties the layer" `Quick test_drain_all;
-    Alcotest.test_case "empty drain stops at first pop" `Quick
-      test_drain_empty_stops_at_first_pop;
     Alcotest.test_case "exhaustion hands out the last blocks" `Quick
       test_exhaustion_returns_zero;
     QCheck_alcotest.to_alcotest prop_hysteresis_bound;

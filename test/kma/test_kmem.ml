@@ -115,7 +115,9 @@ let test_last_buffer_any_cpu () =
            everything back and drains its cache. *)
         let live = List.init 16 (fun _ -> Kmem.alloc k ~bytes:256) in
         List.iter (fun a -> Kmem.free k ~addr:a ~bytes:256) live;
-        Kmem.reap_local k;
+        for si = 0 to k.Ctx.layout.Layout.nsizes - 1 do
+          Percpu.drain k ~si
+        done;
         Sim.Machine.write 8 1);
       (fun _ ->
         while Sim.Machine.read 8 = 0 do
@@ -132,7 +134,9 @@ let test_reap_returns_physical () =
   Util.on_cpu m (fun () ->
       let live = List.init 100 (fun _ -> Kmem.alloc k ~bytes:256) in
       List.iter (fun a -> Kmem.free k ~addr:a ~bytes:256) live;
-      Kmem.reap_local k;
+      for si = 0 to k.Ctx.layout.Layout.nsizes - 1 do
+        Percpu.drain k ~si
+      done;
       Kmem.reap_global k);
   Alcotest.(check int) "all physical pages returned" 0
     (Kmem.granted_pages_oracle k)
@@ -155,14 +159,13 @@ let test_worst_case_sweep_completes () =
             in
             let live = fill [] in
             List.iter (fun a -> Kmem.free k ~addr:a ~bytes) live;
-            Kmem.reap_local k;
-            Kmem.reap_global k;
+            ignore (Pressure.reap k ~full:true);
             List.length live)
           p.Params.sizes_bytes)
   in
   Alcotest.(check int) "fully reusable at the end" 0
     (Kmem.granted_pages_oracle k);
-  let ly = Kmem.layout k in
+  let ly = k.Ctx.layout in
   let data_pages = Layout.total_data_pages ly in
   Array.iteri
     (fun si n ->
@@ -190,7 +193,7 @@ let prop_live_blocks_disjoint =
   QCheck.Test.make ~name:"live blocks disjoint, in arena" ~count:40 gen
     (fun ops ->
       let m, k = Util.kmem () in
-      let ly = Kmem.layout k in
+      let ly = k.Ctx.layout in
       let ok = ref true in
       Util.on_cpu m (fun () ->
           let live = ref [] in
@@ -246,8 +249,7 @@ let prop_full_reap =
               sizes
           in
           List.iter (fun (a, bytes) -> Kmem.free k ~addr:a ~bytes) live;
-          Kmem.reap_local k;
-          Kmem.reap_global k);
+          ignore (Pressure.reap k ~full:true));
       Kmem.granted_pages_oracle k = 0)
 
 let suite =

@@ -47,12 +47,16 @@ let test_pcc_isolation () =
   Alcotest.(check int) "no shared lines" (List.length all)
     (List.length sorted)
 
+(* Data page [dp] of vmblk [vb] lies after the vmblk's header pages. *)
+let data_page ly vb dp =
+  vb + ((ly.Layout.hdr_pages + dp) lsl ly.Layout.page_shift)
+
 let test_pd_roundtrip () =
   let ly = layout () in
   for i = 0 to ly.Layout.arena_vmblks - 1 do
     let vb = Layout.vmblk_addr ly ~index:i in
     for dp = 0 to ly.Layout.data_pages - 1 do
-      let page = Layout.data_page_addr ly ~vmblk:vb ~data_page:dp in
+      let page = data_page ly vb dp in
       let pd = Layout.pd_of_page ly ~page_addr:page in
       Alcotest.(check int) "pd in header" vb (Layout.vmblk_of_addr ly pd);
       Alcotest.(check int) "page_of_pd inverts" page (Layout.page_of_pd ly ~pd);
@@ -96,7 +100,7 @@ let prop_pd_of_block_constant_within_page =
       let ly = layout () in
       let dp = dp_mod mod ly.Layout.data_pages in
       let vb = Layout.vmblk_addr ly ~index:0 in
-      let page = Layout.data_page_addr ly ~vmblk:vb ~data_page:dp in
+      let page = data_page ly vb dp in
       Layout.pd_of_page ly ~page_addr:(page + offset - (offset mod 4))
       = Layout.pd_of_page ly ~page_addr:page
       || offset >= ly.Layout.page_words)

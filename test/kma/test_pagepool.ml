@@ -8,6 +8,11 @@ let bpp = 16
 
 let fixture () = Util.kmem ()
 
+(* Return one block to its page, as a one-block chain. *)
+let put_block ctx blk =
+  Sim.Machine.write (blk + Freelist.link) 0;
+  Pagepool.put_blocks ctx ~si ~head:blk ~count:1
+
 let collect_chain mem head =
   let rec go a acc =
     if a = 0 then List.rev acc
@@ -69,7 +74,7 @@ let test_radix_prefers_fullest () =
       Freelist.iter_chain b_head (fun blk ~next:_ -> b_blocks := blk :: !b_blocks);
       let free_back blocks n =
         List.iteri
-          (fun i blk -> if i < n then Pagepool.put_block ctx ~si blk)
+          (fun i blk -> if i < n then put_block ctx blk)
           blocks
       in
       free_back !a_blocks 2;
@@ -77,7 +82,7 @@ let test_radix_prefers_fullest () =
       (* The next carve must come from page A (fewest free blocks). *)
       let head, got = Pagepool.get_blocks ctx ~si ~want:2 in
       Alcotest.(check int) "got 2" 2 got;
-      let page_of blk = blk land lnot ((Kmem.layout k).Layout.page_words - 1) in
+      let page_of blk = blk land lnot (k.Ctx.layout.Layout.page_words - 1) in
       let a_page = page_of (List.hd !a_blocks) in
       Freelist.iter_chain head (fun blk ~next:_ ->
           Alcotest.(check int) "carved from fullest page" a_page (page_of blk)))
@@ -93,15 +98,15 @@ let test_bucket_migration () =
       Freelist.iter_chain head (fun blk ~next:_ -> blocks := blk :: !blocks);
       match !blocks with
       | b1 :: b2 :: b3 :: _ ->
-          Pagepool.put_block ctx ~si b1;
+          put_block ctx b1;
           Alcotest.(check (list (pair int int)))
             "bucket 1"
             [ (1, 1) ]
             (List.map
                (fun (n, ps) -> (n, List.length ps))
                (Pagepool.bucket_pages_oracle ctx ~si));
-          Pagepool.put_block ctx ~si b2;
-          Pagepool.put_block ctx ~si b3;
+          put_block ctx b2;
+          put_block ctx b3;
           Alcotest.(check (list (pair int int)))
             "bucket 3"
             [ (3, 1) ]
@@ -139,7 +144,7 @@ let prop_conservation =
               if got > want then balanced := false)
             wants;
           (* Put everything back. *)
-          List.iter (fun blk -> Pagepool.put_block ctx ~si blk) !live);
+          List.iter (fun blk -> put_block ctx blk) !live);
       !balanced
       && Kmem.granted_pages_oracle k = 0
       && Pagepool.free_blocks_oracle ctx ~si = 0)

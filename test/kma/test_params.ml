@@ -10,12 +10,16 @@ let test_default_valid () = Params.validate Params.default
 let test_target_heuristic () =
   (* The paper: target ranges from 10 for 16-byte blocks to 2 for
      4096-byte blocks. *)
-  Alcotest.(check int) "16B" 10 (Params.default_target ~bytes:16);
-  Alcotest.(check int) "256B" 10 (Params.default_target ~bytes:256);
-  Alcotest.(check int) "512B" 8 (Params.default_target ~bytes:512);
-  Alcotest.(check int) "1024B" 4 (Params.default_target ~bytes:1024);
-  Alcotest.(check int) "2048B" 2 (Params.default_target ~bytes:2048);
-  Alcotest.(check int) "4096B" 2 (Params.default_target ~bytes:4096)
+  let target bytes =
+    let p = Params.default in
+    p.Params.targets.(Option.get (Params.size_index_of_bytes p bytes))
+  in
+  Alcotest.(check int) "16B" 10 (target 16);
+  Alcotest.(check int) "256B" 10 (target 256);
+  Alcotest.(check int) "512B" 8 (target 512);
+  Alcotest.(check int) "1024B" 4 (target 1024);
+  Alcotest.(check int) "2048B" 2 (target 2048);
+  Alcotest.(check int) "4096B" 2 (target 4096)
 
 let test_gbltarget_heuristic () =
   (* The paper: gbltarget of 15 for small blocks (target 10). *)

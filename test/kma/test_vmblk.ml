@@ -12,7 +12,7 @@ let test_alloc_one_page () =
   let page = Util.on_cpu m (fun () -> Vmblk.alloc_pages ctx ~npages:1) in
   Alcotest.(check bool) "page allocated" true (page <> 0);
   Alcotest.(check int) "page aligned" 0
-    (page mod (Kmem.layout k).Layout.page_words);
+    (page mod k.Ctx.layout.Layout.page_words);
   Alcotest.(check int) "one physical page" 1 (Kmem.granted_pages_oracle k);
   Alcotest.(check int) "one vmblk grown" 1 (Vmblk.nvmblks_oracle ctx);
   Alcotest.(check (list int)) "remainder span" [ 14 ]
@@ -79,7 +79,7 @@ let test_oversize_rejected () =
 let test_virtual_exhaustion () =
   let m, k = fixture () in
   let ctx = Util.ctx_of k in
-  let ly = Kmem.layout k in
+  let ly = k.Ctx.layout in
   let total = Layout.total_data_pages ly in
   let count =
     Util.on_cpu m (fun () ->
@@ -117,7 +117,7 @@ let test_large_alloc_free () =
 let test_pd_of_block_lookup () =
   let m, k = fixture () in
   let ctx = Util.ctx_of k in
-  let ly = Kmem.layout k in
+  let ly = k.Ctx.layout in
   Util.on_cpu m (fun () ->
       let page = Vmblk.alloc_pages ctx ~npages:1 in
       let pd = Vmblk.pd_of_block ctx (page + 37) in
@@ -202,7 +202,7 @@ let prop_span_conservation =
               sizes
           in
           (* Spans must be pairwise disjoint. *)
-          let ly = Kmem.layout k in
+          let ly = k.Ctx.layout in
           let ranges =
             List.map
               (fun (a, n) -> (a, a + (n * ly.Layout.page_words)))

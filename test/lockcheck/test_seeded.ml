@@ -1,8 +1,10 @@
 (* Seeded-violation tests: deliberately wrong synchronization inside
    the real simulator must be caught through the production hooks
-   (Sim.Spinlock, Sim.Vmsys, Kma.Percpu) — not by driving Lockcheck
-   directly.  Each test checks the report names the offending locks or
-   CPUs.  The checker runs in record mode (abort:false) so the runs
+   (Sim.Spinlock, Sim.Vmsys) — not by driving Lockcheck directly.  The
+   per-CPU discipline has no public hook that a bug can reach, so its
+   tests seed the access through the same host-side call Kma.Percpu's
+   probe makes.  Each test checks the report names the offending locks
+   or CPUs.  The checker runs in record mode (abort:false) so the runs
    complete and we can inspect everything it found. *)
 
 open Sim
@@ -19,7 +21,16 @@ let with_checker f =
 let has_violation rule sub =
   List.exists
     (fun (r, msg) -> r = rule && contains msg sub)
-    (Lockcheck.violations ())
+    (Lockcheck.violations_oracle ())
+
+(* Kma.Percpu's probe: simulated code is about to touch CPU [owner]'s
+   cache state, with the running CPU's interrupt flag. *)
+let percpu_probe ~owner =
+  match Machine.running () with
+  | Some (cpu, time) ->
+      Lockcheck.percpu_access ~cpu ~time ~owner
+        ~irq_off:(Machine.running_irq_off ())
+  | None -> ()
 
 let machine ~ncpus () =
   Machine.create
@@ -45,7 +56,7 @@ let test_abba_order_cycle () =
                 Spinlock.with_lock b (fun () -> Machine.work 5)));
         |];
       Alcotest.(check int) "A-then-B alone is clean" 0
-        (Lockcheck.violation_count ());
+        (Lockcheck.violation_count_oracle ());
       Machine.run m
         [|
           (fun _ ->
@@ -67,15 +78,15 @@ let test_irq_enabled_percpu_access () =
           (fun _ ->
             (* Disciplined access first: irqs off, own state. *)
             Machine.irq_disable ();
-            Kma.Percpu.lockcheck_probe ~owner:0;
+            percpu_probe ~owner:0;
             Machine.irq_enable ();
             (* Seeded bug: touch per-CPU state with interrupts enabled. *)
-            Kma.Percpu.lockcheck_probe ~owner:0);
+            percpu_probe ~owner:0);
         |];
       Alcotest.(check bool) "interrupts-enabled access caught" true
         (has_violation Lockcheck.Irq_discipline "interrupts enabled");
       Alcotest.(check int) "exactly one violation" 1
-        (Lockcheck.violation_count ()))
+        (Lockcheck.violation_count_oracle ()))
 
 let test_cross_cpu_percpu_access () =
   with_checker (fun () ->
@@ -86,7 +97,7 @@ let test_cross_cpu_percpu_access () =
             (* Seeded bug: CPU 0 touches CPU 1's cache state (hard
                error even with interrupts off). *)
             Machine.irq_disable ();
-            Kma.Percpu.lockcheck_probe ~owner:1;
+            percpu_probe ~owner:1;
             Machine.irq_enable ());
           (fun _ -> Machine.work 1);
         |];
@@ -137,8 +148,8 @@ let test_clean_kmem_run () =
             done;
             ignore round
           done);
-      Alcotest.(check int) "no violations" 0 (Lockcheck.violation_count ());
-      let edges = Lockcheck.order_edges () in
+      Alcotest.(check int) "no violations" 0 (Lockcheck.violation_count_oracle ());
+      let edges = Lockcheck.order_edges_oracle () in
       Alcotest.(check bool) "observed gbl -> pagepool" true
         (List.mem ("kma.gbl", "kma.pagepool") edges);
       Alcotest.(check bool) "observed pagepool -> vmblk" true
@@ -146,9 +157,9 @@ let test_clean_kmem_run () =
       Alcotest.(check bool) "no reversed edge" true
         (not (List.mem ("kma.vmblk", "kma.gbl") edges));
       Alcotest.(check bool) "irq discipline was exercised" true
-        (Lockcheck.check_count Lockcheck.Irq_discipline > 0);
+        (Lockcheck.check_count_oracle Lockcheck.Irq_discipline > 0);
       Alcotest.(check bool) "vm entries were checked" true
-        (Lockcheck.check_count Lockcheck.Vm_hold > 0))
+        (Lockcheck.check_count_oracle Lockcheck.Vm_hold > 0))
 
 let suite =
   [

@@ -15,7 +15,7 @@ let with_checker ?(abort = false) f =
 let has_violation rule sub =
   List.exists
     (fun (r, msg) -> r = rule && contains msg sub)
-    (Lockcheck.violations ())
+    (Lockcheck.violations_oracle ())
 
 let test_order_edges_and_cycle () =
   with_checker (fun () ->
@@ -27,17 +27,17 @@ let test_order_edges_and_cycle () =
       Lockcheck.release ~cpu:0 ~time:30 ~addr:2;
       Lockcheck.release ~cpu:0 ~time:40 ~addr:1;
       Alcotest.(check (list (pair string string)))
-        "one edge" [ ("A", "B") ] (Lockcheck.order_edges ());
-      Alcotest.(check int) "no violations yet" 0 (Lockcheck.violation_count ());
+        "one edge" [ ("A", "B") ] (Lockcheck.order_edges_oracle ());
+      Alcotest.(check int) "no violations yet" 0 (Lockcheck.violation_count_oracle ());
       (* Opposite order closes the cycle — caught at acquire time. *)
       Lockcheck.acquire ~cpu:1 ~time:50 ~addr:2;
       Lockcheck.acquire ~cpu:1 ~time:60 ~addr:1;
-      Alcotest.(check int) "cycle recorded" 1 (Lockcheck.violation_count ());
+      Alcotest.(check int) "cycle recorded" 1 (Lockcheck.violation_count_oracle ());
       Alcotest.(check bool) "names the locks and the cycle" true
         (has_violation Lockcheck.Lock_order "closes order cycle");
       Alcotest.(check bool) "mentions lock A" true
         (has_violation Lockcheck.Lock_order "A");
-      Alcotest.(check int) "max depth 2" 2 (Lockcheck.max_hold_depth ()))
+      Alcotest.(check int) "max depth 2" 2 (Lockcheck.max_hold_depth_oracle ()))
 
 let test_recursive_acquire () =
   with_checker (fun () ->
@@ -62,20 +62,20 @@ let test_vm_safe_whitelist () =
       Lockcheck.acquire ~cpu:0 ~time:1 ~addr:1;
       Lockcheck.vm_call ~cpu:0 ~time:2 ~what:"grant";
       Alcotest.(check int) "vm_safe lock tolerated" 0
-        (Lockcheck.violation_count ());
+        (Lockcheck.violation_count_oracle ());
       (* An unregistered lock defaults to not-vm_safe. *)
       Lockcheck.acquire ~cpu:0 ~time:3 ~addr:99;
       Lockcheck.vm_call ~cpu:0 ~time:4 ~what:"grant";
       Alcotest.(check bool) "unregistered lock flagged" true
         (has_violation Lockcheck.Vm_hold "lock@99");
       Alcotest.(check int) "vm checks counted" 2
-        (Lockcheck.check_count Lockcheck.Vm_hold))
+        (Lockcheck.check_count_oracle Lockcheck.Vm_hold))
 
 let test_irq_discipline () =
   with_checker (fun () ->
       Lockcheck.percpu_access ~cpu:0 ~time:1 ~owner:0 ~irq_off:true;
       Alcotest.(check int) "disciplined access ok" 0
-        (Lockcheck.violation_count ());
+        (Lockcheck.violation_count_oracle ());
       Lockcheck.percpu_access ~cpu:0 ~time:2 ~owner:0 ~irq_off:false;
       Alcotest.(check bool) "interrupts-enabled access caught" true
         (has_violation Lockcheck.Irq_discipline "interrupts enabled");
@@ -95,7 +95,7 @@ let test_abort_mode_raises () =
 let test_release_unknown_ignored () =
   with_checker (fun () ->
       Lockcheck.release ~cpu:3 ~time:1 ~addr:42;
-      Alcotest.(check int) "no violation" 0 (Lockcheck.violation_count ()))
+      Alcotest.(check int) "no violation" 0 (Lockcheck.violation_count_oracle ()))
 
 let test_flightrec_event_emitted () =
   let fr = Flightrec.Recorder.create ~ncpus:1 () in
@@ -138,7 +138,7 @@ let test_disabled_hooks_are_noops () =
   Lockcheck.acquire ~cpu:0 ~time:1 ~addr:1;
   Lockcheck.percpu_access ~cpu:0 ~time:1 ~owner:9 ~irq_off:false;
   Lockcheck.vm_call ~cpu:0 ~time:1 ~what:"grant";
-  Alcotest.(check int) "nothing recorded" 0 (Lockcheck.violation_count ());
+  Alcotest.(check int) "nothing recorded" 0 (Lockcheck.violation_count_oracle ());
   Alcotest.(check bool) "report says disabled" true
     (contains (Lockcheck.report ()) "disabled")
 

@@ -25,10 +25,10 @@ let test_repeat which () =
 let test_fastpath_equivalence which () =
   let name = Baseline.Allocator.name_of which in
   let fast = storm which ~seed:21 in
-  Sim.Machine.set_fast_path false;
+  Sim.Machine.set_fast_path_oracle false;
   let slow =
     Fun.protect
-      ~finally:(fun () -> Sim.Machine.set_fast_path true)
+      ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true)
       (fun () -> storm which ~seed:21)
   in
   check_same (name ^ " fast=scheduled") fast slow

@@ -55,7 +55,7 @@ let test_depot_overflow_drops () =
   Alcotest.(check bool) "drops happened" true (s.Pstats.s_drops > 0);
   Alcotest.(check int) "all frees counted" 40 s.Pstats.s_frees;
   (* Capacity bounds what survives: one depot batch + the magazine. *)
-  Alcotest.(check bool) "depot respects bound" true (Pool.depot_batches p <= 1);
+  Alcotest.(check bool) "depot respects bound" true (Pool.depot_batches_oracle p <= 1);
   let o = Pool.alloc p in
   Alcotest.(check bool) "pool still serves" true (o.id >= 0);
   Pool.release p o
@@ -101,7 +101,7 @@ let test_reset_raising () =
   Alcotest.(check bool) "fresh object" true (b.id <> a.id);
   Pool.release p b;
   Alcotest.(check int) "pool usable after" 1
-    (Pstats.frees (Pool.stats p))
+    ((Pstats.read (Pool.stats p)).Pstats.s_frees)
 
 (* --- satellite: target:1 (no batching) still round-trips --- *)
 
@@ -211,8 +211,8 @@ let test_alloc_only_domain_adopts_target () =
           objs;
         (* Release new objects until four more full 16-object batches
            have been flushed to the depot. *)
-        let stocked = Pool.depot_batches p + 4 in
-        while Pool.depot_batches p < stocked do
+        let stocked = Pool.depot_batches_oracle p + 4 in
+        while Pool.depot_batches_oracle p < stocked do
           Pool.release p { id = -1; poison = false }
         done;
         Pool.current_target p)

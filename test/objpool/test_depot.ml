@@ -6,6 +6,9 @@ let get d = fst (Depot.get d)
 let put d batch = fst (Depot.put d batch)
 let put_partial d items = ignore (Depot.put_partial d items)
 
+(* Every item left in the depot, taken out batch by batch. *)
+let rec drain d = match get d with Some b -> b @ drain d | None -> []
+
 let test_get_put () =
   let d = Depot.create ~target:2 ~max_batches:2 in
   Alcotest.(check bool) "empty" true (get d = None);
@@ -24,13 +27,6 @@ let test_put_partial_feeds_get () =
   | None -> Alcotest.fail "expected loose items");
   Alcotest.(check bool) "then empty" true (get d = None)
 
-let test_drain () =
-  let d = Depot.create ~target:4 ~max_batches:4 in
-  ignore (put d [ 1; 2 ]);
-  put_partial d [ 3 ];
-  Alcotest.(check int) "all out" 3 (List.length (Depot.drain d));
-  Alcotest.(check int) "empty" 0 (Depot.batches d)
-
 (* Two racing grows can reach the depot out of order; the later,
    smaller update must not undo the larger one. *)
 let test_geometry_only_grows () =
@@ -42,7 +38,7 @@ let test_geometry_only_grows () =
       (put d [ i ] = `Kept)
   done;
   Alcotest.(check bool) "bound stays 4" true (put d [ 5 ] = `Dropped);
-  ignore (Depot.drain d);
+  ignore (drain d);
   (* Eight loose items regroup into one batch at target 8, two at 4. *)
   put_partial d (List.init 8 Fun.id);
   Alcotest.(check int) "target stays 8" 1 (Depot.batches d)
@@ -69,7 +65,7 @@ let test_concurrent_integrity () =
             done))
   in
   List.iter Domain.join domains;
-  let leftover = List.length (Depot.drain d) in
+  let leftover = List.length (drain d) in
   Alcotest.(check int) "puts = drops + gets + leftover"
     (ndomains * per_domain)
     (Atomic.get dropped + Atomic.get gotten + leftover)
@@ -79,7 +75,6 @@ let suite =
     Alcotest.test_case "get/put with bound" `Quick test_get_put;
     Alcotest.test_case "put_partial feeds get" `Quick
       test_put_partial_feeds_get;
-    Alcotest.test_case "drain" `Quick test_drain;
     Alcotest.test_case "geometry only grows" `Quick test_geometry_only_grows;
     Alcotest.test_case "4-domain integrity" `Quick test_concurrent_integrity;
   ]

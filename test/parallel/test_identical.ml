@@ -78,7 +78,7 @@ let test_pressure_heapcheck_identical () =
           Experiments.Pressure.run ~jobs ~ncpus:2 ~rounds:6 ~batch:40
             ~rates:[ 0.0; 0.2 ] ()
         in
-        (r, Heapcheck.report (), Heapcheck.check_count ()))
+        (r, Heapcheck.report (), Heapcheck.check_count_oracle ()))
   in
   let seq_r, seq_rep, seq_checks = sweep 1 in
   let par_r, par_rep, par_checks = sweep 4 in

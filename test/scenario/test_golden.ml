@@ -20,14 +20,14 @@ let pins =
   ]
 
 let report name =
-  let s = Option.get (Scenario.find name) in
+  let s = List.find (fun (s : Scenario.t) -> s.name = name) Scenario.all in
   Scenario.Pathology.to_string
     (Scenario.Pathology.analyze ~name
        (s.Scenario.generate ~seed:s.Scenario.default_seed))
 
 let with_fast_path on f =
-  Sim.Machine.set_fast_path on;
-  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path true) f
+  Sim.Machine.set_fast_path_oracle on;
+  Fun.protect ~finally:(fun () -> Sim.Machine.set_fast_path_oracle true) f
 
 let check_pins ~fast () =
   with_fast_path fast (fun () ->

@@ -10,15 +10,7 @@ let replay_newkma t =
 let test_names_unique () =
   let names = Scenario.names () in
   Alcotest.(check int) "no duplicate names" (List.length names)
-    (List.length (List.sort_uniq compare names));
-  List.iter
-    (fun n ->
-      match Scenario.find n with
-      | Some s -> Alcotest.(check string) "find returns the scenario" n
-          s.Scenario.name
-      | None -> Alcotest.failf "find %S failed" n)
-    names;
-  Alcotest.(check bool) "unknown name" true (Scenario.find "nosuch" = None)
+    (List.length (List.sort_uniq compare names))
 
 let test_generators_valid_and_deterministic () =
   List.iter
@@ -57,7 +49,7 @@ let test_all_replay_cleanly () =
     Scenario.all
 
 let test_replay_deterministic () =
-  let s = Option.get (Scenario.find "rpc") in
+  let s = List.find (fun (s : Scenario.t) -> s.name = "rpc") Scenario.all in
   let t = s.Scenario.generate ~seed:s.Scenario.default_seed in
   Alcotest.(check int) "cycle-exact reruns"
     (replay_newkma t).Workload.Trace.cycles
@@ -66,7 +58,9 @@ let test_replay_deterministic () =
 (* Acceptance: a 10x-scaled replay across more CPUs than the recording
    runs and completes. *)
 let test_scaled_fan_out_replay () =
-  let s = Option.get (Scenario.find "recorded_dlm") in
+  let s =
+    List.find (fun (s : Scenario.t) -> s.name = "recorded_dlm") Scenario.all
+  in
   let t = s.Scenario.generate ~seed:s.Scenario.default_seed in
   let base = Workload.Trace.ncpus t in
   let scaled =
@@ -85,7 +79,7 @@ let test_scaled_fan_out_replay () =
 
 let suite =
   [
-    Alcotest.test_case "names unique, find works" `Quick test_names_unique;
+    Alcotest.test_case "names unique" `Quick test_names_unique;
     Alcotest.test_case "generators valid and deterministic" `Quick
       test_generators_valid_and_deterministic;
     Alcotest.test_case "every scenario replays cleanly" `Quick

@@ -3,7 +3,7 @@
    clean, and reports are byte-identical across reruns. *)
 
 let analyze ?which name =
-  let s = Option.get (Scenario.find name) in
+  let s = List.find (fun (s : Scenario.t) -> s.name = name) Scenario.all in
   Scenario.Pathology.analyze ?which ~name
     (s.Scenario.generate ~seed:s.Scenario.default_seed)
 

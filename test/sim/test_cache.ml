@@ -31,12 +31,12 @@ let test_c2c_transfer () =
   let cache = Cache.create c in
   ignore (Cache.access cache ~cpu:0 200 Cache.Store);
   Alcotest.(check (option int)) "cpu0 dirty" (Some 0)
-    (Cache.dirty_owner cache 200);
+    (Cache.dirty_owner_oracle cache 200);
   let cost = Cache.access cache ~cpu:1 200 Cache.Load in
   Alcotest.(check int) "dirty line costs c2c" c.Config.geometry.c2c_cost cost;
   Alcotest.(check (option int)) "clean after transfer" None
-    (Cache.dirty_owner cache 200);
-  Alcotest.(check (list int)) "both hold it" [ 0; 1 ] (Cache.holders cache 200)
+    (Cache.dirty_owner_oracle cache 200);
+  Alcotest.(check (list int)) "both hold it" [ 0; 1 ] (Cache.holders_oracle cache 200)
 
 let test_silent_exclusive_upgrade () =
   let c = cfg () in
@@ -54,7 +54,7 @@ let test_shared_store_upgrades () =
   let cost = Cache.access cache ~cpu:0 300 Cache.Store in
   Alcotest.(check int) "upgrade round" c.Config.geometry.upgrade_cost cost;
   Alcotest.(check (list int)) "others invalidated" [ 0 ]
-    (Cache.holders cache 300);
+    (Cache.holders_oracle cache 300);
   let st = Cache.stats cache ~cpu:0 in
   Alcotest.(check int) "two copies invalidated" 2 st.Cache.invalidations
 
@@ -65,8 +65,8 @@ let test_store_to_dirty_elsewhere () =
   let cost = Cache.access cache ~cpu:1 300 Cache.Store in
   Alcotest.(check int) "steal dirty line" c.Config.geometry.c2c_cost cost;
   Alcotest.(check (option int)) "cpu1 owns" (Some 1)
-    (Cache.dirty_owner cache 300);
-  Alcotest.(check (list int)) "only cpu1" [ 1 ] (Cache.holders cache 300)
+    (Cache.dirty_owner_oracle cache 300);
+  Alcotest.(check (list int)) "only cpu1" [ 1 ] (Cache.holders_oracle cache 300)
 
 let test_rmw_counts () =
   let c = cfg () in
@@ -75,7 +75,7 @@ let test_rmw_counts () =
   let st = Cache.stats cache ~cpu:0 in
   Alcotest.(check int) "rmw counted" 1 st.Cache.rmws;
   Alcotest.(check (option int)) "rmw dirties" (Some 0)
-    (Cache.dirty_owner cache 10)
+    (Cache.dirty_owner_oracle cache 10)
 
 let test_bounded_eviction () =
   let c = cfg ~cache_lines:4 () in
@@ -84,8 +84,8 @@ let test_bounded_eviction () =
   for i = 0 to 4 do
     ignore (Cache.access cache ~cpu:0 (i * 8) Cache.Load)
   done;
-  Alcotest.(check int) "resident capped" 4 (Cache.resident cache ~cpu:0);
-  Alcotest.(check (list int)) "line 0 evicted" [] (Cache.holders cache 0);
+  Alcotest.(check int) "resident capped" 4 (Cache.resident_oracle cache ~cpu:0);
+  Alcotest.(check (list int)) "line 0 evicted" [] (Cache.holders_oracle cache 0);
   let cost = Cache.access cache ~cpu:0 0 Cache.Load in
   Alcotest.(check int) "re-fetch misses" c.Config.geometry.miss_cost cost;
   let st = Cache.stats cache ~cpu:0 in
@@ -121,7 +121,7 @@ let test_uncached_region () =
     (Cache.access cache ~cpu:0 a Cache.Load);
   Alcotest.(check int) "uncached write" 40
     (Cache.access cache ~cpu:0 (4095) Cache.Store);
-  Alcotest.(check (list int)) "never cached" [] (Cache.holders cache a)
+  Alcotest.(check (list int)) "never cached" [] (Cache.holders_oracle cache a)
 
 let test_reset_stats () =
   let cache = Cache.create (cfg ()) in
@@ -152,11 +152,11 @@ let prop_coherence_invariants =
       (* Check invariants over every line touched. *)
       List.for_all
         (fun (_, addr, _) ->
-          let hs = Cache.holders cache addr in
-          (match Cache.dirty_owner cache addr with
+          let hs = Cache.holders_oracle cache addr in
+          (match Cache.dirty_owner_oracle cache addr with
           | Some o -> hs = [ o ]
           | None -> true)
-          && List.for_all (fun cpu -> Cache.resident cache ~cpu <= 8) hs)
+          && List.for_all (fun cpu -> Cache.resident_oracle cache ~cpu <= 8) hs)
         ops)
 
 (* Property: total stall cycles recorded equal the sum of returned costs. *)

@@ -3,7 +3,7 @@ let expect_invalid f =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-let test_default_validates () = Sim.Config.validate Sim.Config.default
+let test_default_validates () = Sim.Config.validate (Sim.Config.make ())
 
 let test_make_overrides () =
   let c =
@@ -14,7 +14,7 @@ let test_make_overrides () =
   Alcotest.(check int) "ncpus" 8 c.Sim.Config.ncpus;
   Alcotest.(check int) "miss" 99 c.Sim.Config.geometry.miss_cost;
   Alcotest.(check int)
-    "others keep defaults" Sim.Config.default.Sim.Config.memory_words
+    "others keep defaults" (Sim.Config.make ()).Sim.Config.memory_words
     c.Sim.Config.memory_words;
   Alcotest.(check int)
     "other costs keep defaults" Sim.Geometry.default.c2c_cost
@@ -37,7 +37,7 @@ let test_negative_cost () =
 let test_seconds_of_cycles () =
   Alcotest.(check (float 1e-12))
     "1M cycles at 50MHz" 0.02
-    (Sim.Config.seconds_of_cycles Sim.Config.default 1_000_000)
+    (Sim.Config.seconds_of_cycles (Sim.Config.make ()) 1_000_000)
 
 let suite =
   [

@@ -111,7 +111,6 @@ let program h lock seed len cpu =
           (Machine.cas
              (40 + (next () mod 8))
              ~expected:0 ~desired:(next ()))
-    | 5 -> ignore (Machine.swap (48 + (next () mod 8)) (next ()))
     | 6 ->
         Spinlock.with_lock lock (fun () ->
             Machine.write 60 (Machine.read 60 + 1))
@@ -163,9 +162,9 @@ type snapshot = {
 }
 
 let execute ~fast (ncpus, seed, len) =
-  Machine.set_fast_path fast;
+  Machine.set_fast_path_oracle fast;
   Fun.protect
-    ~finally:(fun () -> Machine.set_fast_path true)
+    ~finally:(fun () -> Machine.set_fast_path_oracle true)
     (fun () ->
       let config =
         Config.make ~ncpus ~memory_words:mem_words ~uncached_words:64 ()
@@ -180,13 +179,13 @@ let execute ~fast (ncpus, seed, len) =
         cpu_times =
           List.init ncpus (fun cpu -> Machine.cpu_time m ~cpu);
         retired = List.init ncpus (fun cpu -> Machine.retired m ~cpu);
-        irq_off = List.init ncpus (fun cpu -> Machine.irq_disabled m ~cpu);
+        irq_off = List.init ncpus (fun cpu -> Machine.irq_disabled_oracle m ~cpu);
         stats =
           List.init ncpus (fun cpu ->
               let s = Cache.stats (Machine.cache m) ~cpu in
               { s with Cache.loads = s.Cache.loads });
         mix = h.mix;
-        memory = Memory.blit_to_host (Machine.memory m) 0 ~len:mem_words;
+        memory = Memory.blit_to_host_oracle (Machine.memory m) 0 ~len:mem_words;
       })
 
 let case =
@@ -201,11 +200,11 @@ let prop_fast_slow_identical =
 (* The oracle itself: with the fast path forced off, every operation is
    scheduled, and the toggle reports what it did. *)
 let test_toggle () =
-  Alcotest.(check bool) "default on" true (Machine.fast_path_enabled ());
-  Machine.set_fast_path false;
-  Alcotest.(check bool) "off" false (Machine.fast_path_enabled ());
-  Machine.set_fast_path true;
-  Alcotest.(check bool) "back on" true (Machine.fast_path_enabled ())
+  Alcotest.(check bool) "default on" true (Machine.fast_path_enabled_oracle ());
+  Machine.set_fast_path_oracle false;
+  Alcotest.(check bool) "off" false (Machine.fast_path_enabled_oracle ());
+  Machine.set_fast_path_oracle true;
+  Alcotest.(check bool) "back on" true (Machine.fast_path_enabled_oracle ())
 
 (* The non-default geometries matter too: the fast path must commute
    with capacity misses, set indexing, and changed costs. *)
@@ -218,9 +217,9 @@ let test_identical_under_geometry () =
         | Error m -> Alcotest.fail m
       in
       let execute fast =
-        Machine.set_fast_path fast;
+        Machine.set_fast_path_oracle fast;
         Fun.protect
-          ~finally:(fun () -> Machine.set_fast_path true)
+          ~finally:(fun () -> Machine.set_fast_path_oracle true)
           (fun () ->
             let config =
               Config.make ~geometry:g ~ncpus:3 ~memory_words:mem_words
@@ -233,7 +232,7 @@ let test_identical_under_geometry () =
             Machine.run_symmetric m ~ncpus:3 (program h lock 1234 300);
             ( Machine.elapsed m,
               h.mix,
-              Memory.blit_to_host (Machine.memory m) 0 ~len:mem_words ))
+              Memory.blit_to_host_oracle (Machine.memory m) 0 ~len:mem_words ))
       in
       let slow_t, slow_h, slow_m = execute false in
       let fast_t, fast_h, fast_m = execute true in
@@ -250,9 +249,9 @@ let test_identical_under_geometry () =
    parked run's. *)
 let both_modes ~ncpus progs =
   let go fast =
-    Machine.set_fast_path fast;
+    Machine.set_fast_path_oracle fast;
     Fun.protect
-      ~finally:(fun () -> Machine.set_fast_path true)
+      ~finally:(fun () -> Machine.set_fast_path_oracle true)
       (fun () ->
         let m =
           Machine.create

@@ -35,7 +35,7 @@ let test_cpu63_registers_as_sharer () =
   for cpu = 0 to 63 do
     ignore (Cache.access cache ~cpu 100 Cache.Load)
   done;
-  let hs = Cache.holders cache 100 in
+  let hs = Cache.holders_oracle cache 100 in
   Alcotest.(check int) "all 64 CPUs hold the line" 64 (List.length hs);
   Alcotest.(check bool) "CPU 63 is a sharer" true (List.mem 63 hs);
   Alcotest.(check bool) "CPU 62 is a sharer" true (List.mem 62 hs);
@@ -58,14 +58,14 @@ let test_invalidation_reaches_cpu63 () =
   Alcotest.(check int) "store invalidated all 63 other copies" 63
     st.Cache.invalidations;
   Alcotest.(check (list int)) "only the writer holds it" [ 0 ]
-    (Cache.holders cache 200);
+    (Cache.holders_oracle cache 200);
   (* With CPU 62 on the sign bit, the eviction/steal bookkeeping could
      corrupt resident counts; they must all be consistent. *)
   for cpu = 1 to 63 do
     Alcotest.(check int)
       (Printf.sprintf "CPU %d resident count" cpu)
       0
-      (Cache.resident cache ~cpu)
+      (Cache.resident_oracle cache ~cpu)
   done
 
 let test_exclusive_store_at_cpu63 () =
@@ -77,7 +77,7 @@ let test_exclusive_store_at_cpu63 () =
   Alcotest.(check int) "CPU 63 exclusive store is silent" 0
     (Cache.access cache ~cpu:63 300 Cache.Store);
   Alcotest.(check (option int)) "CPU 63 owns dirty" (Some 63)
-    (Cache.dirty_owner cache 300)
+    (Cache.dirty_owner_oracle cache 300)
 
 let test_cap_lift_to_512 () =
   let c = cfg ~ncpus:512 ~memory_words:65536 () in
@@ -86,7 +86,7 @@ let test_cap_lift_to_512 () =
     ignore (Cache.access cache ~cpu 100 Cache.Load)
   done;
   Alcotest.(check int) "512 sharers tracked" 512
-    (List.length (Cache.holders cache 100));
+    (List.length (Cache.holders_oracle cache 100));
   ignore (Cache.access cache ~cpu:511 100 Cache.Store);
   let st = Cache.stats cache ~cpu:511 in
   Alcotest.(check int) "511 invalidations" 511 st.Cache.invalidations
@@ -121,7 +121,7 @@ let test_machine_runs_128_cpus () =
   Alcotest.(check bool) "time advanced" true (Machine.elapsed m > 0);
   Alcotest.(check (list int)) "last writer holds the contended line"
     [ 127 ]
-    (Cache.holders (Machine.cache m) 4000)
+    (Cache.holders_oracle (Machine.cache m) 4000)
 
 let test_scheduled_equals_fast_at_80_cpus () =
   (* Determinism above the old cap: the same program must produce
@@ -136,12 +136,12 @@ let test_scheduled_equals_fast_at_80_cpus () =
         done);
     (Machine.elapsed m, (Cache.total_stats (Machine.cache m)).Cache.stall_cycles)
   in
-  let was = Machine.fast_path_enabled () in
-  Machine.set_fast_path true;
+  let was = Machine.fast_path_enabled_oracle () in
+  Machine.set_fast_path_oracle true;
   let fast = run () in
-  Machine.set_fast_path false;
+  Machine.set_fast_path_oracle false;
   let sched = run () in
-  Machine.set_fast_path was;
+  Machine.set_fast_path_oracle was;
   Alcotest.(check (pair int int)) "fast = scheduled at 80 CPUs" sched fast
 
 (* --- two-level NUMA cost model --- *)
@@ -149,14 +149,14 @@ let test_scheduled_equals_fast_at_80_cpus () =
 let test_topology_oracles () =
   let c = cfg ~ncpus:8 ~nodes:2 () in
   let cache = Cache.create c in
-  Alcotest.(check int) "cpu 0 on node 0" 0 (Cache.node_of_cpu cache 0);
-  Alcotest.(check int) "cpu 3 on node 0" 0 (Cache.node_of_cpu cache 3);
-  Alcotest.(check int) "cpu 4 on node 1" 1 (Cache.node_of_cpu cache 4);
-  Alcotest.(check int) "cpu 7 on node 1" 1 (Cache.node_of_cpu cache 7);
+  Alcotest.(check int) "cpu 0 on node 0" 0 (Cache.node_of_cpu_oracle cache 0);
+  Alcotest.(check int) "cpu 3 on node 0" 0 (Cache.node_of_cpu_oracle cache 3);
+  Alcotest.(check int) "cpu 4 on node 1" 1 (Cache.node_of_cpu_oracle cache 4);
+  Alcotest.(check int) "cpu 7 on node 1" 1 (Cache.node_of_cpu_oracle cache 7);
   Alcotest.(check int) "low memory homes on node 0" 0
-    (Cache.home_of_addr cache 0);
+    (Cache.home_of_addr_oracle cache 0);
   Alcotest.(check int) "high memory homes on node 1" 1
-    (Cache.home_of_addr cache 4095)
+    (Cache.home_of_addr_oracle cache 4095)
 
 let test_local_vs_remote_miss () =
   let c = cfg ~ncpus:8 ~nodes:2 ~node_miss_cost:60 () in
@@ -193,7 +193,7 @@ let test_c2c_three_hop_directory () =
      of the 4096-word memory): the request detours through the home
      directory, paying node_c2c + node_miss. *)
   let addr = 2048 in
-  Alcotest.(check int) "home is node 1" 1 (Cache.home_of_addr cache addr);
+  Alcotest.(check int) "home is node 1" 1 (Cache.home_of_addr_oracle cache addr);
   ignore (Cache.access cache ~cpu:8 addr Cache.Store);
   Alcotest.(check int) "three-hop transfer"
     (c.Config.geometry.c2c_cost + 80 + 60)
@@ -301,8 +301,8 @@ let prop_wide_coherence_invariants =
         ops;
       List.for_all
         (fun (_, addr, _) ->
-          let hs = Cache.holders cache addr in
-          match Cache.dirty_owner cache addr with
+          let hs = Cache.holders_oracle cache addr in
+          match Cache.dirty_owner_oracle cache addr with
           | Some o -> hs = [ o ]
           | None -> true)
         ops)

@@ -45,7 +45,7 @@ let test_other_cpu_raises () =
         Alcotest.(check int) "owner reads back" 7 (Machine.read 256));
     |];
   Alcotest.(check (list int)) "held by the owner only" [ 0 ]
-    (Cache.holders (Machine.cache m) 256)
+    (Cache.holders_oracle (Machine.cache m) 256)
 
 let test_read_only_store_raises () =
   let m = machine () in
@@ -90,9 +90,9 @@ let test_declaring_held_line_raises () =
 (* Run [progs log] with the fast path off and on; returns both logs. *)
 let both ?max_cycles ?(setup = fun _ -> ()) progs =
   let go fast =
-    Machine.set_fast_path fast;
+    Machine.set_fast_path_oracle fast;
     Fun.protect
-      ~finally:(fun () -> Machine.set_fast_path true)
+      ~finally:(fun () -> Machine.set_fast_path_oracle true)
       (fun () ->
         let m = machine () in
         setup m;

@@ -27,32 +27,17 @@ let test_fifo_order () =
               mb)
         in
         List.iter (fun mb -> Squeue.putq q mb) tagged;
-        Alcotest.(check int) "length" 5 (Squeue.length q);
         let out =
           List.init 5 (fun _ ->
               let mb = Squeue.getq q in
-              let v = Buf.get_byte_word buf mb in
+              let v = Sim.Machine.read (Sim.Machine.read (mb + Msg.b_rptr)) in
               Buf.freeb buf mb;
               v)
         in
-        Alcotest.(check int) "empty" 0 (Squeue.length q);
         Alcotest.(check int) "getq on empty" 0 (Squeue.getq q);
-        Squeue.destroy q;
         out)
   in
   Alcotest.(check (list int)) "FIFO" [ 0; 1; 2; 3; 4 ] order
-
-let test_destroy_frees_queued () =
-  let m, buf = fixture () in
-  on_cpu m (fun () ->
-      let q = Option.get (Squeue.create buf) in
-      for _ = 1 to 10 do
-        let mb = Buf.allocb buf ~bytes:128 in
-        Squeue.putq q mb
-      done;
-      Squeue.destroy q)
-  (* Conservation is covered by the allocator suites; the point is that
-     destroy drains without crashing or double-freeing. *)
 
 let test_cross_cpu_pipeline () =
   let m, buf = fixture ~ncpus:2 () in
@@ -91,7 +76,5 @@ let test_cross_cpu_pipeline () =
 let suite =
   [
     Alcotest.test_case "putq/getq FIFO" `Quick test_fifo_order;
-    Alcotest.test_case "destroy frees queued messages" `Quick
-      test_destroy_frees_queued;
     Alcotest.test_case "cross-CPU pipeline" `Quick test_cross_cpu_pipeline;
   ]
