@@ -2,8 +2,6 @@ open Sim
 
 type mode = NL | CR | CW | PR | PW | EX
 
-let all_modes = [| NL; CR; CW; PR; PW; EX |]
-
 let mode_index = function
   | NL -> 0
   | CR -> 1
@@ -11,15 +9,6 @@ let mode_index = function
   | PR -> 3
   | PW -> 4
   | EX -> 5
-
-let mode_of_index = function
-  | 0 -> NL
-  | 1 -> CR
-  | 2 -> CW
-  | 3 -> PR
-  | 4 -> PW
-  | 5 -> EX
-  | i -> invalid_arg (Printf.sprintf "Dlm.mode_of_index: %d" i)
 
 (* The standard DLM compatibility matrix, rows/columns in
    NL CR CW PR PW EX order. *)
@@ -33,16 +22,16 @@ let compat_matrix =
     [| true; false; false; false; false; false |];
   |]
 
-let compatible a b = compat_matrix.(mode_index a).(mode_index b)
-
-type status = Granted | Waiting
+let compatible_oracle a b = compat_matrix.(mode_index a).(mode_index b)
 
 (* Resource table: one 4096-byte block = 512 buckets x (lock, head).
    Resource block (64 bytes = 16 words):
-     0 id  1 next  2 grant-list head  3 wait-queue head  4 wait tail
-     5..10 granted count per mode  11 total locks
+     0 id  1 next  2 grant-list head  5..10 granted count per mode
+     11 total locks
    Lock block (32 bytes = 8 words):
-     0 resource  1 next  2 mode  3 status  4 client *)
+     0 resource  1 next  2 mode  4 client
+   The sizes set E6's allocation mix, so the words neither block uses
+   stay reserved. *)
 
 let table_bytes = 4096
 let nbuckets = 512
@@ -52,19 +41,13 @@ let lkb_bytes = 32
 let r_id = 0
 let r_next = 1
 let r_grant = 2
-let r_wait_head = 3
-let r_wait_tail = 4
 let r_counts = 5
 let r_nlocks = 11
 
 let l_resource = 0
 let l_next = 1
 let l_mode = 2
-let l_status = 3
 let l_client = 4
-
-let st_granted = 1
-let st_waiting = 2
 
 type t = {
   a : Baseline.Allocator.t;
@@ -119,8 +102,6 @@ let make_resource t bucket ~resource =
     Machine.write (rsb + r_id) resource;
     Machine.write (rsb + r_next) (Machine.read (bucket + 1));
     Machine.write (rsb + r_grant) 0;
-    Machine.write (rsb + r_wait_head) 0;
-    Machine.write (rsb + r_wait_tail) 0;
     for i = 0 to 5 do
       Machine.write (rsb + r_counts + i) 0
     done;
@@ -143,30 +124,19 @@ let drop_resource t bucket rsb =
 
 (* Is [mode] compatible with everything currently granted on [rsb]? *)
 let grantable rsb ~mode =
+  let row = compat_matrix.(mode_index mode) in
   let rec go i =
     if i > 5 then true
-    else if
-      Machine.read (rsb + r_counts + i) > 0
-      && not (compatible mode (mode_of_index i))
-    then false
+    else if Machine.read (rsb + r_counts + i) > 0 && not row.(i) then false
     else go (i + 1)
   in
   go 0
 
 let add_granted rsb lkb ~mode =
-  Machine.write (lkb + l_status) st_granted;
   Machine.write (lkb + l_next) (Machine.read (rsb + r_grant));
   Machine.write (rsb + r_grant) lkb;
   let c = rsb + r_counts + mode_index mode in
   Machine.write c (Machine.read c + 1)
-
-let enqueue_waiter rsb lkb =
-  Machine.write (lkb + l_status) st_waiting;
-  Machine.write (lkb + l_next) 0;
-  let tail = Machine.read (rsb + r_wait_tail) in
-  if tail = 0 then Machine.write (rsb + r_wait_head) lkb
-  else Machine.write (tail + l_next) lkb;
-  Machine.write (rsb + r_wait_tail) lkb
 
 let new_lkb t rsb ~mode ~client =
   let lkb = t.a.Baseline.Allocator.alloc ~bytes:lkb_bytes in
@@ -180,7 +150,7 @@ let new_lkb t rsb ~mode ~client =
     lkb
   end
 
-let request t ~resource ~mode ~client ~enqueue =
+let try_lock t ~resource ~mode ~client =
   let bucket = bucket_of t ~resource in
   with_bucket bucket (fun () ->
       let rsb =
@@ -194,11 +164,6 @@ let request t ~resource ~mode ~client ~enqueue =
         if lkb <> 0 then add_granted rsb lkb ~mode;
         lkb
       end
-      else if enqueue then begin
-        let lkb = new_lkb t rsb ~mode ~client in
-        if lkb <> 0 then enqueue_waiter rsb lkb;
-        lkb
-      end
       else begin
         (* Resource may have been created just for this failed probe;
            drop it again if it carries no locks. *)
@@ -206,108 +171,31 @@ let request t ~resource ~mode ~client ~enqueue =
         0
       end)
 
-let lock t ~resource ~mode ~client = request t ~resource ~mode ~client ~enqueue:true
-let try_lock t ~resource ~mode ~client =
-  request t ~resource ~mode ~client ~enqueue:false
-
-let remove_from_list rsb ~head_off lkb =
+(* Unlink [lkb] from the grant list (bucket lock held); the check
+   catches an unlock of a block that is not on it. *)
+let remove_granted rsb lkb =
   let rec unlink prev cur =
     assert (cur <> 0);
     if cur = lkb then
       if prev = 0 then
-        Machine.write (rsb + head_off) (Machine.read (cur + l_next))
+        Machine.write (rsb + r_grant) (Machine.read (cur + l_next))
       else Machine.write (prev + l_next) (Machine.read (cur + l_next))
     else unlink cur (Machine.read (cur + l_next))
   in
-  unlink 0 (Machine.read (rsb + head_off))
-
-(* Promote FIFO waiters that have become grantable (bucket lock held). *)
-let grant_waiters rsb =
-  let rec go lkb prev_kept =
-    if lkb <> 0 then begin
-      let next = Machine.read (lkb + l_next) in
-      let mode = mode_of_index (Machine.read (lkb + l_mode)) in
-      if grantable rsb ~mode then begin
-        (* Detach from the wait queue and grant. *)
-        if prev_kept = 0 then Machine.write (rsb + r_wait_head) next
-        else Machine.write (prev_kept + l_next) next;
-        if Machine.read (rsb + r_wait_tail) = lkb then
-          Machine.write (rsb + r_wait_tail) prev_kept;
-        add_granted rsb lkb ~mode;
-        go next prev_kept
-      end
-      else go next lkb
-    end
-  in
-  go (Machine.read (rsb + r_wait_head)) 0
-
-let release_lkb t rsb lkb ~was_granted =
-  if was_granted then begin
-    let mi = Machine.read (lkb + l_mode) in
-    remove_from_list rsb ~head_off:r_grant lkb;
-    let c = rsb + r_counts + mi in
-    Machine.write c (Machine.read c - 1)
-  end
-  else begin
-    (* Waiting: unlink from the wait queue, fixing the tail. *)
-    let rec find_prev prev cur =
-      if cur = lkb then prev else find_prev cur (Machine.read (cur + l_next))
-    in
-    let prev = find_prev 0 (Machine.read (rsb + r_wait_head)) in
-    if prev = 0 then
-      Machine.write (rsb + r_wait_head) (Machine.read (lkb + l_next))
-    else Machine.write (prev + l_next) (Machine.read (lkb + l_next));
-    if Machine.read (rsb + r_wait_tail) = lkb then
-      Machine.write (rsb + r_wait_tail) prev
-  end;
-  t.a.Baseline.Allocator.free ~addr:lkb ~bytes:lkb_bytes;
-  t.nlocks <- t.nlocks - 1;
-  Machine.write (rsb + r_nlocks) (Machine.read (rsb + r_nlocks) - 1);
-  grant_waiters rsb;
-  if Machine.read (rsb + r_nlocks) = 0 then begin
-    let bucket = bucket_of t ~resource:(Machine.read (rsb + r_id)) in
-    drop_resource t bucket rsb
-  end
+  unlink 0 (Machine.read (rsb + r_grant))
 
 let unlock t lkb =
   let rsb = Machine.read (lkb + l_resource) in
   let bucket = bucket_of t ~resource:(Machine.read (rsb + r_id)) in
   with_bucket bucket (fun () ->
-      assert (Machine.read (lkb + l_status) = st_granted);
-      release_lkb t rsb lkb ~was_granted:true)
-
-let cancel t lkb =
-  let rsb = Machine.read (lkb + l_resource) in
-  let bucket = bucket_of t ~resource:(Machine.read (rsb + r_id)) in
-  with_bucket bucket (fun () ->
-      assert (Machine.read (lkb + l_status) = st_waiting);
-      release_lkb t rsb lkb ~was_granted:false)
-
-let status _t lkb =
-  if Machine.read (lkb + l_status) = st_granted then Granted else Waiting
-
-let convert t lkb ~mode =
-  let rsb = Machine.read (lkb + l_resource) in
-  let bucket = bucket_of t ~resource:(Machine.read (rsb + r_id)) in
-  with_bucket bucket (fun () ->
-      assert (Machine.read (lkb + l_status) = st_granted);
-      let old_mi = Machine.read (lkb + l_mode) in
-      (* Check compatibility against the *other* granted locks: remove
-         our own count first. *)
-      let c_old = rsb + r_counts + old_mi in
-      Machine.write c_old (Machine.read c_old - 1);
-      if grantable rsb ~mode then begin
-        Machine.write (lkb + l_mode) (mode_index mode);
-        let c_new = rsb + r_counts + mode_index mode in
-        Machine.write c_new (Machine.read c_new + 1);
-        (* A downconvert may unblock waiters. *)
-        grant_waiters rsb;
-        true
-      end
-      else begin
-        Machine.write c_old (Machine.read c_old + 1);
-        false
-      end)
+      let mi = Machine.read (lkb + l_mode) in
+      remove_granted rsb lkb;
+      let c = rsb + r_counts + mi in
+      Machine.write c (Machine.read c - 1);
+      t.a.Baseline.Allocator.free ~addr:lkb ~bytes:lkb_bytes;
+      t.nlocks <- t.nlocks - 1;
+      Machine.write (rsb + r_nlocks) (Machine.read (rsb + r_nlocks) - 1);
+      if Machine.read (rsb + r_nlocks) = 0 then drop_resource t bucket rsb)
 
 let resources_oracle t = t.nresources
 let locks_oracle t = t.nlocks

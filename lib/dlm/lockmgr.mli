@@ -11,48 +11,27 @@
     (the last unlocker frees the resource block).
 
     Locking model: the six VMS/DLM modes with the standard
-    compatibility matrix; per-bucket spinlocks; FIFO wait queues with
-    grant-on-unlock. *)
+    compatibility matrix, and per-bucket spinlocks.  A request is
+    granted at once or refused: the OLTP workload retries a refused
+    lock elsewhere, so the manager keeps no wait queue. *)
 
 type t
 
 type mode = NL | CR | CW | PR | PW | EX
 
-val compatible : mode -> mode -> bool
-(** The standard DLM compatibility matrix. *)
-
-val all_modes : mode array
-
-type status = Granted | Waiting
-
 val create : Baseline.Allocator.t -> t option
 (** [create a] allocates the resource table (simulated); [None] if even
     that fails. *)
 
-val lock : t -> resource:int -> mode:mode -> client:int -> int
-(** [lock t ~resource ~mode ~client] requests a lock, creating the
-    resource block on first touch.  Returns the lock-block address
-    (status {!Granted} or {!Waiting}), or 0 if allocation failed. *)
-
 val try_lock : t -> resource:int -> mode:mode -> client:int -> int
-(** Like {!lock} but never enqueues: returns 0 when the lock cannot be
-    granted immediately (or allocation fails). *)
+(** [try_lock t ~resource ~mode ~client] grants a lock when [mode] is
+    compatible with every lock granted on [resource], creating the
+    resource block on first touch.  Returns the lock-block address, or
+    0 when the lock cannot be granted (or allocation fails). *)
 
 val unlock : t -> int -> unit
-(** [unlock t lkb] releases a granted lock, grants newly-compatible
-    waiters FIFO, frees the lock block, and frees the resource block
-    when it was the last lock. *)
-
-val cancel : t -> int -> unit
-(** [cancel t lkb] abandons a {!Waiting} request. *)
-
-val status : t -> int -> status
-(** [status t lkb] reads a lock block's state (simulated). *)
-
-val convert : t -> int -> mode:mode -> bool
-(** [convert t lkb ~mode] atomically changes a granted lock's mode if
-    the new mode is compatible with the other granted locks; returns
-    false (mode unchanged) otherwise. *)
+(** [unlock t lkb] releases a granted lock, frees the lock block, and
+    frees the resource block when it was the last lock. *)
 
 (** {1 Host-side oracles} *)
 
@@ -60,4 +39,7 @@ val resources_oracle : t -> int
 (** Number of resource blocks currently materialised. *)
 
 val locks_oracle : t -> int
-(** Number of lock blocks currently live (granted + waiting). *)
+(** Number of lock blocks currently granted. *)
+
+val compatible_oracle : mode -> mode -> bool
+(** The standard DLM compatibility matrix {!try_lock} grants by. *)

@@ -161,8 +161,10 @@ let put_chain (ctx : Ctx.t) ~si head =
   Freelist.iter_chain head (fun blk ~next:_ ->
       st.Kstats.page_block_puts <- st.Kstats.page_block_puts + 1;
       let pd = Vmblk.pd_of_block ctx blk in
-      assert (Machine.read (pd + Vmblk.pd_state) = Vmblk.st_split);
-      assert (Machine.read (pd + Vmblk.pd_sizeidx) = si);
+      (* Host-side checks: a page leaves the split state only when its
+         last block comes back, under this size's lock, which we hold. *)
+      assert (Machine.peek (pd + Vmblk.pd_state) = Vmblk.st_split);
+      assert (Machine.peek (pd + Vmblk.pd_sizeidx) = si);
       let nfree = Machine.read (pd + Vmblk.pd_nfree) in
       Machine.write (blk + Freelist.link)
         (Machine.read (pd + Vmblk.pd_blkhead));

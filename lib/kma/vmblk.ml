@@ -264,8 +264,10 @@ let free_large (ctx : Ctx.t) ~addr ~bytes =
   let npages = pages_of_bytes ly bytes in
   Machine.work 20;
   let pd = pd_of_block ctx addr in
-  assert (Machine.read (pd + pd_state) = st_span_alloc);
-  assert (Machine.read (pd + pd_arg) = npages);
+  (* Host-side checks: the caller owns the span, so no other CPU writes
+     its head descriptor until [free_pages] below. *)
+  assert (Machine.peek (pd + pd_state) = st_span_alloc);
+  assert (Machine.peek (pd + pd_arg) = npages);
   free_pages ctx ~page:addr ~npages;
   ctx.Ctx.stats.Kstats.large_frees <- ctx.Ctx.stats.Kstats.large_frees + 1;
   if Trace.on () then Trace.emit (Flightrec.Event.Large_free { npages })

@@ -79,14 +79,16 @@ val free_pages : Ctx.t -> page:int -> npages:int -> unit
 (** [free_pages ctx ~page ~npages] returns a span: physical pages go
     back to the VM system, and the virtual span is coalesced with free
     neighbours.  The caller warrants the span was allocated with this
-    length (checked by assertion for spans allocated via
-    [alloc_pages]). *)
+    length. *)
 
 val alloc_large : Ctx.t -> bytes:int -> int
 (** Multi-page allocation for requests bigger than a page; 0 on
     exhaustion. *)
 
 val free_large : Ctx.t -> addr:int -> bytes:int -> unit
+(** [free_large ctx ~addr ~bytes] returns a span from {!alloc_large}.
+    An [assert] checks, host-side and so at no simulated cost, that
+    [addr] heads an allocated span of [bytes]' page count. *)
 
 val pd_of_block : Ctx.t -> int -> int
 (** [pd_of_block ctx a] is the page-descriptor address for the page

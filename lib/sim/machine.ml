@@ -399,6 +399,12 @@ let running_irq_off () =
   | Some t when ctx.cur >= 0 -> t.cpus.(ctx.cur).irq_off
   | _ -> false
 
+let peek a =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when ctx.cur >= 0 -> Memory.get t.memory a
+  | _ -> raise Not_in_simulation
+
 let[@inline] below_limit ctx (c : cpu) =
   c.time < ctx.limit_time || (c.time = ctx.limit_time && c.id < ctx.limit_id)
 

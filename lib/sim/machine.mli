@@ -289,6 +289,17 @@ val running_irq_off : unit -> bool
     {!running}: host-side, not an operation, no yield point — this is
     what the lockcheck interrupt-discipline probe reads. *)
 
+val peek : Memory.addr -> int
+(** [peek a] is the word at [a] in the executing machine's memory.
+    Same contract as {!running}: host-side, not an operation, no yield
+    point; it charges no cycles, retires nothing and leaves the cache
+    untouched.  It serves the simulated kernel's [assert]s alone
+    (doclint enforces this).  Each reads a word that its CPU's lock
+    guards, or that lies in a block or span the CPU owns, so the word
+    is stable, the check costs no simulated cycles, and [-noassert]
+    changes no simulated result.
+    @raise Not_in_simulation outside a running program's host code. *)
+
 (** {1 Fast-path control (test oracles)} *)
 
 val set_fast_path_oracle : bool -> unit

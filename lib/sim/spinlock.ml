@@ -51,8 +51,11 @@ let acquire t =
   if Trace.on () then
     Trace.emit (Flightrec.Event.Lock_acquire { lock = t.a; spins })
 
+(* The releasing store is the paper's plain store.  The check reads
+   host-side: the word cannot change under the holder, whose spinners'
+   CASes all fail. *)
 let release t =
-  assert (Machine.read t.a = locked_value);
+  assert (Machine.peek t.a = locked_value);
   lc_release t;
   Machine.write t.a unlocked_value;
   if Trace.on () then Trace.emit (Flightrec.Event.Lock_release { lock = t.a })

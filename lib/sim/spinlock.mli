@@ -8,10 +8,12 @@
     program (see {!Machine}).
 
     Invariants: locks are non-recursive and must be released by the
-    acquiring CPU; nested acquisitions must follow one global class
-    order (in this codebase: gbl -> pagepool -> vmblk, see DESIGN.md
-    "Concurrency invariants"); every acquire/release flows through this
-    module so the {!Lockcheck} order graph sees it. *)
+    acquiring CPU, which an [assert] checks host-side ({!Machine.peek},
+    so the check costs no simulated cycles and the release is the
+    paper's plain store); nested acquisitions must follow one global
+    class order (in this codebase: gbl -> pagepool -> vmblk, see
+    DESIGN.md "Concurrency invariants"); every acquire/release flows
+    through this module so the {!Lockcheck} order graph sees it. *)
 
 type t
 
@@ -33,7 +35,8 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] runs [f ()] with the lock held, releasing on return.
     It acquires by spinning on a compare-and-swap of the lock word,
     backing off with {!Machine.spin_pause} after each failed attempt,
-    and releases by storing the unlocked value.  When a
+    and releases by storing the unlocked value: an uncontended pair
+    retires two instructions, the CAS and the store.  When a
     {!Flightrec.Recorder} is installed, it emits a [Lock_acquire] event
     carrying the failed-attempt (spin) count and a [Lock_release] event,
     host-side at zero simulated cost; with no recorder an uncontended

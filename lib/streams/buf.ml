@@ -105,6 +105,8 @@ let msgdsize _t msg =
 let put_byte_word _t mblk v =
   let wptr = Machine.read (mblk + Msg.b_wptr) in
   let dblk = Machine.read (mblk + Msg.b_datap) in
-  assert (wptr < Machine.read (dblk + Msg.db_lim));
+  (* Host-side check: the writer owns the message, and a data block's
+     limit is fixed from [allocb] to its last [freeb]. *)
+  assert (wptr < Machine.peek (dblk + Msg.db_lim));
   Machine.write wptr v;
   Machine.write (mblk + Msg.b_wptr) (wptr + 1)

@@ -1,11 +1,10 @@
 open Sim
 
-(* Queue record (32 bytes): lock(0) head(1) tail(2) count(3). *)
+(* Queue record (32 bytes): lock(0) head(1) tail(2). *)
 let q_bytes = 32
 let q_lock = 0
 let q_head = 1
 let q_tail = 2
-let q_count = 3
 
 type t = { base : int }
 
@@ -17,7 +16,6 @@ let create buf =
     Machine.write (base + q_lock) 0;
     Machine.write (base + q_head) 0;
     Machine.write (base + q_tail) 0;
-    Machine.write (base + q_count) 0;
     Some { base }
   end
 
@@ -45,9 +43,7 @@ let putq t msg =
       if tail = 0 then Machine.write (t.base + q_head) msg
       else Machine.write (tail + Msg.b_next) msg;
       Machine.write (msg + Msg.b_prev) tail;
-      Machine.write (t.base + q_tail) msg;
-      Machine.write (t.base + q_count)
-        (Machine.read (t.base + q_count) + 1))
+      Machine.write (t.base + q_tail) msg)
 
 let getq t =
   with_q_lock t (fun () ->
@@ -58,8 +54,6 @@ let getq t =
         Machine.write (t.base + q_head) next;
         if next = 0 then Machine.write (t.base + q_tail) 0
         else Machine.write (next + Msg.b_prev) 0;
-        Machine.write (t.base + q_count)
-          (Machine.read (t.base + q_count) - 1);
         Machine.write (head + Msg.b_next) 0;
         head
       end)

@@ -4,9 +4,9 @@
     The paper's Analysis section profiles the STREAMS buffer allocator
     ({!Buf}); this queue is the same framework's companion structure,
     which the paper does not measure.  The queue structure (lock, head,
-    tail, count) lives in a block allocated from the underlying
-    allocator, so queue traffic exercises the allocator's cross-CPU
-    path exactly the way a protocol stack does. *)
+    tail) lives in a block allocated from the underlying allocator, so
+    queue traffic exercises the allocator's cross-CPU path exactly the
+    way a protocol stack does. *)
 
 type t
 

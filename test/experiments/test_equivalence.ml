@@ -51,8 +51,8 @@ let pins =
     [
       (Cookie, 1, 17_400);
       (Newkma, 4, 29_700);
-      (Mk, 2, 283_301);
-      (Oldkma, 2, 879_620);
+      (Mk, 2, 223_842);
+      (Oldkma, 2, 821_830);
     ]
 
 let cell which ncpus =
@@ -132,17 +132,17 @@ let e12_pins =
   Baseline.Allocator.
     [
       ( (Newkma, 4, 0),
-        (427.21875, 10.635753670364711, 0.25244137381252907,
-         234072.12347304515) );
+        (426.60416666666669, 10.641127959563713, 0.24607608406491088,
+         234409.33730526932) );
       ( (Newkma, 8, 1),
-        (266.05208333333331, 3.0822372791284707, 1.1691244851866613,
-         375866.2542578599) );
+        (265.42708333333331, 3.0790716233291215, 1.1637959699408127,
+         376751.30489384243) );
       ( (Cookie, 4, 0),
-        (385.26041666666669, 10.873270161565205, 0.25904969663917105,
-         259564.68838718397) );
+        (385., 10.879060879060878, 0.25252525252525254, 259740.25974025976)
+      );
       ( (Cookie, 8, 1),
-        (222.64583333333334, 3.0538513974096797, 1.1997273346966599,
-         449143.81959389913) );
+        (222.16666666666666, 3.0503616759929031, 1.1942131841135526,
+         450112.52813203301) );
     ]
 
 let test_e12_slice_pins () =
@@ -174,15 +174,15 @@ let e14_pins =
   Baseline.Allocator.
     [
       ( (Newkma, 1),
-        (195.77777777777777, 0., 5.7332463011314188, 2043132.8036322361) );
+        (177.27777777777777, 0., 4.6985815602836878, 2256345.9730492011) );
       ( (Newkma, 2),
-        (436.19444444444446, 9.5401581356637539, 9.8522679983354138,
-         917022.22505253775) );
+        (327.61111111111109, 6.7391538378727525, 7.3420174399827749,
+         1220959.8100729184) );
       ( (Numakma, 1),
-        (195.77777777777777, 0., 5.7332463011314188, 2043132.8036322361) );
+        (177.27777777777777, 0., 4.6985815602836878, 2256345.9730492011) );
       ( (Numakma, 2),
-        (193.30555555555554, 1.7637271214642263, 3.1059345535219078,
-         2069262.8251185515) );
+        (173.40277777777777, 1.4515584561719366, 2.8243501744120625,
+         2306768.1217460954) );
     ]
 
 let test_e14_slice_pins () =
@@ -238,10 +238,10 @@ let e13_sweep_pins =
 let e13_remote_pins =
   Baseline.Allocator.
     [
-      ((Cookie, 1), (192552.08533908424, "-"));
-      ((Cookie, 2), (348310.69313827937, "-"));
-      ((Newkma, 1), (177904.28749332859, "-"));
-      ((Newkma, 2), (329261.46653057192, "-"));
+      ((Cookie, 1), (193132.21831665956, "-"));
+      ((Cookie, 2), (357474.7980267391, "-"));
+      ((Newkma, 1), (178284.89926903191, "-"));
+      ((Newkma, 2), (323498.96480331261, "-"));
       ( (Nbbuddy, 1),
         ( 153713.72356123955,
           "cas=100 fail=0 mark=688 conflict=0 help=0 refill=0 flush=0 steal=0"
@@ -304,7 +304,7 @@ let test_e13_sweep_pins () =
 (* E8 pin: one pressure cell's throughput at the default geometry.
    [pairs_per_sec] is a pure function of the cell's integer cycle
    count, so exact float equality IS a cycle pin. *)
-let e8_pin = 327841.98016556021
+let e8_pin = 331144.10287543462
 
 let e8_cell () =
   let r = Experiments.Pressure.run ~ncpus:2 ~rounds:4 ~batch:30 ~rates:[ 0.0 ] () in
@@ -329,8 +329,8 @@ let test_e8_default_geometry_pin () =
    reap pages, retries, shrinks, grows. *)
 let e8_denial_pins =
   [
-    ("cookie", (505367.42317362322, [ 0; 26; 34; 2; 0; 2; 16; 78 ]));
-    ("newkma", (373091.40428495477, [ 0; 21; 60; 2; 0; 2; 16; 78 ]));
+    ("cookie", (562609.0054948146, [ 0; 28; 26; 2; 0; 2; 16; 78 ]));
+    ("newkma", (390226.13604583853, [ 0; 21; 58; 2; 0; 2; 16; 78 ]));
   ]
 
 let test_e8_denial_pins () =

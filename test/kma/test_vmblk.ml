@@ -114,6 +114,19 @@ let test_large_alloc_free () =
   Alcotest.(check int) "stats" 1 (Kmem.stats k).Kstats.large_allocs;
   Alcotest.(check int) "stats free" 1 (Kmem.stats k).Kstats.large_frees
 
+let test_free_large_checks_the_size () =
+  let m, k = fixture () in
+  let ctx = Util.ctx_of k in
+  match
+    Util.on_cpu m (fun () ->
+        let a = Vmblk.alloc_large ctx ~bytes:10000 in
+        (* 3 pages allocated, 5 freed *)
+        Vmblk.free_large ctx ~addr:a ~bytes:20000)
+  with
+  | () -> Alcotest.fail "a wrong-size free_large passed its check"
+  | exception Assert_failure (file, _, _) ->
+      Alcotest.(check string) "free_large's check" "lib/kma/vmblk.ml" file
+
 let test_pd_of_block_lookup () =
   let m, k = fixture () in
   let ctx = Util.ctx_of k in
@@ -239,6 +252,8 @@ let suite =
       test_physical_exhaustion_unwinds;
     Alcotest.test_case "large alloc/free via byte interface" `Quick
       test_large_alloc_free;
+    Alcotest.test_case "free_large checks the span size" `Quick
+      test_free_large_checks_the_size;
     Alcotest.test_case "pd_of_block dope lookup" `Quick
       test_pd_of_block_lookup;
     Alcotest.test_case "grant-failure undo resets interior descriptors"

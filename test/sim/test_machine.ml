@@ -184,6 +184,31 @@ let test_ops_outside_simulation () =
   Alcotest.check_raises "read outside" Machine.Not_in_simulation (fun () ->
       ignore (Machine.read 0))
 
+(* The checks' host-side read: the word, at no cost and with no
+   cache traffic, and only inside a program. *)
+let test_peek_is_free () =
+  let m = machine ~ncpus:1 ~cache_lines:64 () in
+  let seen = ref 0 and same = ref false in
+  Machine.run m
+    [|
+      (fun _ ->
+        Machine.write 100 42;
+        let state () =
+          let s = Cache.stats (Machine.cache m) ~cpu:0 in
+          ( Machine.cpu_time m ~cpu:0,
+            Machine.retired m ~cpu:0,
+            { s with loads = s.loads } )
+        in
+        let before = state () in
+        seen := Machine.peek 100 + Machine.peek 4096;
+        same := state () = before);
+    |];
+  Alcotest.(check int) "reads the words" 42 !seen;
+  Alcotest.(check bool) "clock, retired count and cache stats unchanged"
+    true !same;
+  Alcotest.check_raises "peek outside" Machine.Not_in_simulation (fun () ->
+      ignore (Machine.peek 100))
+
 let test_too_many_programs () =
   let m = machine ~ncpus:2 () in
   match Machine.run m (Array.make 3 (fun _ -> ())) with
@@ -394,6 +419,8 @@ let suite =
     Alcotest.test_case "irq flag tracked" `Quick test_irq_flag;
     Alcotest.test_case "ops outside simulation rejected" `Quick
       test_ops_outside_simulation;
+    Alcotest.test_case "peek reads host-side at no cost" `Quick
+      test_peek_is_free;
     Alcotest.test_case "too many programs rejected" `Quick
       test_too_many_programs;
     Alcotest.test_case "watchdog catches livelock" `Quick

@@ -1,8 +1,9 @@
 (* Direct unit tests for Sim.Spinlock: the first attempt on a free lock
    takes it, a held lock makes the next acquirer spin until the
    release, with_lock's release-then-re-raise on an exception escaping
-   the critical section, and an uncontended acquire/release pair that
-   allocates nothing. *)
+   the critical section, an uncontended acquire/release pair that
+   allocates nothing and retires the paper's two instructions, and the
+   holder check at release. *)
 
 open Sim
 
@@ -122,6 +123,34 @@ let test_uncontended_pair_allocates_nothing () =
     Alcotest.failf "%.0f minor words over 100k warm acquire/release pairs"
       !words
 
+(* The paper's lock: a CAS to take it and a plain store to release
+   it.  The holder check reads host-side, so it retires nothing. *)
+let test_uncontended_pair_retires_two () =
+  let m = machine ~ncpus:1 () in
+  let l = Spinlock.init (Machine.memory m) 64 in
+  let body () = () in
+  let n = ref 0 in
+  Machine.run m
+    [|
+      (fun _ ->
+        Spinlock.with_lock l body;
+        let r0 = Machine.retired m ~cpu:0 in
+        Spinlock.with_lock l body;
+        n := Machine.retired m ~cpu:0 - r0);
+    |];
+  Alcotest.(check int) "the CAS and the releasing store" 2 !n
+
+let test_release_checks_the_holder () =
+  let m = machine ~ncpus:1 () in
+  let l = Spinlock.init (Machine.memory m) 64 in
+  match
+    Machine.run m
+      [| (fun _ -> Spinlock.with_lock l (fun () -> Machine.write 64 0)) |]
+  with
+  | () -> Alcotest.fail "a cleared lock word released without complaint"
+  | exception Assert_failure (file, _, _) ->
+      Alcotest.(check string) "the release check" "lib/sim/spinlock.ml" file
+
 let suite =
   [
     Alcotest.test_case "with_lock takes a free lock at once" `Quick
@@ -134,4 +163,8 @@ let suite =
       test_with_lock_returns_value;
     Alcotest.test_case "an uncontended pair allocates nothing" `Quick
       test_uncontended_pair_allocates_nothing;
+    Alcotest.test_case "an uncontended pair retires two instructions" `Quick
+      test_uncontended_pair_retires_two;
+    Alcotest.test_case "release checks the holder" `Quick
+      test_release_checks_the_holder;
   ]

@@ -152,6 +152,24 @@ let prop_alloc_free_any_size =
               end)
             sizes))
 
+let test_put_checks_the_limit () =
+  let m, buf = fixture () in
+  match
+    on_cpu m (fun () ->
+        let mb = Buf.allocb buf ~bytes:64 in
+        let dblk = Sim.Machine.read (mb + Msg.b_datap) in
+        let room =
+          Sim.Machine.read (dblk + Msg.db_lim)
+          - Sim.Machine.read (mb + Msg.b_wptr)
+        in
+        for _ = 0 to room do
+          Buf.put_byte_word buf mb 0
+        done)
+  with
+  | () -> Alcotest.fail "a write past db_lim passed its check"
+  | exception Assert_failure (file, _, _) ->
+      Alcotest.(check string) "put_byte_word's check" "lib/streams/buf.ml" file
+
 let suite =
   [
     Alcotest.test_case "allocb builds the three structures" `Quick
@@ -159,6 +177,8 @@ let suite =
     Alcotest.test_case "freeb accepts every shape" `Quick
       test_alloc_free_balances;
     Alcotest.test_case "data roundtrip" `Quick test_data_roundtrip;
+    Alcotest.test_case "put_byte_word checks the limit" `Quick
+      test_put_checks_the_limit;
     Alcotest.test_case "msgdsize over chains" `Quick test_msgdsize;
     Alcotest.test_case "dupb reference counting" `Quick
       test_dupb_refcounting;

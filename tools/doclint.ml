@@ -17,11 +17,14 @@
       suite (libraries, drivers, tools, examples and perfbench count),
       unless its name ends in [_oracle]: a host-side read or switch
       that tests check against.  So dead surface cannot accumulate,
-      and a test alone keeps nothing alive, except in the one library
-      [tests_keep_alive] names.
+      and a test alone keeps nothing alive;
+   6. in the library sources, an [assert] performs no [Machine]
+      operation, and [Machine.peek], the host-side read, serves only
+      [assert]s: checks cost no simulated cycles.
 
    Its arguments are every source file of the repo; checks 1-4 read
-   the library interfaces among them.  Exits non-zero naming every
+   the library interfaces among them, check 6 the library
+   implementations.  Exits non-zero naming every
    violation, so the @docs alias (run as part of dune runtest) fails
    the build. *)
 
@@ -250,6 +253,10 @@ let code_of src =
   and string i =
     let j = skip_string i in
     Buffer.add_string b "\"\"";
+    (* Keep the literal's newlines, so check 6's line numbers hold. *)
+    for k = i to j - 1 do
+      if src.[k] = '\n' then Buffer.add_char b '\n'
+    done;
     code j
   and skip_string i =
     if i >= n then n
@@ -363,14 +370,6 @@ let exported_vals src =
       | _ -> None)
     (String.split_on_char '\n' src)
 
-(* The one library whose values a test alone keeps alive: lib/dlm.  Its
-   test-only values are the lock manager's blocking API ([lock],
-   [cancel], [convert], [status]) and its mode table.  The OLTP workload
-   calls only [try_lock], so no program ever queues a waiter; yet
-   deleting the wait queue would still move E6's figures, because every
-   [unlock] reads the queue's always-empty head. *)
-let tests_keep_alive = "dlm"
-
 let in_tests f =
   List.mem "test" (String.split_on_char '/' (Filename.dirname f))
 
@@ -392,13 +391,10 @@ let check_unused files srcs =
         let m = module_of f in
         let names = reexports m in
         let others = List.filter (fun (g, _) -> stem g <> stem f) uses in
-        let tests_count =
-          Filename.basename (Filename.dirname f) = tests_keep_alive
-        in
         List.iter
           (fun v ->
             let others =
-              if tests_count || String.ends_with ~suffix:"_oracle" v then others
+              if String.ends_with ~suffix:"_oracle" v then others
               else List.filter (fun (g, _) -> not (in_tests g)) others
             in
             let used (_, u) =
@@ -409,15 +405,101 @@ let check_unused files srcs =
             if not (List.exists used others) then
               fail f
                 (Printf.sprintf
-                   "val %s has no user outside %s%s: delete it, drop it \
-                    from the interface if %s still uses it, or end its name \
-                    in _oracle if tests check against it"
-                   v m
-                   (if tests_count then "" else " and the tests")
-                   m))
+                   "val %s has no user outside %s and the tests: delete it, \
+                    drop it from the interface if %s still uses it, or end \
+                    its name in _oracle if tests check against it"
+                   v m m))
           (exported_vals (List.assoc f srcs))
       end)
     files
+
+(* --- Check 6: checks cost no simulated cycles ---
+
+   An [assert] that performs a [Machine] operation charges cycles,
+   retires an instruction and can miss, so compiling assertions out
+   ([-noassert]) would change the simulated results.  In a library
+   source, an [assert]'s argument may therefore name no [Machine] value
+   but [peek], the host-side read; and [peek] may appear nowhere else,
+   since simulated code that read through it would read for free.
+   Lexical, like check 5: comments are blanked, and a check that calls
+   a helper which performs an operation is left to the verify recipe's
+   [-noassert] diff. *)
+
+let blank_comments code =
+  let b = Bytes.of_string code in
+  let n = Bytes.length b in
+  let rec go i depth =
+    if i + 1 < n && code.[i] = '(' && code.[i + 1] = '*' then begin
+      Bytes.fill b i 2 ' ';
+      go (i + 2) (depth + 1)
+    end
+    else if depth > 0 && i + 1 < n && code.[i] = '*' && code.[i + 1] = ')'
+    then begin
+      Bytes.fill b i 2 ' ';
+      go (i + 2) (depth - 1)
+    end
+    else if i < n then begin
+      if depth > 0 && code.[i] <> '\n' then Bytes.set b i ' ';
+      go (i + 1) depth
+    end
+  in
+  go 0 0;
+  Bytes.to_string b
+
+let word_at code i w =
+  let n = String.length code and l = String.length w in
+  i + l <= n
+  && String.sub code i l = w
+  && (i = 0 || not (is_ident_char code.[i - 1]))
+  && (i + l = n || not (is_ident_char code.[i + l]))
+
+(* The [(start, stop)] span of every [assert (...)]'s argument. *)
+let assert_spans code =
+  let n = String.length code in
+  let rec close i depth =
+    if i >= n then n
+    else if code.[i] = '(' then close (i + 1) (depth + 1)
+    else if code.[i] = ')' then
+      if depth = 1 then i else close (i + 1) (depth - 1)
+    else close (i + 1) depth
+  in
+  let rec go i acc =
+    if i >= n then acc
+    else if word_at code i "assert" then
+      let j = skip_ws code (i + 6) in
+      if j < n && code.[j] = '(' then go (j + 1) ((j, close j 0) :: acc)
+      else go (i + 6) acc
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let check_asserts file src =
+  let code = blank_comments (code_of src) in
+  let spans = assert_spans code in
+  let fail_at p msg =
+    let line = ref 1 in
+    String.iteri (fun k c -> if k < p && c = '\n' then incr line) code;
+    fail (Printf.sprintf "%s:%d" file !line) msg
+  in
+  let n = String.length code in
+  for i = 0 to n - 1 do
+    if word_at code i "Machine" && i + 8 < n && code.[i + 7] = '.' then begin
+      let e = ref (i + 8) in
+      while !e < n && is_ident_char code.[!e] do incr e done;
+      let v = String.sub code (i + 8) (!e - i - 8) in
+      let checked = List.exists (fun (a, b) -> a < i && i < b) spans in
+      if checked && v <> "peek" then
+        fail_at i
+          (Printf.sprintf
+             "assert performs Machine.%s, a simulated operation: read the \
+              word host-side with Machine.peek"
+             v)
+      else if (not checked) && v = "peek" then
+        fail_at i
+          "Machine.peek outside an assert: simulated code must read through \
+           a charged operation"
+    end
+  done
 
 let () =
   let files = List.tl (Array.to_list Sys.argv) in
@@ -434,4 +516,11 @@ let () =
       end)
     srcs;
   check_unused files srcs;
+  List.iter
+    (fun (f, src) ->
+      if
+        Filename.check_suffix f ".ml"
+        && List.mem "lib" (String.split_on_char '/' f)
+      then check_asserts f src)
+    srcs;
   if !errors > 0 then exit 1

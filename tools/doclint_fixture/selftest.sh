@@ -1,10 +1,12 @@
 #!/bin/sh
-# Self-test of doclint's dead-surface rule: copy the fixture to
-# lib/demo/demo.mli, test/test_demo.ml and examples/demo_example.ml in
-# a scratch directory, run doclint on the three files, and expect exit
-# 1 with exactly the lines of expected.txt: only the value a test alone
-# uses is named.  The fixture files are not .ml/.mli files, so the
-# repo-wide doclint run does not read them.
+# Self-test of doclint's dead-surface and assert rules: copy the
+# fixture to lib/demo/demo.mli, lib/demo/demo.ml, test/test_demo.ml and
+# examples/demo_example.ml in a scratch directory, run doclint on the
+# four files, and expect exit 1 with exactly the lines of expected.txt:
+# the value a test alone uses, the assert that performs a simulated
+# load and the host-side read outside an assert are named.  The
+# fixture files are not .ml/.mli files, so the repo-wide doclint run
+# does not read them.
 #
 # Usage: selftest.sh DOCLINT_EXE FIXTURE_DIR
 set -u
@@ -14,12 +16,13 @@ d=$(mktemp -d)
 trap 'rm -rf "$d"' EXIT
 mkdir -p "$d/lib/demo" "$d/test" "$d/examples"
 cp "$fx/demo.mli.fixture" "$d/lib/demo/demo.mli"
+cp "$fx/demo.ml.fixture" "$d/lib/demo/demo.ml"
 cp "$fx/test_demo.ml.fixture" "$d/test/test_demo.ml"
 cp "$fx/demo_example.ml.fixture" "$d/examples/demo_example.ml"
 cd "$d" || exit 2
 status=0
-"$exe" lib/demo/demo.mli test/test_demo.ml examples/demo_example.ml \
-  2> err || status=$?
+"$exe" lib/demo/demo.mli lib/demo/demo.ml test/test_demo.ml \
+  examples/demo_example.ml 2> err || status=$?
 if [ "$status" != 1 ]; then
   echo "doclint self-test: exit $status, expected 1" >&2
   cat err >&2
