@@ -132,7 +132,7 @@ let get_blocks (ctx : Ctx.t) ~si ~want =
               end
           | pd ->
               let nfree = Machine.read (pd + Vmblk.pd_nfree) in
-              let take = min nfree (want - got) in
+              let take = Int.min nfree (want - got) in
               let rec pop acc k =
                 if k = 0 then acc
                 else begin

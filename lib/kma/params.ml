@@ -17,8 +17,8 @@ let bytes_per_word = 4
 let debug_poison = 0x2EADBEEF
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let default_target ~bytes = max 2 (min 10 (4096 / bytes))
-let default_gbltarget ~target = max 2 (3 * target / 2)
+let default_target ~bytes = Int.max 2 (Int.min 10 (4096 / bytes))
+let default_gbltarget ~target = Int.max 2 (3 * target / 2)
 
 let default_sizes = [| 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 |]
 
@@ -75,7 +75,7 @@ let auto ~memory_words =
      exercised; keep the paper's 4 MB (1024-page) vmblks when memory is
      plentiful. *)
   let rec fit p = if p * 4 <= avail_pages || p <= 8 then p else fit (p / 2) in
-  { default with vmblk_pages = min 1024 (fit 1024) }
+  { default with vmblk_pages = Int.min 1024 (fit 1024) }
 
 let make ?sizes_bytes ?page_bytes ?vmblk_pages ?targets ?gbltargets
     ?phys_pages ?(page_policy = Fullest_first) ?(debug = false) () =

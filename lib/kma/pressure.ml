@@ -60,8 +60,10 @@ let note_denial (ctx : Ctx.t) =
     pr.Ctx.denial_streak <- pr.Ctx.denial_streak + 1;
     let changed = ref false in
     for si = 0 to Params.nsizes p - 1 do
-      let nt = max min_target (pr.Ctx.desired_targets.(si) lsr shrink_shift) in
-      let ng = max 1 (pr.Ctx.desired_gbltargets.(si) lsr shrink_shift) in
+      let nt =
+        Int.max min_target (pr.Ctx.desired_targets.(si) lsr shrink_shift)
+      in
+      let ng = Int.max 1 (pr.Ctx.desired_gbltargets.(si) lsr shrink_shift) in
       if nt <> pr.Ctx.desired_targets.(si) || ng <> pr.Ctx.desired_gbltargets.(si)
       then begin
         changed := true;
@@ -118,10 +120,11 @@ let note_success (ctx : Ctx.t) =
         pr.Ctx.denial_streak <- 0;
         for si = 0 to Params.nsizes p - 1 do
           let nt =
-            min p.Params.targets.(si) (pr.Ctx.desired_targets.(si) + grow_step)
+            Int.min p.Params.targets.(si)
+              (pr.Ctx.desired_targets.(si) + grow_step)
           in
           let ng =
-            min p.Params.gbltargets.(si)
+            Int.min p.Params.gbltargets.(si)
               (pr.Ctx.desired_gbltargets.(si) + grow_step)
           in
           if

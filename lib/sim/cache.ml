@@ -26,10 +26,16 @@ type stats = {
    at the tail and garbage-collected as the head drains; entries for
    lines since stolen by another CPU are skipped lazily at eviction
    time, which is why the queue can transiently hold more than [ways]
-   entries. *)
+   entries.
+
+   A queue starts on [no_chunk], a full chunk it never writes, so a
+   set takes no host memory until its first insert: a machine with
+   many sets per CPU (256 when direct-mapped) pays only for the sets
+   its run touches.  Chunks are small for the same reason. *)
 type chunk = { data : int array; mutable next : chunk option }
 
-let chunk_words = 4096
+let chunk_words = 256
+let no_chunk = { data = [||]; next = None }
 
 type fifo = {
   mutable head : chunk;
@@ -40,13 +46,25 @@ type fifo = {
 }
 
 let fifo_create () =
-  let c = { data = Array.make chunk_words 0; next = None } in
-  { head = c; head_idx = 0; tail = c; tail_idx = 0; len = 0 }
+  {
+    head = no_chunk;
+    head_idx = chunk_words;
+    tail = no_chunk;
+    tail_idx = chunk_words;
+    len = 0;
+  }
 
+(* On a full tail, an empty queue (the head has caught up with the
+   tail) restarts on the new chunk instead of linking it: that is how
+   a queue leaves [no_chunk], which must never be written. *)
 let fifo_push f x =
   if f.tail_idx = chunk_words then begin
     let c = { data = Array.make chunk_words 0; next = None } in
-    f.tail.next <- Some c;
+    if f.len = 0 then begin
+      f.head <- c;
+      f.head_idx <- 0
+    end
+    else f.tail.next <- Some c;
     f.tail <- c;
     f.tail_idx <- 0
   end;

@@ -134,7 +134,7 @@ let cpu_time t ~cpu = t.cpus.(cpu).time
 let retired t ~cpu = t.cpus.(cpu).nretired
 
 let elapsed t =
-  Array.fold_left (fun acc c -> max acc c.time) 0 t.cpus
+  Array.fold_left (fun acc c -> Int.max acc c.time) 0 t.cpus
 
 let reset_clocks t =
   Array.fill t.bus_free 0 (Array.length t.bus_free) 0;
@@ -242,8 +242,8 @@ let mem_access t (c : cpu) a kind =
          machine.) *)
       let node = Array.unsafe_get t.node_of c.id in
       let free = Array.unsafe_get t.bus_free node in
-      let wait = max 0 (free - c.time) in
-      let occupancy = max 1 (stall lsr bus_occupancy_shift) in
+      let wait = Int.max 0 (free - c.time) in
+      let occupancy = Int.max 1 (stall lsr bus_occupancy_shift) in
       Array.unsafe_set t.bus_free node (c.time + wait + occupancy);
       wait + stall
     end

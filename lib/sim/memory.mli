@@ -13,7 +13,15 @@
     This module performs no cost accounting; it is the raw backing store.
     Simulated CPUs must access memory through {!Machine} so that the cache
     model can charge cycles.  Direct access from the host is reserved for
-    boot-time initialisation and for test oracles. *)
+    boot-time initialisation and for test oracles.
+
+    The store is demand-paged, as the paper's vmblk layer maps a page
+    only when it is used: every word reads 0 until written, and a page
+    of 4096 words takes host memory only from its first nonzero store
+    (or nonzero {!fill}).  So a machine's host memory grows with the
+    pages its run writes, not with its configured size.  Paging is
+    invisible to the simulation: it changes no value read and no
+    simulated cost. *)
 
 type t
 
@@ -21,9 +29,9 @@ type addr = int
 (** A word address in [0, size)]. *)
 
 val create : words:int -> t
-(** [create ~words] is a zero-filled memory of [words] words.
+(** [create ~words] is a memory of [words] words, each reading 0.  It
+    takes host memory for its page table only; no page is written.
     @raise Invalid_argument if [words <= 0]. *)
-
 
 val get : t -> addr -> int
 (** [get t a] reads word [a].
@@ -34,8 +42,14 @@ val set : t -> addr -> int -> unit
     @raise Invalid_argument if [a] is out of bounds. *)
 
 val fill : t -> addr -> len:int -> int -> unit
-(** [fill t a ~len v] writes [v] to words [a .. a+len-1]. *)
+(** [fill t a ~len v] writes [v] to words [a .. a+len-1].  Filling
+    untouched pages with 0 writes nothing.
+    @raise Invalid_argument if [a] or [a+len-1] is out of bounds. *)
 
 val blit_to_host_oracle : t -> addr -> len:int -> int array
 (** [blit_to_host_oracle t a ~len] copies a region out for inspection
     (test oracle). *)
+
+val materialized_pages_oracle : t -> int
+(** [materialized_pages_oracle t] is how many pages of [t] own host
+    memory: those a nonzero value was ever stored to (test oracle). *)

@@ -89,7 +89,42 @@ let test_bounded_eviction () =
   let cost = Cache.access cache ~cpu:0 0 Cache.Load in
   Alcotest.(check int) "re-fetch misses" c.Config.geometry.miss_cost cost;
   let st = Cache.stats cache ~cpu:0 in
-  Alcotest.(check int) "evictions counted" 2 st.Cache.evictions
+  Alcotest.(check int) "evictions counted" 2 st.Cache.evictions;
+  (* One set's queue through 700 inserts, past two chunk boundaries:
+     CPU 0 loads 700 distinct lines, and CPU 1 steals every third one
+     at once, leaving a stale entry behind in CPU 0's queue.  Eviction
+     is FIFO over the live entries, so CPU 0 ends holding the [lines]
+     latest lines nobody stole, and evicted every other unstolen one. *)
+  let n = 700 and stolen k = k mod 3 = 1 in
+  let unstolen = List.filter (fun k -> not (stolen k)) (List.init n Fun.id) in
+  List.iter
+    (fun lines ->
+      let cache =
+        Cache.create
+          (Config.make ~ncpus:2
+             ~geometry:{ Geometry.default with cache_lines = lines }
+             ~memory_words:8192 ())
+      in
+      for k = 0 to n - 1 do
+        ignore (Cache.access cache ~cpu:0 (k * 8) Cache.Load);
+        if stolen k then
+          ignore (Cache.access cache ~cpu:1 (k * 8) Cache.Store)
+      done;
+      let kept =
+        List.filteri (fun i _ -> i >= List.length unstolen - lines) unstolen
+      in
+      for k = 0 to n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%d lines: line %d held by CPU 0" lines k)
+          (List.mem k kept)
+          (List.mem 0 (Cache.holders_oracle cache (k * 8)))
+      done;
+      Alcotest.(check int) "resident capped" lines
+        (Cache.resident_oracle cache ~cpu:0);
+      Alcotest.(check int) "every other unstolen line evicted"
+        (List.length unstolen - lines)
+        (Cache.stats cache ~cpu:0).Cache.evictions)
+    [ 4; 1 ]
 
 let test_trace_hook () =
   let c = cfg () in

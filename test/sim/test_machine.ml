@@ -384,6 +384,43 @@ let prop_locked_counter_exact =
       Memory.get (Machine.memory m) 16
       = ncpus * List.fold_left ( + ) 0 amounts)
 
+(* Host words [f] allocates, minor and major, by [Gc.counters].  The
+   window starts on an empty minor heap: without the [Gc.minor], a
+   window that a minor collection interrupts read ~145 k words high
+   under the test runner, whatever [f] was. *)
+let words_allocated f =
+  Gc.minor ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let mi1, pr1, ma1 = Gc.counters () in
+  mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0)
+
+(* What a machine costs the host at boot: its page table and the flat
+   line directory, but no memory page and no cache queue chunk, since
+   nothing has run.  Each bound leaves ~15 % over the directory's
+   [nlines * 2] words. *)
+let boot_words ~ncpus ~memory_words geometry =
+  words_allocated (fun () ->
+      Machine.create
+        (Config.make ~geometry ~ncpus ~memory_words ~uncached_words:512 ()))
+
+let pin_boot name ~bound words =
+  if words > bound then
+    Alcotest.failf "%s: Machine.create allocated %.0f words, bound %.0f" name
+      words bound
+
+(* perfbench's machine: 25 CPUs, 4 Mi words, one fully associative set. *)
+let test_boot_local_shape () =
+  pin_boot "perfbench's local shape" ~bound:1.2e6
+    (boot_words ~ncpus:25 ~memory_words:(4 * 1024 * 1024) Geometry.default)
+
+(* E12's direct-mapped cell: 8 CPUs, 2 Mi words, 256 one-line sets per
+   CPU. *)
+let test_boot_direct_mapped () =
+  pin_boot "E12's direct-mapped cell" ~bound:0.6e6
+    (boot_words ~ncpus:8 ~memory_words:(2 * 1024 * 1024)
+       { Geometry.default with line_words = 8; ways = 1 })
+
 (* Property: elapsed time is monotone in the amount of work done. *)
 let prop_time_monotone =
   QCheck.Test.make ~name:"virtual time monotone in work" ~count:50
@@ -434,6 +471,10 @@ let suite =
     Alcotest.test_case "vmsys accounting" `Quick test_vmsys_accounting;
     Alcotest.test_case "vmsys fault injection" `Quick
       test_vmsys_fault_injection;
+    Alcotest.test_case "perfbench's machine boots in 1.2 M words" `Quick
+      test_boot_local_shape;
+    Alcotest.test_case "a direct-mapped machine boots in 0.6 M words" `Quick
+      test_boot_direct_mapped;
     QCheck_alcotest.to_alcotest prop_locked_counter_exact;
     QCheck_alcotest.to_alcotest prop_time_monotone;
   ]

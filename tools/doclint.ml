@@ -20,10 +20,15 @@
       and a test alone keeps nothing alive;
    6. in the library sources, an [assert] performs no [Machine]
       operation, and [Machine.peek], the host-side read, serves only
-      [assert]s: checks cost no simulated cycles.
+      [assert]s: checks cost no simulated cycles;
+   7. the simulator's and the allocator's sources (lib/sim, lib/kma)
+      call no bare [max], [min] or [compare]: without flambda those
+      are out-of-line calls into polymorphic comparison on the
+      per-access path, where [Int.max] and its kin compile to a
+      compare and a branch.
 
    Its arguments are every source file of the repo; checks 1-4 read
-   the library interfaces among them, check 6 the library
+   the library interfaces among them, checks 6 and 7 the library
    implementations.  Exits non-zero naming every
    violation, so the @docs alias (run as part of dune runtest) fails
    the build. *)
@@ -473,14 +478,16 @@ let assert_spans code =
   in
   go 0 []
 
-let check_asserts file src =
-  let code = blank_comments (code_of src) in
+(* Report [msg] at the line of offset [p] in [code], which keeps the
+   source's newlines. *)
+let fail_at file code p msg =
+  let line = ref 1 in
+  String.iteri (fun k c -> if k < p && c = '\n' then incr line) code;
+  fail (Printf.sprintf "%s:%d" file !line) msg
+
+let check_asserts file code =
   let spans = assert_spans code in
-  let fail_at p msg =
-    let line = ref 1 in
-    String.iteri (fun k c -> if k < p && c = '\n' then incr line) code;
-    fail (Printf.sprintf "%s:%d" file !line) msg
-  in
+  let fail_at = fail_at file code in
   let n = String.length code in
   for i = 0 to n - 1 do
     if word_at code i "Machine" && i + 8 < n && code.[i + 7] = '.' then begin
@@ -499,6 +506,28 @@ let check_asserts file src =
           "Machine.peek outside an assert: simulated code must read through \
            a charged operation"
     end
+  done
+
+(* --- Check 7: no polymorphic comparison on the per-access code ---
+
+   Lexical: a [max], [min] or [compare] that no [.] qualifies (and that
+   is not a [~] or [?] label) is the polymorphic one. *)
+
+let per_access_libs = [ "sim"; "kma" ]
+
+let check_poly_compare file code =
+  let n = String.length code in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun w ->
+        if word_at code i w && not (i > 0 && String.contains ".~?" code.[i - 1])
+        then
+          fail_at file code i
+            (Printf.sprintf
+               "bare %s is polymorphic comparison, an out-of-line call on \
+                the per-access path: use Int.%s"
+               w w))
+      [ "max"; "min"; "compare" ]
   done
 
 let () =
@@ -521,6 +550,13 @@ let () =
       if
         Filename.check_suffix f ".ml"
         && List.mem "lib" (String.split_on_char '/' f)
-      then check_asserts f src)
+      then begin
+        let code = blank_comments (code_of src) in
+        check_asserts f code;
+        if
+          List.mem (Filename.basename (Filename.dirname f)) per_access_libs
+          && Filename.basename (Filename.dirname (Filename.dirname f)) = "lib"
+        then check_poly_compare f code
+      end)
     srcs;
   if !errors > 0 then exit 1
