@@ -75,7 +75,7 @@ let write_host_json path ~geometry ~jobs records =
 
 let main geometry jobs checks host_json no_host_json names () =
   let all = List.map fst Rows.rows in
-  let names = if names = [] then List.filter (( <> ) "smoke") all else names in
+  let names = if names = [] then all else names in
   (match List.filter (fun n -> not (List.mem n all)) names with
   | [] -> ()
   | unknown ->
@@ -142,7 +142,7 @@ let () =
       $ Arg.(
           value & pos_all string []
           & info [] ~docv:"SECTION"
-              ~doc:"Sections to run (default: all but smoke)."))
+              ~doc:"Sections to run (default: all)."))
   in
   match
     Cmd.eval_value

@@ -1,7 +1,6 @@
 (* bench/main's sections.  Each is a list of kma_bench command lines,
    run in order, at the scale that regenerates every table in a few
-   minutes; "smoke" is the tiny run of dune's @runtest-smoke and is not
-   part of the default run. *)
+   minutes. *)
 
 let rows =
   [
@@ -44,9 +43,6 @@ let rows =
         "fuzz --ops 1500 --seed 22 --pressure --fault-rate 0.3";
         "fuzz --ops 1500 --seed 23 --debug --mode sweep";
       ] );
-    ( "smoke",
-      [ "missrates --cpus 2 --transactions 150 --flight-recorder --lockcheck" ]
-    );
   ]
 
 (* bench's global flags, as forwarded to every command line. *)
@@ -58,8 +54,7 @@ type opts = {
 
 (* A command line with bench's flags appended: --geometry to every
    command that takes it, --jobs to every command that fans out, and
-   each armed checker to every command that accepts it (unless the line
-   names its own checkers, as smoke does). *)
+   each armed checker to every command that accepts it. *)
 let argv o line =
   let args = String.split_on_char ' ' line in
   let flag c = "--" ^ Harness.check_name c in
@@ -70,21 +65,18 @@ let argv o line =
   with
   | None -> args
   | Some e ->
-      let pinned = List.exists (fun c -> List.mem (flag c) args) e.checks in
       let armed = List.filter (fun c -> List.mem c o.checks) e.checks in
       args
       @ (match o.geometry with
         | Some g when e.shaped -> [ "--geometry"; Sim.Geometry.to_string g ]
         | _ -> [])
       @ (if e.fans_out then [ "--jobs"; string_of_int o.jobs ] else [])
-      @ if pinned then [] else List.map flag armed
+      @ List.map flag armed
 
 (* The section's command lines, each with bench's flags. *)
 let argvs o section = List.map (argv o) (List.assoc section rows)
 
-let kma_bench =
-  Cmdliner.Cmd.group (Cmdliner.Cmd.info "kma_bench")
-    (List.map (Harness.cmd Fun.id) Harness.commands)
+let kma_bench = Harness.kma_bench Fun.id
 
 (* A command line's closure, or [None] (the error already on stderr) if
    it does not parse. *)

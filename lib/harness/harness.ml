@@ -1334,4 +1334,27 @@ let commands =
     ablation_target; ablation_pagepolicy; bechamel; pool_domains; scenarios;
   ]
 
-let cmd f t = Cmd.v t.info (Term.map f t.term)
+let kma_bench f =
+  let info =
+    Cmd.info "kma_bench" ~version:"1.0"
+      ~doc:
+        "Reproduces the tables and figures of McKenney & Slingwine, USENIX \
+         Winter 1993."
+  in
+  let default = Term.(ret (const (`Help (`Pager, None)))) in
+  Cmd.group ~default info
+    (List.map (fun t -> Cmd.v t.info (Term.map f t.term)) commands)
+
+(* Exit codes: 0 ok, 3 failed check, 124 bad flag value (cmdliner's,
+   and a run's Usage_error), 125 escaped exception (cmdliner's). *)
+let exit_code run =
+  match run () with
+  | _ -> 0
+  | exception Usage_error msg ->
+      prerr_endline ("kma_bench: " ^ msg);
+      Cmd.Exit.cli_error
+  | exception Check_failed msg ->
+      prerr_endline ("kma_bench: " ^ msg);
+      3
+
+let main () = exit (Cmd.eval' (kma_bench exit_code))

@@ -58,9 +58,16 @@ val commands : t list
 (** kma_bench's subcommands, one per experiment: every bench section
     runs some of them. *)
 
-val cmd : ((unit -> ledger) -> 'a) -> t -> 'a Cmdliner.Cmd.t
-(** [cmd f e] is [e] as a command whose closure is mapped through [f]
-    inside cmdliner's evaluation. *)
+val kma_bench : ((unit -> ledger) -> 'a) -> 'a Cmdliner.Cmd.t
+(** [kma_bench f] is kma_bench's command group: {!commands} as its
+    subcommands, each closure mapped through [f] inside cmdliner's
+    evaluation.  bench/main parses its lines against [kma_bench Fun.id]. *)
+
+val main : unit -> unit
+(** kma_bench's main: evaluates the process's command line against
+    {!kma_bench}, runs the closure and exits 0, 3 on {!Check_failed},
+    124 on {!Usage_error} or a bad flag value, 125 on an escaped
+    exception.  [bin/kma_bench] is this one call. *)
 
 (** {1 Shared by the two executables} *)
 

@@ -52,9 +52,16 @@ let[@inline] set t a v =
   if p != zero_page then Array.unsafe_set p (a land page_mask) v
   else if v <> 0 then Array.unsafe_set (materialize t i) (a land page_mask) v
 
+(* A range [a, a+len) is checked at both ends; an empty one only at
+   [a]. *)
+let check_range t a len who =
+  if len < 0 then
+    invalid_arg (Printf.sprintf "Sim.Memory.%s: negative length %d" who len);
+  check t a who;
+  if len > 0 then check t (a + len - 1) who
+
 let fill t a ~len v =
-  check t a "fill";
-  check t (a + len - 1) "fill";
+  check_range t a len "fill";
   let stop = a + len in
   let a = ref a in
   while !a < stop do
@@ -68,8 +75,7 @@ let fill t a ~len v =
   done
 
 let blit_to_host_oracle t a ~len =
-  check t a "blit_to_host_oracle";
-  check t (a + len - 1) "blit_to_host_oracle";
+  check_range t a len "blit_to_host_oracle";
   Array.init len (fun k -> get t (a + k))
 
 let materialized_pages_oracle t =

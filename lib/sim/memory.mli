@@ -42,13 +42,15 @@ val set : t -> addr -> int -> unit
     @raise Invalid_argument if [a] is out of bounds. *)
 
 val fill : t -> addr -> len:int -> int -> unit
-(** [fill t a ~len v] writes [v] to words [a .. a+len-1].  Filling
-    untouched pages with 0 writes nothing.
-    @raise Invalid_argument if [a] or [a+len-1] is out of bounds. *)
+(** [fill t a ~len v] writes [v] to words [a .. a+len-1]; [len = 0]
+    writes nothing.  Filling untouched pages with 0 writes nothing.
+    @raise Invalid_argument if [len < 0], if [a] is out of bounds, or
+    if [len > 0] and [a+len-1] is out of bounds. *)
 
 val blit_to_host_oracle : t -> addr -> len:int -> int array
 (** [blit_to_host_oracle t a ~len] copies a region out for inspection
-    (test oracle). *)
+    (test oracle); [len = 0] gives [[||]].
+    @raise Invalid_argument as {!fill} does. *)
 
 val materialized_pages_oracle : t -> int
 (** [materialized_pages_oracle t] is how many pages of [t] own host

@@ -49,15 +49,15 @@ let test_forwarding () =
   let check flag expected =
     Alcotest.(check (list string)) flag expected (reached armed flag)
   in
-  check "--lockcheck" [ "analysis"; "missrates"; "pressure"; "smoke" ];
+  check "--lockcheck" [ "analysis"; "missrates"; "pressure" ];
   check "--heapcheck" [ "missrates"; "pressure" ];
-  check "--flight-recorder" [ "missrates"; "pressure"; "smoke" ];
+  check "--flight-recorder" [ "missrates"; "pressure" ];
   (* --geometry reaches every section that simulates a machine. *)
   check "--geometry"
     [
       "analysis"; "opcounts"; "fig7"; "fig9"; "missrates"; "geometry";
       "ablation-target"; "ablation-pagepolicy"; "crosscpu"; "lockfree"; "numa";
-      "scenarios"; "roads-not-taken"; "pressure"; "smoke";
+      "scenarios"; "roads-not-taken"; "pressure";
     ];
   check "--jobs"
     [

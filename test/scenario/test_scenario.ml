@@ -5,5 +5,4 @@ let () =
       ("library", Test_library.suite);
       ("pathology", Test_pathology.suite);
       ("identical", Test_identical.suite);
-      ("golden", Test_golden.suite);
     ]

@@ -32,7 +32,20 @@ let test_fill_and_blit () =
     "fill region"
     [| 0; 7; 7; 7; 7; 7; 7; 7; 7; 0 |]
     region;
-  expect_invalid (fun () -> Sim.Memory.fill m 30 ~len:4 1)
+  expect_invalid (fun () -> Sim.Memory.fill m 30 ~len:4 1);
+  (* An empty range is a no-op at any in-bounds address, the first and
+     the last included; a negative length is refused. *)
+  Sim.Memory.fill m 0 ~len:0 9;
+  Sim.Memory.fill m 31 ~len:0 9;
+  Alcotest.(check (array int))
+    "empty blit" [||]
+    (Sim.Memory.blit_to_host_oracle m 0 ~len:0);
+  Alcotest.(check (array int))
+    "empty fills wrote nothing"
+    (Array.init 32 (fun a -> if a >= 4 && a < 12 then 7 else 0))
+    (Sim.Memory.blit_to_host_oracle m 0 ~len:32);
+  expect_invalid (fun () -> Sim.Memory.fill m 10 ~len:(-3) 1);
+  expect_invalid (fun () -> Sim.Memory.blit_to_host_oracle m 10 ~len:(-3))
 
 (* Paging, on a memory of three 4096-word pages and a short fourth
    page of 5 words. *)
