@@ -74,13 +74,7 @@ let bucket_of t ~resource =
 let with_bucket bucket f =
   let lock_addr = bucket in
   (* Jittered test-and-set; see Sim.Spinlock.with_lock. *)
-  let rec acquire () =
-    if not (Machine.cas lock_addr ~expected:0 ~desired:1) then begin
-      Machine.spin_pause ();
-      acquire ()
-    end
-  in
-  acquire ();
+  ignore (Machine.spin_cas lock_addr ~expected:0 ~desired:1);
   let v = f () in
   Machine.write lock_addr 0;
   v

@@ -34,13 +34,7 @@ let ring_slot ring i = ring + 16 + (i mod ring_slots)
 
 let with_ring ring f =
   (* Jittered test-and-set; see Sim.Spinlock.with_lock. *)
-  let rec acquire () =
-    if not (Sim.Machine.cas (ring_lock ring) ~expected:0 ~desired:1) then begin
-      Sim.Machine.spin_pause ();
-      acquire ()
-    end
-  in
-  acquire ();
+  ignore (Sim.Machine.spin_cas (ring_lock ring) ~expected:0 ~desired:1);
   let v = f () in
   Sim.Machine.write (ring_lock ring) 0;
   v

@@ -17,6 +17,9 @@ type op =
   | Now
   | Irq of bool
   | Sync
+  | Spin_cas of Memory.addr * int * int
+      (* [Spin_cas (a, x, y)]: CAS [a] from [x] to [y] until it wins,
+         each failure followed by a pause; see [spin_cas] *)
 
 (* [Park] is a separate effect rather than an [op], so the scheduler's
    per-operation paths (the [Op] match in the handler, the pop/re-key
@@ -46,6 +49,8 @@ type cpu = {
   mutable sync_key : int;
       (* heap key of a pending [Sync] (see {!sync}); any other pending
          operation is keyed at the CPU's clock *)
+  mutable spin_fails : int;
+      (* failed attempts the scheduler has run for a pending [Spin_cas] *)
 }
 
 type t = {
@@ -68,6 +73,8 @@ type t = {
          in [heap.(0 .. heap_n - 1)].  A machine field rather than a
          local of [run] so that [wake] can put a parked CPU back. *)
   mutable heap_n : int;
+  mutable resumes : int;
+      (* programs resumed by the scheduler, over the machine's life *)
 }
 
 (* Scheduler heap keys pack (time, id) into one int with [id_bits] bits
@@ -120,11 +127,13 @@ let create (cfg : Config.t) =
             state = Done;
             parked = Done;
             sync_key = 0;
+            spin_fails = 0;
           });
     node_of = Array.init cfg.ncpus (fun cpu -> Config.node_of cfg cpu);
     bus_free = Array.make cfg.geometry.nodes 0;
     heap = Array.make cfg.ncpus 0;
     heap_n = 0;
+    resumes = 0;
   }
 
 let config t = t.cfg
@@ -145,6 +154,7 @@ let reset_clocks t =
     t.cpus
 
 let irq_disabled_oracle t ~cpu = t.cpus.(cpu).irq_off
+let resumes_oracle t = t.resumes
 
 (* Per-domain execution context.  [cur] is the CPU whose program (host
    code between two operations) is executing right now, if any —
@@ -320,7 +330,15 @@ let exec_irq (c : cpu) on =
   c.nretired <- c.nretired + 1;
   0
 
-(* Scheduler-side dispatch over a reified operation. *)
+(* The failed attempts of a [spin_cas] that has just won, cleared for
+   the next one. *)
+let take_fails (c : cpu) =
+  let n = c.spin_fails in
+  c.spin_fails <- 0;
+  n
+
+(* Scheduler-side dispatch over a reified operation.  A [Spin_cas] gets
+   here once an attempt has won (see [spin_won]). *)
 let exec t (c : cpu) (o : op) : int =
   match o with
   | Read a -> exec_read t c a
@@ -332,6 +350,7 @@ let exec t (c : cpu) (o : op) : int =
   | Now -> c.time
   | Irq on -> exec_irq c on
   | Sync -> 0
+  | Spin_cas _ -> take_fails c
 
 (* Operation fronts.  Each is specialised rather than routed through
    one generic [dispatch o]: on the fast path (executing CPU would be
@@ -465,7 +484,6 @@ let rmw f a x y =
   | _ -> perform_op (Rmw (f, a, x, y))
 
 let cas_val a ~expected ~desired = rmw Cas a expected desired
-let cas a ~expected ~desired = cas_val a ~expected ~desired = expected
 let fetch_add a n = rmw Add a n 0
 let fetch_or a n = rmw Or a n 0
 let fetch_and a n = rmw And a n 0
@@ -509,6 +527,59 @@ let now () =
   | Some t when may_inline ctx ->
       (Array.unsafe_get t.cpus ctx.cur).time
   | _ -> perform_op Now
+
+(* --- spinning acquisition ----------------------------------------------
+
+   [spin_cas] is the loop [spin_ops] below, "CAS; on failure
+   [spin_pause] and retry", with the program resumed only by the
+   winning attempt.  Between two attempts the loop's host code is pure
+   loop control, so nothing but the attempts and pauses needs running:
+   [spin_won] runs them wherever the CPU is the next pick — in the
+   front while its program runs, and at each of its picks once the
+   front has performed one [Spin_cas].  Every attempt goes through
+   [exec_rmw] and every pause through [exec_spin], in the same order at
+   the same clocks as [spin_ops] with the fast path on (each of its
+   attempts inline or at the CPU's pick, each pause run ahead), so the
+   two are bit-identical; only the program resumes in between go.  A
+   pause's run-ahead mark needs no upkeep: the program resumes, which
+   clears it, before any host code could read it.
+
+   Top-level loops rather than closures, so an uncontended acquire
+   allocates nothing. *)
+
+(* The oracle: the plain loop, which [spin_cas] is with the fast path
+   off (each attempt and pause one scheduled operation) or a watchdog
+   armed (which fires at a pick, so the pauses stay scheduled and an
+   attempt past its deadline reaches one). *)
+let rec spin_ops a x y fails =
+  if cas_val a ~expected:x ~desired:y = x then fails
+  else begin
+    spin_pause ();
+    spin_ops a x y (fails + 1)
+  end
+
+(* From a position where [c] is the next pick: an attempt, then after
+   each failure its pause and, while [c] stays inside the horizon [ctx]
+   holds, the next attempt.  True once one wins, its failures counted
+   in [c.spin_fails]; false once [c] has left the horizon, with its
+   next attempt due at its next pick. *)
+let rec spin_won t ctx (c : cpu) a x y =
+  exec_rmw t c Cas a x y = x
+  || begin
+       c.spin_fails <- c.spin_fails + 1;
+       ignore (exec_spin c);
+       below_limit ctx c && spin_won t ctx c a x y
+     end
+
+let spin_cas a ~expected ~desired =
+  let ctx = fast_ctx () in
+  match ctx.mach with
+  | Some t when may_run_ahead ctx ->
+      let c = Array.unsafe_get t.cpus ctx.cur in
+      if below_limit ctx c && spin_won t ctx c a expected desired then
+        take_fails c
+      else perform_op (Spin_cas (a, expected, desired))
+  | _ -> spin_ops a expected desired 0
 
 (* Put the host code that follows back where the scheduler would have
    run it: right after the latest operation that ran ahead, i.e. at
@@ -753,22 +824,31 @@ let run ?(max_cycles = 0) t progs =
           ctx.limit_id <- max_int
         end;
         (* [step] inlined: at simulator event rates even the two call
-           frames (step, resume) are measurable. *)
+           frames (step, resume) are measurable.  A [Spin_cas] whose
+           attempts at this pick all fail stays pending, re-keyed at
+           its clock below without resuming its program. *)
         (match c.state with
         | Done -> ()
         | Next (o, k) ->
-            let result = exec t c o in
-            c.state <- Done;
-            let saved = ctx.cur in
-            ctx.cur <- c.id;
-            ctx.ahead <- -1;
-            (match Effect.Deep.continue k result with
-            | s ->
-                ctx.cur <- saved;
-                c.state <- s
-            | exception e ->
-                ctx.cur <- saved;
-                raise e));
+            if
+              match o with
+              | Spin_cas (a, x, y) -> spin_won t ctx c a x y
+              | _ -> true
+            then begin
+              let result = exec t c o in
+              c.state <- Done;
+              t.resumes <- t.resumes + 1;
+              let saved = ctx.cur in
+              ctx.cur <- c.id;
+              ctx.ahead <- -1;
+              match Effect.Deep.continue k result with
+              | s ->
+                  ctx.cur <- saved;
+                  c.state <- s
+              | exception e ->
+                  ctx.cur <- saved;
+                  raise e
+            end);
         (* A [wake] during the event may have pushed a sleeper, but
            always below the root: its key lies past the waker's. *)
         (match c.state with
@@ -799,7 +879,8 @@ let run ?(max_cycles = 0) t progs =
          machine can run again. *)
       for i = 0 to n - 1 do
         cpus.(i).state <- Done;
-        cpus.(i).parked <- Done
+        cpus.(i).parked <- Done;
+        cpus.(i).spin_fails <- 0
       done;
       t.heap_n <- 0;
       restore ();

@@ -2,8 +2,8 @@
 
     Each simulated CPU runs an ordinary OCaml function ("program") as an
     effect-handler coroutine.  Every memory access the program makes
-    through this module's typed operations ({!read}, {!write}, {!cas},
-    ...) is an effect; the discrete-event scheduler executes pending
+    through this module's typed operations ({!read}, {!write},
+    {!cas_val}, ...) is an effect; the discrete-event scheduler executes pending
     operations in virtual-time order (always the CPU with the smallest
     local clock, ties broken by CPU id), charges cycle costs from the
     {!Cache} model, and resumes the coroutine with the result.  The
@@ -44,6 +44,14 @@
     reads or writes host state other CPUs' host code also touches must
     call {!sync} first, which puts it back at its scheduled position.
 
+    {b Spinning.}  A test-and-set acquisition ({!spin_cas}) resumes its
+    program once, for the winning attempt: the failed attempts and the
+    pauses between them run inline while the CPU is the next pick, and
+    inside the scheduler, at the CPU's picks, once it is not.  Each
+    runs through the same executor at the same clock as the loop of
+    {!cas_val} and {!spin_pause} it stands for, so spinning is
+    bit-identical to the scheduled path.
+
     {b Parking.}  A program waiting for host state another CPU's host
     code publishes (the trace replayer's cross-CPU free handoff) parks
     instead of polling through the scheduler; the publisher wakes it.
@@ -56,7 +64,9 @@
     charged exactly the polls scheduled before the waker's publishing
     point, plus the one after it that sees the publication; nothing
     parks with the fast path off or a [max_cycles] watchdog armed —
-    {!park} is then one scheduled poll; an operation runs ahead of the
+    {!park} is then one scheduled poll — and nothing spins inside the
+    scheduler then either: {!spin_cas} is the plain {!cas_val} and
+    {!spin_pause} loop; an operation runs ahead of the
     schedule only if it touches nothing but its CPU's private state and
     owned or read-only lines, and never with the fast path off, a
     watchdog armed, or (for memory) a {!Cache.set_trace} hook installed;
@@ -132,9 +142,10 @@ val reset_clocks : t -> unit
 
     Each operation runs inline when its CPU is the scheduler's next pick
     and is scheduled otherwise, unless its doc says it runs ahead of the
-    schedule.  The atomics ({!cas}, {!cas_val}, {!fetch_add},
-    {!fetch_or}, {!fetch_and}), {!now} and {!sync} never run ahead.
-    All five atomics charge the same: one read-modify-write cache access
+    schedule.  The atomics ({!cas_val}, {!fetch_add}, {!fetch_or},
+    {!fetch_and}, and each of {!spin_cas}'s attempts), {!now} and
+    {!sync} never run ahead.
+    Every atomic charges the same: one read-modify-write cache access
     plus the [rmw] geometry cost, retiring one instruction. *)
 
 val read : Memory.addr -> int
@@ -145,15 +156,13 @@ val write : Memory.addr -> int -> unit
 (** [write a v] is a store.  A hit on a line the caller {!Cache.own}s runs
     ahead of the schedule. *)
 
-val cas : Memory.addr -> expected:int -> desired:int -> bool
-(** [cas a ~expected ~desired] is an atomic compare-and-swap; true on
-    success, i.e. [cas_val a ~expected ~desired = expected]. *)
-
 val cas_val : Memory.addr -> expected:int -> desired:int -> int
-(** [cas_val a ~expected ~desired] is {!cas} returning the {e witnessed}
-    value instead of a boolean (the swap happened iff the result equals
-    [expected]) — the compare-exchange shape lock-free retry loops want,
-    so a failed attempt does not pay a separate reload. *)
+(** [cas_val a ~expected ~desired] is an atomic compare-and-swap that
+    stores [desired] in word [a] if it holds [expected], and returns the
+    {e witnessed} value: the swap happened iff the result equals
+    [expected].  It is the compare-exchange shape lock-free retry loops
+    want, so a failed attempt does not pay a separate reload.  A lock
+    acquisition spins with {!spin_cas}. *)
 
 val fetch_add : Memory.addr -> int -> int
 (** [fetch_add a n] atomically adds [n] to word [a], returning the old
@@ -166,6 +175,29 @@ val fetch_or : Memory.addr -> int -> int
 val fetch_and : Memory.addr -> int -> int
 (** [fetch_and a n] atomically ANDs [n] into word [a], returning the old
     value. *)
+
+val spin_cas : Memory.addr -> expected:int -> desired:int -> int
+(** [spin_cas a ~expected ~desired] spins until a compare-and-swap of
+    [a] from [expected] to [desired] wins, and returns the number of
+    failed attempts.  It is exactly the loop
+    {[ let rec go n =
+         if cas_val a ~expected ~desired = expected then n
+         else (spin_pause (); go (n + 1)) ]}
+    — the same attempts and pauses, in the same order, at the same
+    clocks and costs — except that the program runs again only after
+    the winning attempt.  While the caller is the scheduler's next
+    pick, attempts run inline; once it is not, the scheduler runs each
+    remaining attempt at the caller's pick, then the pause after a
+    failure, then further attempts inline while the caller stays the
+    next pick, and re-keys it otherwise, all without resuming the
+    program.  With the fast path off or a [max_cycles] watchdog armed
+    it is the plain {!cas_val} and {!spin_pause} loop above, the oracle
+    the fast = scheduled proofs compare against: with the fast path off
+    every attempt and pause is one scheduled operation; with a watchdog
+    armed every pause is, and an attempt still runs inline while the
+    caller is the next pick.  A
+    word that never again holds [expected] spins it forever (or until
+    the watchdog fires). *)
 
 val work : int -> unit
 (** [work n] charges [n] cycles of pure compute (models straight-line
@@ -269,6 +301,13 @@ val irq_enable : unit -> unit
 val irq_disabled_oracle : t -> cpu:int -> bool
 (** [irq_disabled_oracle t ~cpu] is CPU [cpu]'s interrupt flag (host-side
     test oracle). *)
+
+val resumes_oracle : t -> int
+(** [resumes_oracle t] counts the program resumes [t]'s scheduler has
+    made since {!create}: one per operation it executed for a program,
+    and one per won {!spin_cas} however many attempts it ran.  Launches
+    and inline operations are not resumes.  A deterministic measure of
+    host cost (test oracle: the resume pins bound it per operation). *)
 
 (** {1 Host-side observation} *)
 

@@ -25,29 +25,22 @@ let lc_release t =
     | Some (cpu, time) -> Lockcheck.release ~cpu ~time ~addr:t.a
     | None -> ()
 
-(* Test-and-set with jittered pauses.  A test-and-TEST-and-set spin
-   reads first and only then attempts the atomic, but in the simulation
-   the read-to-CAS latency is a whole coherence miss, so against a
-   holder that releases and re-acquires quickly the spinner's CAS would
-   always arrive late — a livelock the bus arbitration of real hardware
-   prevents.  The atomic itself samples the lock word at its issue
-   instant, so spinning directly on it (with {!Machine.spin_pause}'s
-   deterministic jitter de-phasing the loop) guarantees progress and
-   honestly charges the bus traffic that made these locks expensive.
-   Top-level rather than a closure in [acquire], so an uncontended
-   acquire allocates nothing. *)
-let rec attempt t spins =
-  if Machine.cas t.a ~expected:unlocked_value ~desired:locked_value then begin
-    lc_acquire t;
-    spins
-  end
-  else begin
-    Machine.spin_pause ();
-    attempt t (spins + 1)
-  end
-
+(* Test-and-set with jittered pauses: {!Machine.spin_cas}, which wakes
+   the program only for the winning attempt.  A test-and-TEST-and-set
+   spin reads first and only then attempts the atomic, but in the
+   simulation the read-to-CAS latency is a whole coherence miss, so
+   against a holder that releases and re-acquires quickly the spinner's
+   CAS would always arrive late — a livelock the bus arbitration of
+   real hardware prevents.  The atomic itself samples the lock word at
+   its issue instant, so spinning directly on it (with
+   {!Machine.spin_pause}'s deterministic jitter de-phasing the loop)
+   guarantees progress and honestly charges the bus traffic that made
+   these locks expensive. *)
 let acquire t =
-  let spins = attempt t 0 in
+  let spins =
+    Machine.spin_cas t.a ~expected:unlocked_value ~desired:locked_value
+  in
+  lc_acquire t;
   if Trace.on () then
     Trace.emit (Flightrec.Event.Lock_acquire { lock = t.a; spins })
 

@@ -33,10 +33,11 @@ val register :
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] runs [f ()] with the lock held, releasing on return.
-    It acquires by spinning on a compare-and-swap of the lock word,
-    backing off with {!Machine.spin_pause} after each failed attempt,
-    and releases by storing the unlocked value: an uncontended pair
-    retires two instructions, the CAS and the store.  When a
+    It acquires with {!Machine.spin_cas}: a compare-and-swap of the
+    lock word, backing off with {!Machine.spin_pause} after each failed
+    attempt, where only the winning attempt resumes the caller's
+    program.  It releases by storing the unlocked value: an
+    uncontended pair retires two instructions, the CAS and the store.  When a
     {!Flightrec.Recorder} is installed, it emits a [Lock_acquire] event
     carrying the failed-attempt (spin) count and a [Lock_release] event,
     host-side at zero simulated cost; with no recorder an uncontended

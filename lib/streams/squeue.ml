@@ -19,19 +19,12 @@ let create buf =
     Some { base }
   end
 
-(* The spinlock word lives inside the allocated record; build a handle
-   around it without re-initialising (init is boot-time only). *)
+(* The spinlock word lives inside the allocated record, cleared by
+   [create].  Jittered test-and-set; Sim.Spinlock's [acquire] says why
+   the simulation spins on the atomic itself. *)
 let with_q_lock t f =
   let lock_addr = t.base + q_lock in
-  (* Jittered test-and-set; Sim.Spinlock's [attempt] says why the
-     simulation spins on the atomic itself. *)
-  let rec acquire () =
-    if not (Machine.cas lock_addr ~expected:0 ~desired:1) then begin
-      Machine.spin_pause ();
-      acquire ()
-    end
-  in
-  acquire ();
+  ignore (Machine.spin_cas lock_addr ~expected:0 ~desired:1);
   let v = f () in
   Machine.write lock_addr 0;
   v

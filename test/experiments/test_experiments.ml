@@ -8,4 +8,5 @@ let () =
       ("equivalence", Test_equivalence.suite);
       ("geomsweep", Test_geomsweep.suite);
       ("numa-exp", Test_numa_exp.suite);
+      ("resumes", Test_resumes.suite);
     ]

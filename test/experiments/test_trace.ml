@@ -119,6 +119,35 @@ let test_replay_determinism () =
   in
   Alcotest.(check int) "cycle-exact reruns" (run ()) (run ())
 
+(* Replay numbers ids by first appearance, so how a trace spells them
+   moves nothing: negative ids (-1 among them), sparse ones that share
+   their low bits, and ids near [min_int] replay exactly like the dense
+   ones [synthesize] writes. *)
+let test_replay_ignores_id_spelling () =
+  let open Workload.Trace in
+  let t = synthesize ~ops:600 ~ncpus:4 ~mean_gap:3 () in
+  let rename f =
+    List.map
+      (function
+        | Alloc a -> Alloc { a with id = f a.id }
+        | Free r -> Free { r with id = f r.id })
+      t
+  in
+  let run t =
+    let m = Sim.Machine.create (Sim.Config.make ~ncpus:4 ~memory_words:65536 ()) in
+    let a = Baseline.Allocator.create Baseline.Allocator.Newkma m in
+    replay m t a
+  in
+  let dense = run t in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) name true (run (rename f) = dense))
+    [
+      ("negative", fun id -> -1 - id);
+      ("sparse", fun id -> id lsl 40);
+      ("near min_int", fun id -> min_int + (id * 3));
+    ]
+
 (* Handoffs that form a cycle — each CPU frees, first, a block the
    other allocates only after its own free — make a malformed trace:
    [validate] rejects it, and replaying it ends in [Deadlock] naming
@@ -168,6 +197,8 @@ let suite =
       test_record_then_replay;
     Alcotest.test_case "replay is cycle-deterministic" `Quick
       test_replay_determinism;
+    Alcotest.test_case "replay ignores how ids are spelled" `Quick
+      test_replay_ignores_id_spelling;
     Alcotest.test_case "cyclic handoff raises Deadlock" `Quick
       test_cyclic_handoff_deadlocks;
   ]

@@ -13,6 +13,10 @@ open Sim
 
 let mem_words = 4096
 
+(* [Config.make ~uncached_words:64] puts the uncached region at the top
+   of memory: words 4032-4095. *)
+let uncached_base = mem_words - 64
+
 (* Host-signalled handoffs between the random programs.  A CPU may park
    until a CPU ranked below it (in a seed-rotated order, so waker ids
    above and below the waiter's both occur) has posted again or
@@ -83,15 +87,17 @@ let wait h cpu next =
   end
 
 (* A deterministic mixed-operation program: reads, writes, RMWs, work,
-   raw relaxed spins, a contended spinlock critical section (the
-   relaxed-Spin inlining leg plus the scheduled TAS leg), posts and
-   parked waits on the handoffs above, the run-ahead leg (loads and
-   stores to the CPU's own lines, loads of read-only lines, [cpu_id],
-   interrupt flips), and [sync]-anchored updates of shared host state.
-   Addresses span the uncached region (first 64 words: the lock and
-   counters) and the cached region, across enough lines to force
-   evictions and cross-CPU invalidations. *)
-let program h lock seed len cpu =
+   raw relaxed spins, contended spinlock critical sections (the
+   spinning-acquisition leg: attempts inline, then at the scheduler's
+   picks), posts and parked waits on the handoffs above, the run-ahead
+   leg (loads and stores to the CPU's own lines, loads of read-only
+   lines, [cpu_id], interrupt flips), and [sync]-anchored updates of
+   shared host state.  Addresses span the cached region (the lock
+   [lock] at word 8, counters in words 32-63, and words 64-1087, enough
+   lines to force evictions and cross-CPU invalidations) and the
+   uncached region (the lock [ulock] at its first word, counters
+   above it). *)
+let program h lock ulock seed len cpu =
   let st = ref ((seed * 69069) + (cpu * 7919) + 1) in
   let next () =
     st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -101,14 +107,14 @@ let program h lock seed len cpu =
   if next () mod 2 = 0 then post h cpu;
   if next () mod 2 = 0 then wait h cpu next;
   for _ = 1 to len do
-    match next () mod 19 with
+    match next () mod 21 with
     | 0 -> ignore (Machine.read (64 + (next () mod 1024)))
     | 1 -> Machine.write (64 + (next () mod 1024)) (next ())
     | 2 -> ignore (Machine.fetch_add (32 + (next () mod 8)) 1)
     | 3 -> Machine.work (1 + (next () mod 5))
     | 4 ->
         ignore
-          (Machine.cas
+          (Machine.cas_val
              (40 + (next () mod 8))
              ~expected:0 ~desired:(next ()))
     | 6 ->
@@ -141,10 +147,20 @@ let program h lock seed len cpu =
     | 18 ->
         Machine.sync ();
         wait h cpu next
+    | 19 ->
+        Spinlock.with_lock ulock (fun () ->
+            Machine.write (uncached_base + 63)
+              (Machine.read (uncached_base + 63) + 1))
+    | 20 -> (
+        let a = uncached_base + 8 + (next () mod 8) in
+        match next () mod 3 with
+        | 0 -> ignore (Machine.read a)
+        | 1 -> Machine.write a (next ())
+        | _ -> ignore (Machine.fetch_add a 1))
     | _ ->
-        (* The check reads other CPUs' host state, so it must not
-           follow an inline spin directly (the [spin_pause] contract):
-           anchor it after an operation. *)
+        (* 5 and 12.  The check reads other CPUs' host state, so it
+           must not follow an inline spin directly (the [spin_pause]
+           contract): anchor it after an operation. *)
         ignore (Machine.now ());
         wait h cpu next
   done;
@@ -172,8 +188,9 @@ let execute ~fast (ncpus, seed, len) =
       let m = Machine.create config in
       declare m ncpus;
       let lock = Spinlock.init (Machine.memory m) 8 in
+      let ulock = Spinlock.init (Machine.memory m) uncached_base in
       let h = handoff ncpus seed in
-      Machine.run_symmetric m ~ncpus (program h lock seed len);
+      Machine.run_symmetric m ~ncpus (program h lock ulock seed len);
       {
         elapsed = Machine.elapsed m;
         cpu_times =
@@ -190,7 +207,7 @@ let execute ~fast (ncpus, seed, len) =
 
 let case =
   QCheck.(
-    triple (int_range 1 4) (int_range 0 1_000_000) (int_range 1 400))
+    triple (int_range 1 8) (int_range 0 1_000_000) (int_range 1 400))
 
 let prop_fast_slow_identical =
   QCheck.Test.make ~name:"fast path is cycle- and state-identical"
@@ -228,8 +245,9 @@ let test_identical_under_geometry () =
             let m = Machine.create config in
             declare m 3;
             let lock = Spinlock.init (Machine.memory m) 8 in
+            let ulock = Spinlock.init (Machine.memory m) uncached_base in
             let h = handoff 3 1234 in
-            Machine.run_symmetric m ~ncpus:3 (program h lock 1234 300);
+            Machine.run_symmetric m ~ncpus:3 (program h lock ulock 1234 300);
             ( Machine.elapsed m,
               h.mix,
               Memory.blit_to_host_oracle (Machine.memory m) 0 ~len:mem_words ))
@@ -243,11 +261,19 @@ let test_identical_under_geometry () =
 
 (* --- parking edge cases, each against the polling oracle ------------ *)
 
-(* Run [progs] (given a fresh shared flag and a host-side log) with the
-   fast path off — where [park] is one scheduled poll — and on, and
-   require identical clocks, retired counts and logs; returns the
-   parked run's. *)
-let both_modes ~ncpus progs =
+(* [run ()] with nothing observed besides clocks, retired counts and
+   the log. *)
+let unobserved run =
+  run ();
+  []
+
+(* Run [progs] (given the machine's memory, a fresh shared flag and a
+   host-side log) with the fast path off — where [park] is one
+   scheduled poll and [spin_cas] the plain loop of scheduled attempts
+   and pauses — and on, both under [max_cycles] when given, and
+   require identical clocks, retired counts, logs and what [observe]
+   saw of the run it wraps; returns the fast run's. *)
+let both_modes ?max_cycles ?(observe = unobserved) ~ncpus progs =
   let go fast =
     Machine.set_fast_path_oracle fast;
     Fun.protect
@@ -258,15 +284,17 @@ let both_modes ~ncpus progs =
             (Config.make ~ncpus ~memory_words:mem_words ~uncached_words:64 ())
         in
         let log = ref [] in
-        Machine.run m (progs (ref false) log);
+        let programs = progs (Machine.memory m) (ref false) log in
+        let observed = observe (fun () -> Machine.run ?max_cycles m programs) in
         ( List.init ncpus (fun cpu -> Machine.cpu_time m ~cpu),
           List.init ncpus (fun cpu -> Machine.retired m ~cpu),
-          List.rev !log ))
+          List.rev !log,
+          observed ))
   in
-  let polled = go false in
-  let parked = go true in
-  Alcotest.(check bool) "parked = polled" true (polled = parked);
-  parked
+  let scheduled = go false in
+  let fast = go true in
+  Alcotest.(check bool) "fast = scheduled" true (scheduled = fast);
+  fast
 
 let await flag = while not !flag do Machine.park () done
 
@@ -279,8 +307,8 @@ let signal flag cpu =
    still launching programs, ahead of every poll: CPU 0's launch ends in
    a park, CPU 1's launch publishes, and CPU 0 pays exactly one poll. *)
 let test_wake_during_launch () =
-  let _, retired, _ =
-    both_modes ~ncpus:2 (fun flag _ ->
+  let _, retired, _, _ =
+    both_modes ~ncpus:2 (fun _ flag _ ->
         [|
           (fun _ -> await flag);
           (fun _ ->
@@ -294,8 +322,8 @@ let test_wake_during_launch () =
 (* A wake whose publishing point precedes the sleeper's first poll: the
    park turns into that single poll. *)
 let test_wake_before_first_poll () =
-  let _, retired, _ =
-    both_modes ~ncpus:2 (fun flag _ ->
+  let _, retired, _, _ =
+    both_modes ~ncpus:2 (fun _ flag _ ->
         [|
           (fun _ ->
             Machine.work 100;
@@ -311,8 +339,8 @@ let test_wake_before_first_poll () =
    horizon: the waker's next inline operations must stop at it, or the
    waker would read [x] past the point where the sleeper wrote it. *)
 let test_wake_lowers_horizon () =
-  let _, _, log =
-    both_modes ~ncpus:2 (fun flag log ->
+  let _, _, log, _ =
+    both_modes ~ncpus:2 (fun _ flag log ->
         [|
           (fun _ ->
             await flag;
@@ -385,6 +413,108 @@ let test_watchdog_polls () =
   | exception Machine.Watchdog t ->
       Alcotest.(check bool) "expired past the limit" true (t > 20_000)
 
+(* --- spinning acquisition, each against the scheduled oracle ---------- *)
+
+(* The flight recorder's [Lock_acquire] events (CPU, clock, spin
+   count) over [run ()]. *)
+let lock_acquires ~ncpus run =
+  let fr = Flightrec.Recorder.create ~ncpus () in
+  Flightrec.Recorder.install fr;
+  Fun.protect ~finally:Flightrec.Recorder.uninstall run;
+  List.filter_map
+    (fun (e : Flightrec.Event.t) ->
+      match e.kind with
+      | Flightrec.Event.Lock_acquire { spins; _ } -> Some (e.cpu, e.time, spins)
+      | _ -> None)
+    (Flightrec.Recorder.events fr)
+
+(* Both locks, cached and uncached. *)
+let two_locks mem =
+  (Spinlock.init mem 8, Spinlock.init mem uncached_base)
+
+(* [rounds] critical sections per CPU, alternating the two locks (each
+   guarding its own counter), with per-CPU work between them so the
+   convoys' phases vary. *)
+let convoy ~ncpus ~rounds mem _ _ =
+  let lock, ulock = two_locks mem in
+  Array.init ncpus (fun _ cpu ->
+      for r = 1 to rounds do
+        let l, w =
+          if (r + cpu) land 1 = 0 then (lock, 60) else (ulock, uncached_base + 63)
+        in
+        Spinlock.with_lock l (fun () ->
+            Machine.write w (Machine.read w + 1);
+            Machine.work (5 + cpu));
+        Machine.work (r * cpu mod 7)
+      done)
+
+let spins (_, _, _, events) = List.map (fun (_, _, n) -> n) events
+
+(* The recorder's spin counts through an 8-deep convoy: one
+   [Lock_acquire] per critical section, and most acquirers spin. *)
+let test_convoy_spin_counts () =
+  let ncpus = 8 and rounds = 12 in
+  let r =
+    both_modes ~observe:(lock_acquires ~ncpus) ~ncpus (convoy ~ncpus ~rounds)
+  in
+  let n = spins r in
+  Alcotest.(check int) "one event per acquire" (ncpus * rounds)
+    (List.length n);
+  Alcotest.(check bool) "a deep convoy" true
+    (List.length (List.filter (fun s -> s > 0) n) > ncpus * rounds / 2)
+
+(* With a watchdog armed the spin is the plain [cas_val]/[spin_pause]
+   loop, which must charge what the inline-and-scheduler spin charges
+   without one. *)
+let test_watchdog_spin () =
+  let ncpus = 6 and rounds = 10 in
+  let armed =
+    both_modes ~max_cycles:100_000_000 ~observe:(lock_acquires ~ncpus) ~ncpus
+      (convoy ~ncpus ~rounds)
+  in
+  let unarmed =
+    both_modes ~observe:(lock_acquires ~ncpus) ~ncpus (convoy ~ncpus ~rounds)
+  in
+  Alcotest.(check bool) "armed = unarmed" true (armed = unarmed);
+  Alcotest.(check bool) "it spun" true (List.exists (fun s -> s > 0) (spins armed))
+
+(* A lock nobody releases: the watchdog still fires, at a pick past its
+   deadline, inside the spin. *)
+let test_watchdog_stops_spin () =
+  let m = Machine.create (Config.make ~ncpus:1 ~memory_words:mem_words ()) in
+  let l = Spinlock.init (Machine.memory m) 8 in
+  Memory.set (Machine.memory m) 8 1;
+  match
+    Machine.run ~max_cycles:20_000 m
+      [| (fun _ -> Spinlock.with_lock l ignore) |]
+  with
+  | () -> Alcotest.fail "expected Watchdog"
+  | exception Machine.Watchdog t ->
+      Alcotest.(check bool) "expired past the limit" true (t > 20_000)
+
+(* A spin whose first attempt is the program's first operation starts
+   while [run] is still launching programs, where nothing runs inline:
+   both locks start held, and the last CPU to launch releases them. *)
+let test_spin_during_launch () =
+  let ncpus = 4 in
+  let progs mem _ _ =
+    let lock, ulock = two_locks mem in
+    Memory.set mem 8 1;
+    Memory.set mem uncached_base 1;
+    Array.init ncpus (fun cpu ->
+        if cpu = ncpus - 1 then fun _ ->
+          Machine.work 300;
+          Machine.write 8 0;
+          Machine.work 200;
+          Machine.write uncached_base 0
+        else fun _ ->
+          Spinlock.with_lock (if cpu land 1 = 0 then lock else ulock)
+            (fun () -> Machine.work 50))
+  in
+  let r = both_modes ~observe:(lock_acquires ~ncpus) ~ncpus progs in
+  Alcotest.(check bool) "every launching acquirer spun" true
+    (List.for_all (fun s -> s > 0) (spins r))
+
 let test_outside_simulation () =
   Alcotest.check_raises "park" Machine.Not_in_simulation Machine.park;
   Alcotest.check_raises "wake" Machine.Not_in_simulation (fun () ->
@@ -407,4 +537,12 @@ let suite =
       test_watchdog_polls;
     Alcotest.test_case "park/wake outside a program" `Quick
       test_outside_simulation;
+    Alcotest.test_case "spin: recorder spin counts in an 8-deep convoy"
+      `Quick test_convoy_spin_counts;
+    Alcotest.test_case "spin: a watchdog keeps the plain loop" `Quick
+      test_watchdog_spin;
+    Alcotest.test_case "spin: a watchdog stops an endless spin" `Quick
+      test_watchdog_stops_spin;
+    Alcotest.test_case "spin: started while programs launch" `Quick
+      test_spin_during_launch;
   ]

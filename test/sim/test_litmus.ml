@@ -92,7 +92,7 @@ let test_cas_election () =
     Machine.run m
       (Array.init 2 (fun _ cpu ->
            Machine.work (if cpu = 0 then skew else 10 - skew);
-           if Machine.cas 100 ~expected:0 ~desired:(cpu + 1) then
+           if Machine.cas_val 100 ~expected:0 ~desired:(cpu + 1) = 0 then
              winners := cpu :: !winners));
     Alcotest.(check int)
       (Printf.sprintf "one winner at skew %d" skew)

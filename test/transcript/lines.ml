@@ -9,6 +9,9 @@ let lines =
        prints only the Figure 7 verdict lines whose points it has. *)
     "fig7 --cpus 2 --iters 10";
     "fig7 --cpus 1,2 --iters 20 --semilog";
+    (* A 25-CPU convoy on mk's and oldkma's one lock: every acquire but
+       the first few spins behind a queue deeper than 8. *)
+    "fig7 --cpus 25 --iters 20 --allocs mk,oldkma";
     (* A large block that fits still runs. *)
     "fig7 --bytes 1000000 --cpus 1 --iters 10 --allocs cookie";
     "fig7 --bytes 2000000 --cpus 3 --iters 10 --allocs cookie";
